@@ -5,9 +5,10 @@ ebit-noise.  Every subcommand honors --config FILE (plain-text KEY=VALUE
 lines, # comments) with explicit flags winning over file values, and the
 shared flags --seed, --out, --fock-cutoff, --tolerance.  Closed-form
 numbers are serialized with 12 significant digits.  Integrator-derived
-values in fidelity-sweep and two-photon are first rounded to the decade
-of the tolerance the integrator ran at (see _fmt_at_tol), so identical
-inputs give byte-identical output across machines, not only across runs.
+values in fidelity-sweep, two-photon and protocol --level physical are
+first rounded to the decade of the tolerance the integrator ran at (see
+_fmt_at_tol), so identical inputs give byte-identical output across
+machines, not only across runs.
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
 
@@ -354,6 +355,8 @@ def cmd_protocol(ns) -> int:
         amp_sets = [ns.amps if ns.amps is not None else (r, r, r, r)]
         multi = False
 
+    # the ideal level is exact; physical values are integrator results
+    fmt = _fmt if ns.level == "ideal" else (lambda v: _fmt_at_tol(v, ns.tolerance))
     summary = ["run,branch,probability,fidelity_vs_ideal" if multi
                else "branch,probability,fidelity_vs_ideal"]
     trace_lines = []
@@ -363,7 +366,7 @@ def cmd_protocol(ns) -> int:
         prefix = f"run={idx} " if multi else ""
         trace_lines.extend(prefix + line for line in trace.trace_lines())
         for label, prob, fid in trace.summary_rows():
-            row = [label, _fmt(prob), _fmt(fid)]
+            row = [label, fmt(prob), fmt(fid)]
             if multi:
                 row.insert(0, str(idx))
             summary.append(",".join(row))

@@ -15,13 +15,18 @@ Physical single-node gates share one pipeline:
 4. decode: back through the ramp map, so callers always see bare-basis
    states in and out.
 
-Fidelity is always reported against the ideal oracle on the caller's state.
+Each engine integrates the full node once per (params, config) and caches
+the corrected bare-basis action; every gate call applies that one small
+matrix to its node factors with qstate.apply_local, whatever the rest of
+the register holds.  Fidelity is always reported against the ideal oracle
+(the same small block, applied the same way) on the caller's state.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Optional
@@ -29,9 +34,9 @@ from typing import Optional
 import numpy as np
 
 from .qstate import (ATOM_E, ATOM_G, ATOM_I, CompositeSpace, FactorLabel,
-                     Operator, QStateError, StateVector, embed)
+                     Operator, QStateError, StateVector, apply_local, embed)
 from .jcmodel import (JCParams, bare_to_dressed_map, dressed_pair, jc_rotating,
-                      jc_space, manifold_splitting, mixing_angle)
+                      jc_space, manifold_splitting)
 from .pulses import (DriveHamiltonian, PulseSpec, calibrate_pulse_area,
                      drive_hamiltonian_bare, propagate_basis)
 from .perturb import TwoPhotonParams, two_photon_probability
@@ -163,14 +168,12 @@ def _ideal_pair_matrix(kind: GateKind, atom_dim: int, n_ph: int,
     return u
 
 
-def ideal_gate(kind: GateKind, space: CompositeSpace, atom: Optional[str] = None,
-               cavity: Optional[str] = None, phi: float = math.pi) -> Operator:
-    """Exact unitary oracle of a gate, identity outside its truth table.
+def ideal_block(kind: GateKind, space: CompositeSpace, atom: Optional[str] = None,
+                cavity: Optional[str] = None, phi: float = math.pi) -> tuple:
+    """The ideal gate as (matrix, factors): its block on the factors it acts on.
 
-    Two-factor kinds (both CNOTs, SWAP, CQPG) need atom and cavity labels;
-    HADAMARD_ATOM and NOT_ATOM act on the atom alone; SIGMA_Z takes exactly
-    one factor and puts -1 on its logical |1> (|g> for an atom, one photon
-    for a cavity).
+    Apply it with qstate.apply_local; ideal_gate embeds the same block into
+    a dense operator on the whole space.
     """
     pair_kinds = (GateKind.CNOT_CAVITY_TO_ATOM, GateKind.CNOT_ATOM_TO_CAVITY,
                   GateKind.SWAP_ATOM_CAVITY, GateKind.CQPG_LOCAL)
@@ -183,9 +186,7 @@ def ideal_gate(kind: GateKind, space: CompositeSpace, atom: Optional[str] = None
             raise QStateError(f"atom factor {atom!r} must have dim 2 or 3")
         if n_ph < 2:
             raise QStateError(f"cavity factor {cavity!r} must hold photon 0 and 1")
-        mat = _ideal_pair_matrix(kind, a_dim, n_ph, phi)
-        sub = CompositeSpace([FactorLabel(atom, a_dim), FactorLabel(cavity, n_ph)])
-        return embed(Operator(sub, mat, unitary=True), space)
+        return _ideal_pair_matrix(kind, a_dim, n_ph, phi), (atom, cavity)
 
     if kind in (GateKind.HADAMARD_ATOM, GateKind.NOT_ATOM):
         if atom is None:
@@ -197,23 +198,34 @@ def ideal_gate(kind: GateKind, space: CompositeSpace, atom: Optional[str] = None
             np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         mat = np.eye(a_dim, dtype=complex)
         mat[:2, :2] = block
-        sub = CompositeSpace([FactorLabel(atom, a_dim)])
-        return embed(Operator(sub, mat, unitary=True), space)
+        return mat, (atom,)
 
     if kind == GateKind.SIGMA_Z:
         if (atom is None) == (cavity is None):
             raise QStateError("sigma_z takes exactly one of atom or cavity")
         name = atom if atom is not None else cavity
-        dim = space.factor(name).dim
-        mat = np.eye(dim, dtype=complex)
+        mat = np.eye(space.factor(name).dim, dtype=complex)
         if atom is not None:
             mat[ATOM_G, ATOM_G] = -1.0  # logical |1> is |g>
         else:
             mat[1, 1] = -1.0            # one photon
-        sub = CompositeSpace([FactorLabel(name, dim)])
-        return embed(Operator(sub, mat, unitary=True), space)
+        return mat, (name,)
 
     raise QStateError(f"unknown gate kind {kind!r}")
+
+
+def ideal_gate(kind: GateKind, space: CompositeSpace, atom: Optional[str] = None,
+               cavity: Optional[str] = None, phi: float = math.pi) -> Operator:
+    """Exact unitary oracle of a gate, identity outside its truth table.
+
+    Two-factor kinds (both CNOTs, SWAP, CQPG) need atom and cavity labels;
+    HADAMARD_ATOM and NOT_ATOM act on the atom alone; SIGMA_Z takes exactly
+    one factor and puts -1 on its logical |1> (|g> for an atom, one photon
+    for a cavity).
+    """
+    mat, factors = ideal_block(kind, space, atom, cavity, phi)
+    sub = CompositeSpace([space.factor(name) for name in factors])
+    return embed(Operator(sub, mat, unitary=True), space)
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +274,16 @@ def _rotating_drive(params: JCParams, cutoff: int, pulse: PulseSpec,
     amp = pulse.amplitude
     w_fast = 2.0 * params.omega + carrier_rot
 
+    # scalar cmath, not numpy: this runs once per right-hand-side call
     if rwa:
         def z(t, _env=unit.envelope):
-            return 0.5 * amp * float(_env(t)) * np.exp(-1j * carrier_rot * t)
+            return 0.5 * amp * float(_env(t)) * cmath.exp(-1j * carrier_rot * t)
     else:
         # both halves act on the same raising operator: one coefficient,
         # one envelope evaluation per integrator step
         def z(t, _env=unit.envelope):
-            return 0.5 * amp * float(_env(t)) * (np.exp(-1j * carrier_rot * t)
-                                                 + np.exp(1j * w_fast * t))
+            return 0.5 * amp * float(_env(t)) * (cmath.exp(-1j * carrier_rot * t)
+                                                 + cmath.exp(1j * w_fast * t))
     return DriveHamiltonian(jc_space(cutoff), [(_atom_raise_full(cutoff), z)],
                             rwa=rwa, label="dressed-drive")
 
@@ -318,69 +331,53 @@ def _free_phases_swap(m: np.ndarray, floor: float = 1e-9) -> np.ndarray:
     return th
 
 
-def _corrected_action(u_cols: np.ndarray, logical: np.ndarray,
-                      theta: np.ndarray, eta: Optional[np.ndarray] = None,
-                      full: bool = False) -> np.ndarray:
+def _corrected_action(u: np.ndarray, logical: np.ndarray, theta: np.ndarray,
+                      eta: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply exp(i theta_j) on the logical components of each output column.
 
-    eta adds pre-pulse phases on the logical inputs: for narrow column
-    stacks (one column per logical state) that scales the columns, for a
-    full propagator it right-multiplies by the extended diagonal.
+    eta adds pre-pulse phases on the logical inputs: the propagator is
+    right-multiplied by the extended diagonal.
     """
-    overlaps = logical.conj().T @ u_cols
-    post = u_cols + logical @ ((np.exp(1j * theta) - 1.0)[:, None] * overlaps)
+    overlaps = logical.conj().T @ u
+    post = u + logical @ ((np.exp(1j * theta) - 1.0)[:, None] * overlaps)
     if eta is None:
         return post
-    if not full:
-        return post * np.exp(1j * eta)[None, :]
     inner = post @ logical
     return post + (inner * (np.exp(1j * eta) - 1.0)[None, :]) @ logical.conj().T
 
 
-def _node_operator(space: CompositeSpace, atom: str, cavity: str,
-                   n_ph: int, matrix: np.ndarray, atom_dim: int = 2) -> Operator:
-    sub = CompositeSpace([FactorLabel(atom, atom_dim), FactorLabel(cavity, n_ph)])
-    op = Operator(sub, matrix)
-    return op if space == sub else embed(op, space)
+def _bare_action(params: JCParams, cutoff: int, corrected: np.ndarray) -> np.ndarray:
+    """Decode a dressed-frame action: the ramp map sends the computational
+    labels onto the dressed columns, so the bare-basis action is W' C W."""
+    w = bare_to_dressed_map(params, cutoff).matrix
+    action = w.conj().T @ corrected @ w
+    action.setflags(write=False)
+    return action
 
 
-def _state_on_computational_span(state: StateVector, atom: str, cavity: str,
-                                 atom_dim: int = 2) -> bool:
-    """True when every populated node level is a computational label."""
-    ax_a = state.space.axis(atom)
-    ax_c = state.space.axis(cavity)
-    psi = state.tensor_view()
-    psi = np.moveaxis(psi, (ax_a, ax_c), (0, 1))
-    leak = 0.0
-    for a in range(psi.shape[0]):
-        for n in range(psi.shape[1]):
-            if (a, n) not in _LOGICAL:
-                leak += float(np.sum(np.abs(psi[a, n]) ** 2))
-    return leak < 1e-24
+def _check_cavity(state: StateVector, cavity: str,
+                  config: PhysicalGateConfig) -> None:
+    n_ph = config.fock_cutoff + 1
+    if state.space.factor(cavity).dim != n_ph:
+        raise QStateError(
+            f"cavity dim {state.space.factor(cavity).dim} != fock_cutoff+1 = {n_ph}")
 
 
-def _apply_columns(state: StateVector, atom: str, cavity: str, n_ph: int,
-                   cols_bare: np.ndarray) -> StateVector:
-    """Apply a map defined by its action on the computational labels.
+def _gate_result(state: StateVector, engine: tuple, factors: tuple,
+                 ideal: tuple, **fields) -> GateResult:
+    """Apply an engine's cached action to its factors; score it against the
+    ideal block (matrix, factors) on the same input.
 
-    Valid only for states supported on those labels; cols_bare has one full
-    node column per logical state.
+    engine is what every *_engine returns: (bare-basis action, pulses,
+    duration, meta with "norm_drift" and optionally "correction").
     """
-    space = state.space
-    ax_a, ax_c = space.axis(atom), space.axis(cavity)
-    psi = np.moveaxis(state.tensor_view(), (ax_a, ax_c), (0, 1))
-    rest = psi.shape[2:]
-    flat = psi.reshape(2 * n_ph, -1)
-    coords = flat[_comp_rows(n_ph), :]
-    out = (cols_bare @ coords).reshape((2, n_ph) + rest)
-    out = np.moveaxis(out, (0, 1), (ax_a, ax_c))
-    return StateVector(space, out.reshape(-1))
-
-
-def _fidelity_vs(state_out: StateVector, ideal_op: Operator,
-                 state_in: StateVector) -> float:
-    target = ideal_op.apply(state_in)
-    return float(abs(np.vdot(target.amplitudes, state_out.amplitudes)) ** 2)
+    action, pulses, duration, meta = engine
+    out = apply_local(state, action, factors)
+    target = apply_local(state, *ideal)
+    fidelity = float(abs(np.vdot(target.amplitudes, out.amplitudes)) ** 2)
+    return GateResult(output=out, fidelity_vs_ideal=fidelity, pulse_log=pulses,
+                      duration=duration, norm_drift=meta["norm_drift"],
+                      correction=meta.get("correction"), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -401,33 +398,20 @@ def _cnot_pulse(params: JCParams, config: PhysicalGateConfig) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def _cnot_engine(params: JCParams, config: PhysicalGateConfig, full: bool):
+def _cnot_engine(params: JCParams, config: PhysicalGateConfig):
     cutoff = config.fock_cutoff
     pulse, carrier_rot = _cnot_pulse(params, config)
     drive = _rotating_drive(params, cutoff, pulse, carrier_rot, config.rwa)
     static = jc_rotating(params, cutoff)
     logical = _logical_columns(params, cutoff)
     t0, t1 = pulse.window
-    columns = np.eye(static.space.dim, dtype=complex) if full else logical
-    u_cols, info = propagate_basis(static, [drive], t0, t1, config.tol,
-                                   columns=columns)
-    u_logical = u_cols @ logical if full else u_cols
-    m = logical.conj().T @ u_logical
-    theta = _level_phases_cnot(m)
-    corrected = _corrected_action(u_cols, logical, theta)
-    # decode: the ramp map sends computational labels onto the dressed
-    # columns, so the bare-encoded action is W' C (W restricted to labels)
-    w = bare_to_dressed_map(params, cutoff).matrix
-    if full:
-        action = w.conj().T @ corrected @ w
-    else:
-        action = w.conj().T @ corrected
-    action.setflags(write=False)
-    meta = {"theta": tuple(float(v) for v in theta),
-            "norm_drift": info["norm_drift"],
-            "ramp": "adiabatic detuning ramp on computational labels",
-            "carrier_rot": carrier_rot}
-    return action, pulse, (t1 - t0), meta
+    u, info = propagate_basis(static, [drive], t0, t1, config.tol)
+    theta = _level_phases_cnot(logical.conj().T @ u @ logical)
+    action = _bare_action(params, cutoff, _corrected_action(u, logical, theta))
+    meta = {"norm_drift": info["norm_drift"],
+            "correction": {"theta": tuple(float(v) for v in theta),
+                           "ramp": "adiabatic detuning ramp on computational labels"}}
+    return action, (pulse,), (t1 - t0), meta
 
 
 def physical_cnot_cavity_to_atom(state: StateVector, params: JCParams,
@@ -446,23 +430,10 @@ def physical_cnot_cavity_to_atom(state: StateVector, params: JCParams,
     x = params.rabi_coupling / params.delta
     if x > 0.3:
         raise QStateError(f"coupling/detuning = {x:.3g} outside dispersive regime (> 0.3)")
-    n_ph = config.fock_cutoff + 1
-    if state.space.factor(cavity).dim != n_ph:
-        raise QStateError(
-            f"cavity dim {state.space.factor(cavity).dim} != fock_cutoff+1 = {n_ph}")
-
-    narrow = _state_on_computational_span(state, atom, cavity)
-    action, pulse, duration, meta = _cnot_engine(params, config, not narrow)
-    if narrow:
-        out = _apply_columns(state, atom, cavity, n_ph, action)
-    else:
-        out = _node_operator(state.space, atom, cavity, n_ph, action).apply(state)
-    ideal = ideal_gate(GateKind.CNOT_CAVITY_TO_ATOM, state.space, atom, cavity)
-    return GateResult(output=out,
-                      fidelity_vs_ideal=_fidelity_vs(out, ideal, state),
-                      pulse_log=(pulse,), duration=duration,
-                      norm_drift=meta["norm_drift"],
-                      correction={"theta": meta["theta"], "ramp": meta["ramp"]})
+    _check_cavity(state, cavity, config)
+    return _gate_result(state, _cnot_engine(params, config), (atom, cavity),
+                        ideal_block(GateKind.CNOT_CAVITY_TO_ATOM, state.space,
+                                    atom, cavity))
 
 
 # ---------------------------------------------------------------------------
@@ -480,21 +451,15 @@ def _swap_engine(p: TwoPhotonParams, config: PhysicalGateConfig):
     drives = []
     if p.sigma0 > 0:
         drives.append(drive_hamiltonian_bare(pulse, atom_dim=2, rwa=True))
-    u_full, info = propagate_basis(static, drives, p.t_start, p.t_end,
-                                   config.tol)
+    u, info = propagate_basis(static, drives, p.t_start, p.t_end, config.tol)
     logical = _logical_columns(params, cutoff)
-    m = logical.conj().T @ u_full @ logical
+    m = logical.conj().T @ u @ logical
     theta = _free_phases_swap(m)
-    corrected = _corrected_action(u_full, logical, theta)
-    w = bare_to_dressed_map(params, cutoff).matrix
-    action = w.conj().T @ corrected @ w
-    action.setflags(write=False)
-    exchange_fwd = float(abs(m[3, 0]) ** 2)
-    exchange_rev = float(abs(m[0, 3]) ** 2)
-    meta = {"theta": tuple(float(v) for v in theta),
-            "norm_drift": info["norm_drift"],
-            "exchange_forward": exchange_fwd, "exchange_reverse": exchange_rev}
-    return action, pulse, (p.t_end - p.t_start), meta
+    action = _bare_action(params, cutoff, _corrected_action(u, logical, theta))
+    meta = {"norm_drift": info["norm_drift"],
+            "correction": {"theta": tuple(float(v) for v in theta)},
+            "exchange_forward": float(abs(m[3, 0]) ** 2)}
+    return action, (pulse,), (p.t_end - p.t_start), meta
 
 
 @lru_cache(maxsize=32)
@@ -519,20 +484,13 @@ def physical_swap_two_photon(state: StateVector, p: TwoPhotonParams,
     config = config or PhysicalGateConfig()
     if config.fock_cutoff < 4:
         raise QStateError("fock_cutoff must be >= 4 for the two-photon ladder")
-    n_ph = config.fock_cutoff + 1
-    if state.space.factor(cavity).dim != n_ph:
-        raise QStateError(
-            f"cavity dim {state.space.factor(cavity).dim} != fock_cutoff+1 = {n_ph}")
-    action, pulse, duration, meta = _swap_engine(p, config)
-    out = _node_operator(state.space, atom, cavity, n_ph, action).apply(state)
-    ideal = ideal_gate(GateKind.SWAP_ATOM_CAVITY, state.space, atom, cavity)
-    return GateResult(output=out,
-                      fidelity_vs_ideal=_fidelity_vs(out, ideal, state),
-                      pulse_log=(pulse,), duration=duration,
-                      norm_drift=meta["norm_drift"],
-                      correction={"theta": meta["theta"]},
-                      exchange_probability_tdse=meta["exchange_forward"],
-                      exchange_probability_perturbative=_swap_perturbative(p))
+    _check_cavity(state, cavity, config)
+    engine = _swap_engine(p, config)
+    return _gate_result(state, engine, (atom, cavity),
+                        ideal_block(GateKind.SWAP_ATOM_CAVITY, state.space,
+                                    atom, cavity),
+                        exchange_probability_tdse=engine[3]["exchange_forward"],
+                        exchange_probability_perturbative=_swap_perturbative(p))
 
 
 # ---------------------------------------------------------------------------
@@ -541,15 +499,15 @@ def physical_swap_two_photon(state: StateVector, p: TwoPhotonParams,
 
 @lru_cache(maxsize=32)
 def _cnot_atom_to_cavity_engine(p: TwoPhotonParams, config: PhysicalGateConfig):
-    params = p.jc_params()
-    swap_action, swap_pulse, swap_dur, swap_meta = _swap_engine(p, config)
-    cnot_action, cnot_pulse, cnot_dur, cnot_meta = _cnot_engine(params, config, True)
+    swap_action, swap_pulses, swap_dur, swap_meta = _swap_engine(p, config)
+    cnot_action, cnot_pulses, cnot_dur, cnot_meta = _cnot_engine(p.jc_params(),
+                                                                 config)
     action = swap_action @ cnot_action @ swap_action
     action.setflags(write=False)
-    pulses = (swap_pulse, cnot_pulse, swap_pulse)
-    duration = 2.0 * swap_dur + cnot_dur
-    drift = max(swap_meta["norm_drift"], cnot_meta["norm_drift"])
-    return action, pulses, duration, drift, swap_meta
+    meta = {"norm_drift": max(swap_meta["norm_drift"], cnot_meta["norm_drift"]),
+            "exchange_forward": swap_meta["exchange_forward"]}
+    return (action, swap_pulses + cnot_pulses + swap_pulses,
+            2.0 * swap_dur + cnot_dur, meta)
 
 
 def physical_cnot_atom_to_cavity(state: StateVector, p: TwoPhotonParams,
@@ -562,19 +520,13 @@ def physical_cnot_atom_to_cavity(state: StateVector, p: TwoPhotonParams,
     bounds the whole composite.
     """
     config = config or PhysicalGateConfig()
-    n_ph = config.fock_cutoff + 1
-    if state.space.factor(cavity).dim != n_ph:
-        raise QStateError(
-            f"cavity dim {state.space.factor(cavity).dim} != fock_cutoff+1 = {n_ph}")
-    action, pulses, duration, drift, swap_meta = \
-        _cnot_atom_to_cavity_engine(p, config)
-    out = _node_operator(state.space, atom, cavity, n_ph, action).apply(state)
-    ideal = ideal_gate(GateKind.CNOT_ATOM_TO_CAVITY, state.space, atom, cavity)
-    return GateResult(output=out,
-                      fidelity_vs_ideal=_fidelity_vs(out, ideal, state),
-                      pulse_log=pulses, duration=duration, norm_drift=drift,
-                      exchange_probability_tdse=swap_meta["exchange_forward"],
-                      exchange_probability_perturbative=_swap_perturbative(p))
+    _check_cavity(state, cavity, config)
+    engine = _cnot_atom_to_cavity_engine(p, config)
+    return _gate_result(state, engine, (atom, cavity),
+                        ideal_block(GateKind.CNOT_ATOM_TO_CAVITY, state.space,
+                                    atom, cavity),
+                        exchange_probability_tdse=engine[3]["exchange_forward"],
+                        exchange_probability_perturbative=_swap_perturbative(p))
 
 
 def averaged_step5_fidelity(p: TwoPhotonParams,
@@ -586,8 +538,7 @@ def averaged_step5_fidelity(p: TwoPhotonParams,
     configurations".
     """
     config = config or PhysicalGateConfig()
-    action, _pulses, _duration, _drift, _meta = \
-        _cnot_atom_to_cavity_engine(p, config)
+    action = _cnot_atom_to_cavity_engine(p, config)[0]
     n_ph = config.fock_cutoff + 1
     rows = _comp_rows(n_ph)
     # ideal map on logical labels [0g, 0e, 1g, 1e]: g-atom flips the photon
@@ -605,25 +556,46 @@ def averaged_step5_fidelity(p: TwoPhotonParams,
 
 
 @lru_cache(maxsize=32)
-def _bare_atom_pulse_engine(rabi: float, area: float, atom_dim: int,
+def _bare_atom_pulse_engine(kind: GateKind, rabi: float, atom_dim: int,
                             tol: float, support: float):
-    """Resonant rotating-wave pulse on a cavity-decoupled atom."""
+    """Resonant rotating-wave pulse on a cavity-decoupled atom.
+
+    HADAMARD_ATOM is a pi/2 pulse with post- and pre-pulse atom phases,
+    NOT_ATOM a pi pulse with post-pulse phases; a third level is untouched.
+    """
+    hadamard = kind == GateKind.HADAMARD_ATOM
     tau = 6.0 / rabi
     shape = PulseSpec(omega_drive=0.0, shape="gaussian", amplitude=1.0,
                       width=tau, center=0.0, support=support)
-    pulse = calibrate_pulse_area(shape, area)
+    pulse = calibrate_pulse_area(shape, math.pi / 2.0 if hadamard else math.pi)
     drive = drive_hamiltonian_bare(pulse, atom_dim=atom_dim, rwa=True)
-    space = drive.space
-    static = Operator(space, np.zeros((atom_dim, atom_dim)), hermitian=True)
+    static = Operator(drive.space, np.zeros((atom_dim, atom_dim)), hermitian=True)
     t0, t1 = pulse.window
     u, info = propagate_basis(static, [drive], t0, t1, tol)
-    return u, pulse, (t1 - t0), info["norm_drift"]
+    if hadamard:
+        theta, eta = _atom_phases_hadamard(u)   # (g, e) lead the 4-level pattern
+        theta, eta = theta[:2], eta[:2]
+    else:
+        theta = -np.angle(np.array([u[ATOM_G, ATOM_E], u[ATOM_E, ATOM_G]]))
+        eta = np.zeros(2)
+    post = np.ones(atom_dim, dtype=complex)
+    pre = np.ones(atom_dim, dtype=complex)
+    post[:2], pre[:2] = np.exp(1j * theta), np.exp(1j * eta)
+    action = (post[:, None] * u) * pre[None, :]
+    action.setflags(write=False)
+    correction = {"theta": tuple(float(v) for v in theta)}
+    if hadamard:
+        correction["eta"] = tuple(float(v) for v in eta)
+    correction["mode"] = "decoupled"
+    return action, (pulse,), (t1 - t0), {"norm_drift": info["norm_drift"],
+                                         "correction": correction}
 
 
 @lru_cache(maxsize=32)
-def _dressed_sector_pulse_engine(params: JCParams, config: PhysicalGateConfig,
-                                 area: float, sequential: bool, full: bool):
-    """One broadband midpoint pulse (area pi/2) or two sector pi pulses.
+def _dressed_sector_pulse_engine(kind: GateKind, params: JCParams,
+                                 config: PhysicalGateConfig):
+    """HADAMARD_ATOM as one broadband midpoint pi/2 pulse, NOT_ATOM as two
+    sector pi pulses.
 
     Broadband mode drives both photon sectors together in the
     far-dispersive regime; sequential mode addresses the one-photon and
@@ -636,13 +608,13 @@ def _dressed_sector_pulse_engine(params: JCParams, config: PhysicalGateConfig,
     sector1 = r0 + r1                   # |V-,0> <-> |V+,1>
     static = jc_rotating(params, cutoff)
     logical = _logical_columns(params, cutoff)
-    if not sequential:
+    if kind == GateKind.HADAMARD_ATOM:
         carrier = 0.5 * (sector0 + sector1)
         tau = config.tau_factor / params.rabi_coupling
         shape = PulseSpec(omega_drive=params.omega + carrier, shape="gaussian",
                           amplitude=1.0, width=tau, center=0.0,
                           support=config.support)
-        pulse = calibrate_pulse_area(shape, area)
+        pulse = calibrate_pulse_area(shape, math.pi / 2.0)
         drives = [_rotating_drive(params, cutoff, pulse, carrier, config.rwa)]
         pulses = (pulse,)
         t0, t1 = pulse.window
@@ -656,17 +628,47 @@ def _dressed_sector_pulse_engine(params: JCParams, config: PhysicalGateConfig,
         shape0 = PulseSpec(omega_drive=params.omega + sector0, shape="gaussian",
                            amplitude=1.0, width=tau, center=2.0 * half,
                            support=config.support)
-        p1 = calibrate_pulse_area(shape1, area)
-        p0 = calibrate_pulse_area(shape0, area)
+        p1 = calibrate_pulse_area(shape1, math.pi)
+        p0 = calibrate_pulse_area(shape0, math.pi)
         drives = [_rotating_drive(params, cutoff, p1, sector1, config.rwa),
                   _rotating_drive(params, cutoff, p0, sector0, config.rwa)]
         pulses = (p1, p0)
         t0, t1 = -half, 3.0 * half
-    columns = np.eye(static.space.dim, dtype=complex) if full else logical
-    u_cols, info = propagate_basis(static, drives, t0, t1, config.tol,
-                                   columns=columns)
-    m = logical.conj().T @ (u_cols @ logical if full else u_cols)
-    return u_cols, m, logical, pulses, (t1 - t0), info["norm_drift"]
+    u, info = propagate_basis(static, drives, t0, t1, config.tol)
+    m = logical.conj().T @ u @ logical
+    if kind == GateKind.HADAMARD_ATOM:
+        theta, eta = _atom_phases_hadamard(m)
+        correction = {"theta": tuple(float(v) for v in theta),
+                      "eta": tuple(float(v) for v in eta),
+                      "mode": "dressed-broadband"}
+    else:
+        theta, eta = _level_phases_not(m), None
+        correction = {"theta": tuple(float(v) for v in theta),
+                      "mode": "dressed-sequential"}
+    action = _bare_action(params, cutoff, _corrected_action(u, logical, theta, eta))
+    return action, pulses, (t1 - t0), {"norm_drift": info["norm_drift"],
+                                       "correction": correction}
+
+
+def _atom_pulse_gate(kind: GateKind, state: StateVector, params: JCParams,
+                     config: Optional[PhysicalGateConfig], atom: str,
+                     cavity: Optional[str]) -> GateResult:
+    config = config or PhysicalGateConfig()
+    atom_dim = state.space.factor(atom).dim
+    if cavity is None or atom_dim == 3:
+        engine = _bare_atom_pulse_engine(kind, params.rabi_coupling, atom_dim,
+                                         config.tol, config.support)
+        factors = (atom,)
+    else:
+        if kind == GateKind.HADAMARD_ATOM:
+            x = params.rabi_coupling / params.delta
+            if x > 0.01:
+                raise QStateError(
+                    f"coupling/detuning = {x:.3g} too large for the broadband pulse (> 0.01)")
+        _check_cavity(state, cavity, config)
+        engine = _dressed_sector_pulse_engine(kind, params, config)
+        factors = (atom, cavity)
+    return _gate_result(state, engine, factors, ideal_block(kind, state.space, atom))
 
 
 def physical_hadamard_atom(state: StateVector, params: JCParams,
@@ -680,59 +682,8 @@ def physical_hadamard_atom(state: StateVector, params: JCParams,
     atom is modeled as detuning-switched fully out of the cavity band and
     driven bare.
     """
-    config = config or PhysicalGateConfig()
-    atom_dim = state.space.factor(atom).dim
-    if cavity is None or atom_dim == 3:
-        u, pulse, duration, drift = _bare_atom_pulse_engine(
-            params.rabi_coupling, math.pi / 2.0, atom_dim, config.tol,
-            config.support)
-        chi_g = -np.angle(u[ATOM_G, ATOM_G])
-        chi_e = -0.5 * math.pi - np.angle(u[ATOM_E, ATOM_G])
-        eta_e = -0.5 * math.pi - np.angle(u[ATOM_G, ATOM_E]) - chi_g
-        d = np.ones(atom_dim, dtype=complex)
-        d[ATOM_G], d[ATOM_E] = np.exp(1j * chi_g), np.exp(1j * chi_e)
-        pre = np.ones(atom_dim, dtype=complex)
-        pre[ATOM_E] = np.exp(1j * eta_e)
-        action = (d[:, None] * u) * pre[None, :]
-        sub = CompositeSpace([FactorLabel(atom, atom_dim)])
-        op = embed(Operator(sub, action), state.space)
-        out = op.apply(state)
-        ideal = ideal_gate(GateKind.HADAMARD_ATOM, state.space, atom)
-        return GateResult(output=out,
-                          fidelity_vs_ideal=_fidelity_vs(out, ideal, state),
-                          pulse_log=(pulse,), duration=duration,
-                          norm_drift=drift,
-                          correction={"theta": (float(chi_g), float(chi_e)),
-                                      "eta": (0.0, float(eta_e)),
-                                      "mode": "decoupled"})
-
-    x = params.rabi_coupling / params.delta
-    if x > 0.01:
-        raise QStateError(
-            f"coupling/detuning = {x:.3g} too large for the broadband pulse (> 0.01)")
-    n_ph = config.fock_cutoff + 1
-    if state.space.factor(cavity).dim != n_ph:
-        raise QStateError(
-            f"cavity dim {state.space.factor(cavity).dim} != fock_cutoff+1 = {n_ph}")
-    narrow = _state_on_computational_span(state, atom, cavity)
-    u_cols, m, logical, pulses, duration, drift = _dressed_sector_pulse_engine(
-        params, config, math.pi / 2.0, sequential=False, full=not narrow)
-    theta, eta = _atom_phases_hadamard(m)
-    corrected = _corrected_action(u_cols, logical, theta, eta, full=not narrow)
-    w = bare_to_dressed_map(params, config.fock_cutoff).matrix
-    if narrow:
-        action = w.conj().T @ corrected
-        out = _apply_columns(state, atom, cavity, n_ph, action)
-    else:
-        action = w.conj().T @ corrected @ w
-        out = _node_operator(state.space, atom, cavity, n_ph, action).apply(state)
-    ideal = ideal_gate(GateKind.HADAMARD_ATOM, state.space, atom)
-    return GateResult(output=out,
-                      fidelity_vs_ideal=_fidelity_vs(out, ideal, state),
-                      pulse_log=pulses, duration=duration, norm_drift=drift,
-                      correction={"theta": tuple(float(v) for v in theta),
-                                  "eta": tuple(float(v) for v in eta),
-                                  "mode": "dressed-broadband"})
+    return _atom_pulse_gate(GateKind.HADAMARD_ATOM, state, params, config,
+                            atom, cavity)
 
 
 def physical_not_atom(state: StateVector, params: JCParams,
@@ -745,48 +696,8 @@ def physical_not_atom(state: StateVector, params: JCParams,
     flip is two sequential sector-selective pi pulses (one-photon doublet
     first, zero-photon line second).
     """
-    config = config or PhysicalGateConfig()
-    atom_dim = state.space.factor(atom).dim
-    if cavity is None or atom_dim == 3:
-        u, pulse, duration, drift = _bare_atom_pulse_engine(
-            params.rabi_coupling, math.pi, atom_dim, config.tol, config.support)
-        chi_e = -np.angle(u[ATOM_E, ATOM_G])
-        chi_g = -np.angle(u[ATOM_G, ATOM_E])
-        d = np.ones(atom_dim, dtype=complex)
-        d[ATOM_G], d[ATOM_E] = np.exp(1j * chi_g), np.exp(1j * chi_e)
-        action = d[:, None] * u
-        sub = CompositeSpace([FactorLabel(atom, atom_dim)])
-        out = embed(Operator(sub, action), state.space).apply(state)
-        ideal = ideal_gate(GateKind.NOT_ATOM, state.space, atom)
-        return GateResult(output=out,
-                          fidelity_vs_ideal=_fidelity_vs(out, ideal, state),
-                          pulse_log=(pulse,), duration=duration,
-                          norm_drift=drift,
-                          correction={"theta": (float(chi_g), float(chi_e)),
-                                      "mode": "decoupled"})
-
-    n_ph = config.fock_cutoff + 1
-    if state.space.factor(cavity).dim != n_ph:
-        raise QStateError(
-            f"cavity dim {state.space.factor(cavity).dim} != fock_cutoff+1 = {n_ph}")
-    narrow = _state_on_computational_span(state, atom, cavity)
-    u_cols, m, logical, pulses, duration, drift = _dressed_sector_pulse_engine(
-        params, config, math.pi, sequential=True, full=not narrow)
-    theta = _level_phases_not(m)
-    corrected = _corrected_action(u_cols, logical, theta)
-    w = bare_to_dressed_map(params, config.fock_cutoff).matrix
-    if narrow:
-        action = w.conj().T @ corrected
-        out = _apply_columns(state, atom, cavity, n_ph, action)
-    else:
-        action = w.conj().T @ corrected @ w
-        out = _node_operator(state.space, atom, cavity, n_ph, action).apply(state)
-    ideal = ideal_gate(GateKind.NOT_ATOM, state.space, atom)
-    return GateResult(output=out,
-                      fidelity_vs_ideal=_fidelity_vs(out, ideal, state),
-                      pulse_log=pulses, duration=duration, norm_drift=drift,
-                      correction={"theta": tuple(float(v) for v in theta),
-                                  "mode": "dressed-sequential"})
+    return _atom_pulse_gate(GateKind.NOT_ATOM, state, params, config,
+                            atom, cavity)
 
 
 # ---------------------------------------------------------------------------
@@ -829,28 +740,22 @@ def three_level_hamiltonian(tp: ThreeLevelParams, fock_cutoff: int,
 
 @lru_cache(maxsize=32)
 def _cqpg_engine(tp: ThreeLevelParams, config: PhysicalGateConfig):
-    cutoff = config.fock_cutoff
-    n_ph = cutoff + 1
-    static = three_level_hamiltonian(tp, cutoff)
+    n_ph = config.fock_cutoff + 1
+    static = three_level_hamiltonian(tp, config.fock_cutoff)
     t_full = math.pi / tp.rabi_coupling   # full e1 -> i0 -> -e1 cycle
     u, info = propagate_basis(static, [], 0.0, t_full, config.tol)
-
-    def idx(a, n):
-        return a * n_ph + n
-
-    rows = [idx(ATOM_G, 0), idx(ATOM_G, 1), idx(ATOM_E, 0), idx(ATOM_E, 1)]
+    # rows |g,0>, |g,1>, |e,0>, |e,1>
+    rows = [ATOM_G * n_ph, ATOM_G * n_ph + 1, ATOM_E * n_ph, ATOM_E * n_ph + 1]
     th = np.zeros(4)
-    th[0] = -np.angle(u[rows[0], rows[0]])
-    th[1] = -np.angle(u[rows[1], rows[1]])
-    th[2] = -np.angle(u[rows[2], rows[2]])
+    th[:3] = [-np.angle(u[r, r]) for r in rows[:3]]
     th[3] = th[2] + th[1] - th[0]   # forced: the -1 must appear physically
     action = u.copy()
-    for k, r in enumerate(rows):
-        action[r, :] = np.exp(1j * th[k]) * action[r, :]
+    action[rows, :] *= np.exp(1j * th)[:, None]
     action.setflags(write=False)
-    meta = {"theta": tuple(float(v) for v in th),
-            "norm_drift": info["norm_drift"], "rows": rows}
-    return action, t_full, meta
+    meta = {"norm_drift": info["norm_drift"],
+            "correction": {"theta": tuple(float(v) for v in th),
+                           "mode": "resonant e-i cycle"}}
+    return action, (), t_full, meta
 
 
 def physical_cqpg_local(state: StateVector, tp: ThreeLevelParams,
@@ -867,17 +772,6 @@ def physical_cqpg_local(state: StateVector, tp: ThreeLevelParams,
     config = config or PhysicalGateConfig()
     if state.space.factor(atom).dim != 3:
         raise QStateError(f"factor {atom!r} must be a three-level atom")
-    n_ph = config.fock_cutoff + 1
-    if state.space.factor(cavity).dim != n_ph:
-        raise QStateError(
-            f"cavity dim {state.space.factor(cavity).dim} != fock_cutoff+1 = {n_ph}")
-    action, duration, meta = _cqpg_engine(tp, config)
-    out = _node_operator(state.space, atom, cavity, n_ph, action,
-                         atom_dim=3).apply(state)
-    ideal = ideal_gate(GateKind.CQPG_LOCAL, state.space, atom, cavity)
-    return GateResult(output=out,
-                      fidelity_vs_ideal=_fidelity_vs(out, ideal, state),
-                      pulse_log=(), duration=duration,
-                      norm_drift=meta["norm_drift"],
-                      correction={"theta": meta["theta"],
-                                  "mode": "resonant e-i cycle"})
+    _check_cavity(state, cavity, config)
+    return _gate_result(state, _cqpg_engine(tp, config), (atom, cavity),
+                        ideal_block(GateKind.CQPG_LOCAL, state.space, atom, cavity))

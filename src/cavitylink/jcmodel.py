@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import (ATOM_E, ATOM_G, CompositeSpace, FactorLabel, Operator,
-                     QStateError, StateVector, embed)
+                     QStateError, StateVector, apply_local)
 
 
 @dataclass(frozen=True)
@@ -245,8 +245,5 @@ def resonant_rabi_evolve(params: JCParams, state: StateVector, t: float,
     n_ph = state.space.factor(cavity).dim
     if state.space.factor(atom).dim != 2:
         raise QStateError(f"factor {atom!r} must be a two-level atom")
-    u = resonant_rabi_unitary(params, n_ph - 1, t)
-    op = Operator(jc_space(n_ph - 1, atom=atom, cavity=cavity), u, unitary=True)
-    if state.space == op.space:
-        return op.apply(state)
-    return embed(op, state.space).apply(state)
+    return apply_local(state, resonant_rabi_unitary(params, n_ph - 1, t),
+                       (atom, cavity))

@@ -19,18 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
-from .qstate import (CompositeSpace, FactorLabel, Operator, QStateError,
-                     StateVector, embed, enumerate_branches, make_rng, tensor)
+from .qstate import (CompositeSpace, FactorLabel, QStateError, StateVector,
+                     apply_local, enumerate_branches, make_rng, tensor)
 from .jcmodel import (JCParams, desk_params, resonant_rabi_evolve,
                       set_stark_detuning)
 from .perturb import SOURCE_POINT_CYCLIC, TwoPhotonParams
-from .gates import (GateKind, PhysicalGateConfig, ThreeLevelParams, ideal_gate,
+from .gates import (GateKind, PhysicalGateConfig, ThreeLevelParams, ideal_block,
                     physical_cnot_atom_to_cavity, physical_cnot_cavity_to_atom,
                     physical_cqpg_local, physical_hadamard_atom,
                     physical_not_atom)
@@ -333,9 +332,7 @@ def beam_splitter_mix(state: StateVector, mode_a: str, mode_b: str,
     b_op = np.kron(np.eye(da), low)
     gen = theta * (np.exp(1j * phase) * a_op.conj().T @ b_op
                    + np.exp(-1j * phase) * a_op @ b_op.conj().T)
-    u = scipy.linalg.expm(-1j * gen)
-    sub = CompositeSpace([FactorLabel(mode_a, da), FactorLabel(mode_b, db)])
-    return embed(Operator(sub, u, unitary=True), state.space).apply(state)
+    return apply_local(state, scipy.linalg.expm(-1j * gen), (mode_a, mode_b))
 
 
 def _bell_atoms(beta_dim: int = 2) -> StateVector:
@@ -437,49 +434,30 @@ def prepare_ebit(mode: str = "ideal", model: Optional[PhotonGunModel] = None,
 
 
 # ---------------------------------------------------------------------------
-# ideal operator cache
+# small local blocks, applied with apply_local
 
 
-@lru_cache(maxsize=256)
-def _ideal_op(kind: GateKind, space: CompositeSpace, atom: Optional[str],
-              cavity: Optional[str], phi: float) -> Operator:
-    return ideal_gate(kind, space, atom=atom, cavity=cavity, phi=phi)
-
-
-@lru_cache(maxsize=64)
-def _true_hadamard_op(space: CompositeSpace, atom: str) -> Operator:
-    dim = space.factor(atom).dim
+def _atom_block(dim: int, block: np.ndarray) -> np.ndarray:
+    """A (g, e) block on an atom of dimension dim, identity on any i level."""
     mat = np.eye(dim, dtype=complex)
-    mat[:2, :2] = TRUE_HADAMARD
-    sub = CompositeSpace([FactorLabel(atom, dim)])
-    return embed(Operator(sub, mat, unitary=True), space)
+    mat[:2, :2] = block
+    return mat
 
 
-@lru_cache(maxsize=64)
-def _atom_phase_op(space: CompositeSpace, atom: str) -> Operator:
-    dim = space.factor(atom).dim
-    mat = np.eye(dim, dtype=complex)
-    mat[0, 0], mat[1, 1] = HADAMARD_FRAME_PHASE
-    sub = CompositeSpace([FactorLabel(atom, dim)])
-    return embed(Operator(sub, mat, unitary=True), space)
-
-
-@lru_cache(maxsize=64)
-def _nonlocal_target_op(space: CompositeSpace, gate: str) -> Operator:
-    dim_a = space.factor("A").dim
-    dim_b = space.factor("B").dim
-    mat = np.eye(dim_a * dim_b, dtype=complex)
+def _nonlocal_target_block(dim: int, gate: str) -> np.ndarray:
+    """The nonlocal gate on cavities (A, B) of dimension dim each: CNOT with
+    A controlling B, or the phase -1 on |0 photons, 0 photons>."""
+    mat = np.eye(dim * dim, dtype=complex)
     if gate == "cnot":
-        i10 = 1 * dim_b + 0
-        i11 = 1 * dim_b + 1
+        i10 = 1 * dim + 0
+        i11 = 1 * dim + 1
         mat[i10, i10] = mat[i11, i11] = 0.0
         mat[i10, i11] = mat[i11, i10] = 1.0
     elif gate == "cqpg":
-        mat[0, 0] = -1.0   # phase on |0 photons, 0 photons>
+        mat[0, 0] = -1.0
     else:
         raise QStateError(f"unknown gate {gate!r}")
-    sub = CompositeSpace([FactorLabel("A", dim_a), FactorLabel("B", dim_b)])
-    return embed(Operator(sub, mat, unitary=True), space)
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -622,16 +600,15 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
         atoms = _widen_beta(atoms, beta_dim)
     state = tensor([cav_state, atoms])
 
-    # ideal reference for fidelity targets, built in the same factor order
+    # ideal reference for fidelity targets: the nonlocal gate on the input
     ref_atoms = tensor([_atom_level("alpha", 2, 0), _atom_level("beta", beta_dim, 0)])
-    ref_initial = tensor([ref_cav, ref_atoms])
-    space = state.space
-    target_cav_op = _nonlocal_target_op(space, gate)
+    target_initial = apply_local(tensor([ref_cav, ref_atoms]),
+                                 _nonlocal_target_block(dim_c, gate), ("A", "B"))
 
     # step 4: photon-controlled flip of alpha at Alice
     if level == "ideal":
-        state = _ideal_op(GateKind.CNOT_CAVITY_TO_ATOM, space, "alpha", "A",
-                          math.pi).apply(state)
+        state = apply_local(state, *ideal_block(GateKind.CNOT_CAVITY_TO_ATOM,
+                                                 state.space, "alpha", "A"))
         run.record("*", "step4", ALICE, "cnot-cavity-to-atom", "ideal", "-",
                    ("alpha", "A"))
     else:
@@ -660,8 +637,7 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
         s = state_a
         if alpha_out == "e":
             if level == "ideal":
-                s = _ideal_op(GateKind.NOT_ATOM, space, "beta", None,
-                              math.pi).apply(s)
+                s = apply_local(s, *ideal_block(GateKind.NOT_ATOM, s.space, "beta"))
                 run.record(tag_a, "conditional-not", BOB, "not-atom", "ideal",
                            "-", ("beta",))
             else:
@@ -677,8 +653,8 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
         # step 5
         if gate == "cnot":
             if level == "ideal":
-                s = _ideal_op(GateKind.CNOT_ATOM_TO_CAVITY, space, "beta", "B",
-                              math.pi).apply(s)
+                s = apply_local(s, *ideal_block(GateKind.CNOT_ATOM_TO_CAVITY,
+                                                 s.space, "beta", "B"))
                 run.record(tag_a, "step5", BOB, "cnot-atom-to-cavity", "ideal",
                            "-", ("beta", "B"))
             else:
@@ -693,8 +669,8 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
                            ("beta", "B"))
         else:
             if level == "ideal":
-                s = _ideal_op(GateKind.CQPG_LOCAL, space, "beta", "B",
-                              math.pi).apply(s)
+                s = apply_local(s, *ideal_block(GateKind.CQPG_LOCAL, s.space,
+                                                 "beta", "B"))
                 run.record(tag_a, "step5", BOB, "cqpg-local", "phi=pi", "-",
                            ("beta", "B"))
             else:
@@ -708,11 +684,11 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
 
         # step 6: protocol Hadamard on beta
         if level == "ideal":
-            s = _true_hadamard_op(space, "beta").apply(s)
+            s = apply_local(s, _atom_block(beta_dim, TRUE_HADAMARD), ("beta",))
             run.record(tag_a, "step6", BOB, "hadamard", "ideal", "-", ("beta",))
         else:
-            phase_op = _atom_phase_op(space, "beta")
-            s = phase_op.apply(s)
+            frame = _atom_block(beta_dim, np.diag(HADAMARD_FRAME_PHASE))
+            s = apply_local(s, frame, ("beta",))
             if beta_dim == 3:
                 resh = physical_hadamard_atom(s, params, gate_cfg, atom="beta",
                                               cavity=None)
@@ -726,7 +702,7 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
                 resh = physical_hadamard_atom(s, params_h, gate_cfg, atom="beta",
                                               cavity="B")
                 sup = ("beta", "B")
-            s = phase_op.apply(resh.output)
+            s = apply_local(resh.output, frame, ("beta",))
             run.record(tag_a, "step6", BOB, "hadamard",
                        _pulse_text(resh) + " + atom frame phases diag(i,1)",
                        f"fidelity={resh.fidelity_vs_ideal:.9f}", sup)
@@ -761,8 +737,8 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
             trigger = "g" if gate == "cnot" else "e"
             if beta_out == trigger:
                 if level == "ideal":
-                    sf = _ideal_op(GateKind.SIGMA_Z, space, None, "A",
-                                   math.pi).apply(sf)
+                    sf = apply_local(sf, *ideal_block(GateKind.SIGMA_Z, sf.space,
+                                                       cavity="A"))
                     run.record(tag, "correction", ALICE, "photon-phase", "ideal",
                                "-", ("A",))
                 else:
@@ -787,8 +763,7 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
                                ("alpha", "A"))
                 corrections.append("photon phase on A")
 
-            target = _branch_target(target_cav_op, ref_initial, space,
-                                    alpha_final, beta_out, beta_dim)
+            target = _branch_target(target_initial, alpha_final, beta_out)
             fid = float(abs(np.vdot(target.amplitudes, sf.amplitudes)) ** 2)
             if flagged:
                 fid = 0.0
@@ -837,23 +812,14 @@ def _pulse_text(result) -> str:
     return " ".join(parts) if parts else "-"
 
 
-@lru_cache(maxsize=64)
-def _atom_setter(space: CompositeSpace, atom: str, level_name: str) -> Operator:
-    dim = space.factor(atom).dim
-    mat = np.eye(dim, dtype=complex)
-    if level_name == "e":
-        mat[0, 0] = mat[1, 1] = 0.0
-        mat[0, 1] = mat[1, 0] = 1.0
-    sub = CompositeSpace([FactorLabel(atom, dim)])
-    return embed(Operator(sub, mat, unitary=True), space)
-
-
-def _branch_target(target_cav_op: Operator, ref_initial: StateVector,
-                   space: CompositeSpace, alpha_final: str, beta_final: str,
-                   beta_dim: int) -> StateVector:
-    t = target_cav_op.apply(ref_initial)
-    t = _atom_setter(space, "alpha", alpha_final).apply(t)
-    t = _atom_setter(space, "beta", beta_final).apply(t)
+def _branch_target(target_initial: StateVector, alpha_final: str,
+                   beta_final: str) -> StateVector:
+    """The ideal output with the atoms set to the branch's final levels
+    (both start in g; an e outcome flips that atom)."""
+    t = target_initial
+    for atom, level in (("alpha", alpha_final), ("beta", beta_final)):
+        if level == "e":
+            t = apply_local(t, *ideal_block(GateKind.NOT_ATOM, t.space, atom))
     return t
 
 

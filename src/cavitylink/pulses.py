@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
 from .qstate import (ATOM_E, ATOM_G, CompositeSpace, FactorLabel, Operator,
                      QStateError, StateVector, embed)
@@ -143,9 +143,6 @@ class DriveHamiltonian:
             h += a + a.conj().T
         return h
 
-    def __call__(self, t: float) -> Operator:
-        return Operator(self.space, self.matrix(t), hermitian=True)
-
     def hermiticity_defect(self, times: Iterable[float]) -> float:
         worst = 0.0
         for t in times:
@@ -266,7 +263,8 @@ def propagate_basis(static_h: Operator, drives: Sequence[DriveHamiltonian],
     terms = []
     for d in drives:
         for m, fn in _embedded_terms(d, static_h.space):
-            terms.append((q.conj().T @ m @ q, fn))
+            m_e = q.conj().T @ m @ q
+            terms.append((-1j * m_e, -1j * m_e.conj().T, fn))   # -i H
 
     if not terms:
         # free evolution is exact in this picture
@@ -280,20 +278,35 @@ def propagate_basis(static_h: Operator, drives: Sequence[DriveHamiltonian],
 
     i_evals = 1j * evals
 
+    # in the picture the drive is D (sum z_k M_k + h.c.) D* with
+    # D = diag(exp(i E t)), applied to the columns as D (-i H (D* Y))
     def rhs(t, y):
-        ph = np.exp(i_evals * t)
-        a = np.outer(ph, ph.conj()) * sum(complex(fn(t)) * m_e for m_e, fn in terms)
-        return (-1j * ((a + a.conj().T) @ y.reshape(dim, n_cols))).ravel()
+        ph = np.exp(i_evals * t)[:, None]
+        h = None
+        for m_e, m_h, fn in terms:
+            z = complex(fn(t))
+            if h is None:
+                h = z * m_e
+            else:
+                h += z * m_e
+            h += z.conjugate() * m_h
+        out = h @ (ph.conj() * y.reshape(dim, n_cols))
+        out *= ph
+        return out.ravel()
 
-    sol = solve_ivp(rhs, (t0, t1), y0.ravel(), method="DOP853",
-                    rtol=tol, atol=tol * 1e-2)
-    if not sol.success:
+    # stepped here rather than through solve_ivp, which would keep the
+    # state of every step: tens of MB for a full node without the RWA
+    solver = DOP853(rhs, float(t0), y0.ravel(), float(t1), rtol=tol,
+                    atol=tol * 1e-2)
+    while solver.status == "running":
+        message = solver.step()
+    if solver.status == "failed":
         raise StiffnessError(
-            f"integrator stalled at t = {sol.t[-1]:.6g} of [{t0:.6g}, {t1:.6g}]: {sol.message}")
-    y = sol.y[:, -1].reshape(dim, n_cols)
+            f"integrator stalled at t = {solver.t:.6g} of [{t0:.6g}, {t1:.6g}]: {message}")
+    y = solver.y.reshape(dim, n_cols)
     out = q @ (np.exp(-1j * evals * t1)[:, None] * y)
     drift = float(np.max(np.abs(np.linalg.norm(out, axis=0) - norms0)))
-    info = {"norm_drift": drift, "nfev": int(sol.nfev), "method": "DOP853"}
+    info = {"norm_drift": drift, "nfev": int(solver.nfev), "method": "DOP853"}
     return (out[:, 0] if squeeze else out), info
 
 

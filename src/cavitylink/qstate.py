@@ -23,7 +23,6 @@ class Tolerances:
 
     norm: float = 1e-9        # state-vector normalization
     unitarity: float = 1e-10  # operator intent flags (hermitian / unitary)
-    comparison: float = 1e-12 # generic matrix and amplitude comparisons
 
 
 TOLERANCES = Tolerances()
@@ -180,17 +179,6 @@ class Operator:
             raise QStateError("operator and state live on different spaces")
         return StateVector(self.space, self.matrix @ state.amplitudes)
 
-    def compose(self, other: "Operator") -> "Operator":
-        """self applied after other (matrix product self @ other)."""
-        if self.space != other.space:
-            raise QStateError("composition requires identical spaces")
-        return Operator(self.space, self.matrix @ other.matrix,
-                        unitary=self.unitary and other.unitary)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T,
-                        hermitian=self.hermitian, unitary=self.unitary)
-
     def __repr__(self) -> str:
         kind = "hermitian" if self.hermitian else ("unitary" if self.unitary else "general")
         return f"Operator(dim={self.space.dim}, {kind})"
@@ -233,8 +221,28 @@ def tensor_operators(ops: Iterable[Operator]) -> Operator:
                     unitary=all(o.unitary for o in ops) or None)
 
 
-def identity(space: CompositeSpace) -> Operator:
-    return Operator(space, np.eye(space.dim), hermitian=True, unitary=True)
+def apply_local(state: StateVector, matrix: np.ndarray,
+                factors: Sequence[str]) -> StateVector:
+    """Apply a matrix on the named factors of a state, identity elsewhere.
+
+    The matrix acts on the product of the factors in the order given (not
+    the state's order), e.g. a (atom, cavity) node block; the work is one
+    tensordot over those axes, O(D d) for a d-dimensional block.
+    """
+    space = state.space
+    axes = [space.axis(name) for name in factors]  # raises on unknown label
+    if len(set(axes)) != len(axes):
+        raise QStateError(f"repeated factor in {tuple(factors)}")
+    dims = [space.dims[k] for k in axes]
+    d = int(np.prod(dims))
+    mat = np.asarray(matrix, dtype=complex)
+    if mat.shape != (d, d):
+        raise QStateError(f"matrix shape {mat.shape} != ({d}, {d}) for factors "
+                          f"{tuple(factors)}")
+    n = len(axes)
+    out = np.tensordot(mat.reshape(dims + dims), state.tensor_view(),
+                       axes=(list(range(n, 2 * n)), axes))
+    return StateVector(space, np.moveaxis(out, range(n), axes).reshape(-1))
 
 
 def embed(op: Operator, space: CompositeSpace) -> Operator:

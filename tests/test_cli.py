@@ -1,6 +1,7 @@
 """Tests for the command line interface: formats, exit codes, determinism."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -202,6 +203,10 @@ def test_protocol_physical_level_runs(capsys):
     assert len(lines) == 5
     fids = [float(ln.split(",")[2]) for ln in lines[1:]]
     assert min(fids) > 0.99
+    # integrator results print no finer than the default 1e-10 tolerance
+    for ln in lines[1:]:
+        for field in ln.split(",")[1:]:
+            assert -Decimal(field).as_tuple().exponent <= 10, ln
 
 
 # ---------------------------------------------------------------------------

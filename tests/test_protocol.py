@@ -1,6 +1,7 @@
 """Tests for the two-node protocol engine, ebit sources and bookkeeping."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from cavitylink import (
     run_nonlocal_cnot,
     run_nonlocal_cqpg,
 )
+from cavitylink import gates, qstate
 from cavitylink.gates import HADAMATOM
 from cavitylink.protocol import ClassicalChannel
 from cavitylink.qstate import CompositeSpace, FactorLabel
@@ -281,6 +283,46 @@ def test_physical_trace_reports_stark_switches():
     lines = tr.trace_lines()
     assert any("stark" in ln for ln in lines)
     assert all(ln.startswith("[") for ln in lines)
+
+
+def test_cold_physical_cnot_integrates_the_cnot_pulse_once():
+    # step 4 and the step-5 composite share one full-node CNOT propagator
+    gates._cnot_engine.cache_clear()
+    gates._cnot_atom_to_cavity_engine.cache_clear()
+    run_nonlocal_cnot(level="physical")
+    info = gates._cnot_engine.cache_info()
+    assert info.misses == 1
+    assert info.hits >= 1
+
+
+def _count_embed_calls(monkeypatch) -> list:
+    calls = []
+    real = qstate.embed
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "cavitylink" or name.startswith("cavitylink.")) and \
+                getattr(module, "embed", None) is real:
+            monkeypatch.setattr(module, "embed", counting)
+    return calls
+
+
+def test_warm_physical_and_ideal_ancilla_runs_build_no_dense_operators(monkeypatch):
+    run_nonlocal_cnot(0.6, 0.8, 1.0, 0.0, level="physical")   # warm the engines
+    calls = _count_embed_calls(monkeypatch)
+    tr = run_nonlocal_cnot(0.6, 0.8j, 0.28, 0.96, level="physical")
+    assert len(tr.branches) == 4
+    sp = CompositeSpace([FactorLabel("A", 6), FactorLabel("anc", 2),
+                         FactorLabel("B", 6)])
+    v = np.zeros(sp.dim, dtype=complex)
+    v[sp.index({"A": 1, "anc": 0, "B": 0})] = 1 / math.sqrt(2)
+    v[sp.index({"A": 0, "anc": 1, "B": 1})] = 1 / math.sqrt(2)
+    tr = run_nonlocal_cqpg(input_state=StateVector(sp, v), level="ideal")
+    assert min(br.fidelity_vs_ideal for br in tr.branches) >= 1.0 - 1e-10
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ import pytest
 
 from cavitylink.qstate import (
     TOLERANCES, CompositeSpace, FactorLabel, Operator, QStateError,
-    StateVector, embed, enumerate_branches, equal_up_to_global_phase,
-    make_rng, measure_factor, state_fidelity, tensor, tensor_operators)
+    StateVector, apply_local, embed, enumerate_branches,
+    equal_up_to_global_phase, make_rng, measure_factor, state_fidelity, tensor,
+    tensor_operators)
 
 
 def two_qubits():
@@ -104,6 +105,48 @@ def test_embed_multi_factor_block_matches_kron():
         for aa in range(2):
             expect[space.index({"a": aa, "b": bb})] = u[bb * 2 + aa, 0 * 2 + 1]
     np.testing.assert_allclose(out.amplitudes, expect, atol=1e-12)
+
+
+def _random_state(space, seed):
+    rng = make_rng(seed)
+    v = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    return StateVector(space, v / np.linalg.norm(v))
+
+
+def _random_unitary(dim, seed):
+    rng = make_rng(seed)
+    return np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+
+
+@pytest.mark.parametrize("factors", [("beta", "B"), ("B", "beta"), ("alpha",),
+                                     ("beta", "A", "anc")])
+def test_apply_local_matches_dense_embed(factors):
+    # non-adjacent and reordered factors, a three-level atom, an outside ancilla
+    space = CompositeSpace([FactorLabel("A", 4), FactorLabel("alpha", 2),
+                            FactorLabel("B", 4), FactorLabel("beta", 3),
+                            FactorLabel("anc", 2)])
+    sub = CompositeSpace([space.factor(name) for name in factors])
+    u = _random_unitary(sub.dim, seed=sub.dim)
+    st = _random_state(space, seed=11)
+    dense = embed(Operator(sub, u, unitary=True), space).apply(st)
+    local = apply_local(st, u, factors)
+    assert local.space == space
+    np.testing.assert_allclose(local.amplitudes, dense.amplitudes, atol=1e-13)
+
+
+def test_apply_local_rejects_bad_labels_and_shapes():
+    space = CompositeSpace([FactorLabel("a", 2), FactorLabel("b", 3)])
+    st = space.basis_state({"a": 0, "b": 0})
+    with pytest.raises(QStateError, match="unknown factor"):
+        apply_local(st, np.eye(2), ("c",))
+    with pytest.raises(QStateError, match="matrix shape"):
+        apply_local(st, np.eye(2), ("b",))
+    with pytest.raises(QStateError, match="matrix shape"):
+        apply_local(st, np.eye(4), ("a", "b"))
+    with pytest.raises(QStateError, match="repeated factor"):
+        apply_local(st, np.eye(4), ("a", "a"))
+    with pytest.raises(QStateError, match="norm"):
+        apply_local(st, 2.0 * np.eye(2), ("a",))
 
 
 def test_tensor_operators_parallel_application():
