@@ -284,8 +284,7 @@ def _rotating_drive(params: JCParams, cutoff: int, pulse: PulseSpec,
         def z(t, _env=unit.envelope):
             return 0.5 * amp * float(_env(t)) * (cmath.exp(-1j * carrier_rot * t)
                                                  + cmath.exp(1j * w_fast * t))
-    return DriveHamiltonian(jc_space(cutoff), [(_atom_raise_full(cutoff), z)],
-                            rwa=rwa, label="dressed-drive")
+    return DriveHamiltonian(jc_space(cutoff), [(_atom_raise_full(cutoff), z)])
 
 
 def _level_phases_cnot(m: np.ndarray) -> np.ndarray:

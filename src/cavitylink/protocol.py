@@ -3,8 +3,8 @@
 Layout: Alice holds cavity "A" and atom "alpha", Bob holds cavity "B" and
 atom "beta"; an entangled atom pair is distributed once, then each side
 applies only local operations and sends one measurement outcome to the
-other.  The engine enforces that locality at apply time and records every
-operation, so a trace can be audited line by line.
+other.  Each local operation is one entry of a step table; the runner
+applies it, refuses it if it leaves its node, and records it for the trace.
 
 Logical encoding throughout: atom |g> is logical 1 and |e> is logical 0;
 a single photon is logical 1.  Flow: register preparation, entanglement
@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -195,34 +196,19 @@ class ProtocolConfig:
                                   tol=self.tol)
 
 
+_OWNER = {f: node.name for node in (ALICE, BOB) for f in node.factors}
+
+
+def _is_local(node: str, support) -> bool:
+    """Source touches only its ports; any other node, no factor another owns."""
+    if node == SOURCE.name:
+        return all(f in SOURCE.factors for f in support)
+    return all(_OWNER.get(f, node) == node for f in support)
+
+
 def locality_violations(records) -> list:
     """Records whose support leaks outside the acting node's territory."""
-    side = {}
-    for node in (ALICE, BOB):
-        for f in node.factors:
-            side[f] = node.name
-    bad = []
-    for r in records:
-        if r.node not in ("Alice", "Bob", "Source"):
-            continue
-        touched = {side.get(f) for f in r.support if f in side}
-        touched.discard(None)
-        if r.node == "Source":
-            if any(f not in SOURCE.factors for f in r.support):
-                bad.append(r)
-        elif touched - {r.node}:
-            bad.append(r)
-    return bad
-
-
-def _assert_local(node: Node, support: tuple, anc_ok: bool = False) -> None:
-    for f in support:
-        if f in node.factors:
-            continue
-        if anc_ok and f not in ALICE.factors | BOB.factors:
-            continue
-        raise ProtocolError(
-            f"operation on {support} exceeds node {node.name} ({sorted(node.factors)})")
+    return [r for r in records if not _is_local(r.node, r.support)]
 
 
 def _basis_ge(dim: int) -> list:
@@ -237,6 +223,16 @@ def _basis_ge(dim: int) -> list:
 
 def _bit_of(outcome: str) -> int:
     return {"g": 1, "e": 0}[outcome]
+
+
+def _measure(state: StateVector, factor: str, basis, rng) -> list:
+    """The outcomes of nonzero probability, or one of them drawn by rng."""
+    branches = [br for br in enumerate_branches(state, factor, basis=basis)
+                if br[1] is not None]
+    if rng is None:
+        return branches
+    probs = np.array([br[2] for br in branches])
+    return [branches[int(rng.choice(len(branches), p=probs / probs.sum()))]]
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +260,7 @@ def _atom_level(label: str, dim: int, level: int) -> StateVector:
 def prepare_register(a: complex, b: complex, c: complex, d: complex,
                      mode: str = "ideal", fock_cutoff: int = 5,
                      params_a: Optional[JCParams] = None,
-                     params_b: Optional[JCParams] = None,
-                     beta_dim: int = 2) -> StateVector:
+                     params_b: Optional[JCParams] = None) -> StateVector:
     """Cavity qubits (a|1> + b|0>) on A and (c|1> + d|0>) on B, atoms in g.
 
     Physical mode prepares each atom in the matching superposition (with a
@@ -281,10 +276,8 @@ def prepare_register(a: complex, b: complex, c: complex, d: complex,
     if mode == "ideal":
         return tensor([
             _cavity_qubit("A", dim_c, a, b), _atom_level("alpha", 2, 0),
-            _cavity_qubit("B", dim_c, c, d), _atom_level("beta", beta_dim, 0),
+            _cavity_qubit("B", dim_c, c, d), _atom_level("beta", 2, 0),
         ])
-    if beta_dim != 2:
-        raise ProtocolError("physical register transfer is defined for two-level atoms")
     params_a = params_a or desk_params(1.0, x=0.1)
     params_b = params_b or desk_params(1.0, x=0.1)
     parts = []
@@ -305,14 +298,7 @@ def prepare_register(a: complex, b: complex, c: complex, d: complex,
     full = tensor(parts)
     order = [FactorLabel("A", dim_c), FactorLabel("alpha", 2),
              FactorLabel("B", dim_c), FactorLabel("beta", 2)]
-    return _reorder(full, CompositeSpace(order))
-
-
-def _reorder(state: StateVector, space: CompositeSpace) -> StateVector:
-    if state.space == space:
-        return state
-    perm = [state.space.axis(f.name) for f in space.factors]
-    return StateVector(space, state.tensor_view().transpose(perm).reshape(-1))
+    return _reorder_sub(full, CompositeSpace(order))
 
 
 def beam_splitter_mix(state: StateVector, mode_a: str, mode_b: str,
@@ -335,16 +321,15 @@ def beam_splitter_mix(state: StateVector, mode_a: str, mode_b: str,
     return apply_local(state, scipy.linalg.expm(-1j * gen), (mode_a, mode_b))
 
 
-def _bell_atoms(beta_dim: int = 2) -> StateVector:
-    space = CompositeSpace([FactorLabel("alpha", 2), FactorLabel("beta", beta_dim)])
+def _bell_atoms() -> StateVector:
+    space = CompositeSpace([FactorLabel("alpha", 2), FactorLabel("beta", 2)])
     v = np.zeros(space.dim, dtype=complex)
     v[space.index({"alpha": 1, "beta": 0})] = 1.0 / math.sqrt(2)   # |e g>
     v[space.index({"alpha": 0, "beta": 1})] = 1.0 / math.sqrt(2)   # |g e>
     return StateVector(space, v)
 
 
-def enumerate_ebit_branches(model: PhotonGunModel,
-                            transfer_coupling: float = 1.0) -> tuple:
+def enumerate_ebit_branches(model: PhotonGunModel) -> tuple:
     """All heralded outcomes of one photon-gun distribution attempt.
 
     The gun loads port p1 with zero, one, or two photons; a balanced beam
@@ -355,9 +340,8 @@ def enumerate_ebit_branches(model: PhotonGunModel,
     detectors and ends with both atoms in g.
     """
     weights = model.weights
-    g = transfer_coupling
-    params = JCParams(omega0=1.0, omega=1.0, rabi_coupling=g)
-    t_transfer = math.pi / (2.0 * g)
+    params = JCParams(omega0=1.0, omega=1.0, rabi_coupling=1.0)
+    t_transfer = math.pi / 2.0
     branches = []
     for outcome, n_load in (("empty", 0), ("single", 1), ("double", 2)):
         w = weights[outcome]
@@ -371,14 +355,11 @@ def enumerate_ebit_branches(model: PhotonGunModel,
         st = beam_splitter_mix(st, "p1", "p2")
         st = resonant_rabi_evolve(params, st, t_transfer, atom="alpha", cavity="p1")
         st = resonant_rabi_evolve(params, st, t_transfer, atom="beta", cavity="p2")
-        for n1, st1, pr1 in enumerate_branches(st, "p1"):
-            if st1 is None:
-                continue
-            for n2, st2, pr2 in enumerate_branches(st1, "p2"):
-                if st2 is None:
-                    continue
+        for n1, st1, pr1 in _measure(st, "p1", None, None):
+            for n2, st2, pr2 in _measure(st1, "p2", None, None):
                 flagged = (n1 != "0") or (n2 != "0")
-                atoms = _strip_ports(st2)
+                atoms = _reorder_sub(st2, CompositeSpace([FactorLabel("alpha", 2),
+                                                          FactorLabel("beta", 2)]))
                 # transfer phases: |1> -> -i|e> on each side, global for the pair
                 branches.append(EbitBranch(
                     label=f"{outcome}:{n1}{n2}", flagged=flagged,
@@ -388,11 +369,6 @@ def enumerate_ebit_branches(model: PhotonGunModel,
     if abs(total - 1.0) > 1e-9:
         raise ProtocolError(f"gun branch probabilities sum to {total}")
     return tuple(branches)
-
-
-def _strip_ports(state: StateVector) -> StateVector:
-    space = CompositeSpace([FactorLabel("alpha", 2), FactorLabel("beta", 2)])
-    return _reorder_sub(state, space)
 
 
 def _reorder_sub(state: StateVector, space: CompositeSpace) -> StateVector:
@@ -411,7 +387,7 @@ def _reorder_sub(state: StateVector, space: CompositeSpace) -> StateVector:
 
 
 def prepare_ebit(mode: str = "ideal", model: Optional[PhotonGunModel] = None,
-                 rng=None, beta_dim: int = 2) -> tuple:
+                 rng=None) -> tuple:
     """Distribute the shared atom pair; returns (state on (alpha, beta), flagged).
 
     photon_gun mode samples one emission outcome from the model (rng
@@ -419,11 +395,9 @@ def prepare_ebit(mode: str = "ideal", model: Optional[PhotonGunModel] = None,
     chain; the flag marks a failed herald.
     """
     if mode == "ideal":
-        return _bell_atoms(beta_dim), False
+        return _bell_atoms(), False
     if mode != "photon_gun":
         raise QStateError(f"unknown mode {mode!r}")
-    if beta_dim != 2:
-        raise ProtocolError("photon gun distribution is defined for two-level atoms")
     if model is None or rng is None:
         raise QStateError("photon_gun mode needs a model and an rng")
     branches = enumerate_ebit_branches(model)
@@ -444,47 +418,210 @@ def _atom_block(dim: int, block: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _nonlocal_target_block(dim: int, gate: str) -> np.ndarray:
-    """The nonlocal gate on cavities (A, B) of dimension dim each: CNOT with
-    A controlling B, or the phase -1 on |0 photons, 0 photons>."""
+def _cnot_target(dim: int) -> np.ndarray:
+    """CNOT on cavities (A, B) of dimension dim each, A controlling B."""
     mat = np.eye(dim * dim, dtype=complex)
-    if gate == "cnot":
-        i10 = 1 * dim + 0
-        i11 = 1 * dim + 1
-        mat[i10, i10] = mat[i11, i11] = 0.0
-        mat[i10, i11] = mat[i11, i10] = 1.0
-    elif gate == "cqpg":
-        mat[0, 0] = -1.0
-    else:
-        raise QStateError(f"unknown gate {gate!r}")
+    mat[[dim, dim + 1]] = mat[[dim + 1, dim]]   # |1,0> <-> |1,1>
+    return mat
+
+
+def _cqpg_target(dim: int) -> np.ndarray:
+    """The phase -1 on |0 photons, 0 photons> of cavities (A, B)."""
+    mat = np.eye(dim * dim, dtype=complex)
+    mat[0, 0] = -1.0
     return mat
 
 
 # ---------------------------------------------------------------------------
-# the protocol engine
+# the protocol as data: each local operation once, at both levels
 
 
-class _Run:
-    def __init__(self, gate: str, level: str, config: ProtocolConfig):
-        self.gate = gate
-        self.level = level
-        self.config = config
-        self.records: list = []
-        self.branches: list = []
+@dataclass(frozen=True)
+class _Step:
+    """One local operation: its trace step, node, operation and support.
 
-    def record(self, branch: str, step: str, node: Node, operation: str,
-               params_text: str, outcome: str, support: tuple,
-               anc_ok: bool = False) -> None:
-        if node in (ALICE, BOB, SOURCE):
-            _assert_local(node, support, anc_ok=anc_ok)
-        self.records.append(TraceRecord(branch, step, node.name, operation,
-                                        params_text, outcome, tuple(support)))
+    ideal(space) gives the exact gate as (matrix, factors) for apply_local,
+    traced as one record with params ideal_text.  physical(step, state,
+    params, config) runs the pulse-level operation at node params and
+    returns the state and its trace records, each (operation, params_text,
+    outcome, support).
+    """
+
+    name: str
+    node: Node
+    operation: str
+    support: tuple
+    ideal: Optional[Callable]
+    physical: Callable
+    ideal_text: str = "ideal"
 
 
-def _node_params(gate: str, config: ProtocolConfig) -> JCParams:
-    if gate == "cnot":
-        return config.swap_params.jc_params()
-    return desk_params(1.0, x=config.x)
+def _true_hadamard(space: CompositeSpace) -> tuple:
+    return _atom_block(space.factor("beta").dim, TRUE_HADAMARD), ("beta",)
+
+
+def _fidelity_text(result) -> str:
+    return f"fidelity={result.fidelity_vs_ideal:.9f}"
+
+
+def _cnot_photon_to_alpha(step, state, params, config):
+    res = physical_cnot_cavity_to_atom(state, params, config.gate_config(),
+                                       atom="alpha", cavity="A")
+    return res.output, [(step.operation, _pulse_text(res), _fidelity_text(res),
+                         step.support)]
+
+
+def _not_beta(step, state, params, config):
+    # a two-level beta is flipped sector by sector inside its cavity
+    cavity = None if state.space.factor("beta").dim == 3 else "B"
+    res = physical_not_atom(state, params, config.gate_config(), atom="beta",
+                            cavity=cavity)
+    support = step.support if cavity is None else step.support + (cavity,)
+    return res.output, [(step.operation, _pulse_text(res), _fidelity_text(res),
+                         support)]
+
+
+def _cnot_beta_to_photon(step, state, params, config):
+    res = physical_cnot_atom_to_cavity(state, config.swap_params,
+                                       config.gate_config(), atom="beta", cavity="B")
+    outcome = f"{_fidelity_text(res)} exchange={res.exchange_probability_tdse:.6f}"
+    return res.output, [(step.operation, _pulse_text(res), outcome, step.support)]
+
+
+def _cqpg_at_bob(step, state, params, config):
+    g = params.rabi_coupling
+    res = physical_cqpg_local(state, ThreeLevelParams(rabi_coupling=g),
+                              config.gate_config(), atom="beta", cavity="B")
+    return res.output, [(step.operation, f"resonant e-i cycle t=pi/{g:.6g}",
+                         _fidelity_text(res), step.support)]
+
+
+def _hadamard_beta(step, state, params, config):
+    # the pi/2 pulse between atom frame phases; a two-level beta is first
+    # Stark-switched far off its cavity and pulsed through its dressed states
+    beta_dim = state.space.factor("beta").dim
+    frame = _atom_block(beta_dim, np.diag(HADAMARD_FRAME_PHASE))
+    state = apply_local(state, frame, ("beta",))
+    records, cavity = [], None
+    if beta_dim == 2:
+        x, cavity = config.hadamard_x, "B"
+        params = set_stark_detuning(params, params.omega + params.rabi_coupling / x)
+        records.append(("stark-switch", f"delta -> coupling/{x:.6g}", "-",
+                        ("beta", cavity)))
+    res = physical_hadamard_atom(state, params, config.gate_config(), atom="beta",
+                                 cavity=cavity)
+    support = step.support if cavity is None else step.support + (cavity,)
+    records.append((step.operation,
+                    _pulse_text(res) + " + atom frame phases diag(i,1)",
+                    _fidelity_text(res), support))
+    return apply_local(res.output, frame, ("beta",)), records
+
+
+def _reset_alpha(step, state, params, config):
+    res = physical_not_atom(state, params, config.gate_config(), atom="alpha",
+                            cavity=None)
+    return res.output, [(step.operation, "decoupled reset before phase pulse",
+                         _fidelity_text(res), step.support)]
+
+
+def _photon_phase(step, state, params, config):
+    # a resonant 2 pi cycle of alpha (in g) with A gives one photon a -1
+    g = params.rabi_coupling
+    resonant = set_stark_detuning(params, params.omega)
+    state = resonant_rabi_evolve(resonant, state, math.pi / g, atom="alpha",
+                                 cavity="A")
+    return state, [("stark-switch", "delta -> 0", "-", ("alpha", "A")),
+                   ("resonant-2pi-cycle", f"t=pi/{g:.6g}", "-", ("alpha", "A"))]
+
+
+_STEP4 = _Step("step4", ALICE, "cnot-cavity-to-atom", ("alpha", "A"),
+               partial(ideal_block, GateKind.CNOT_CAVITY_TO_ATOM, atom="alpha",
+                       cavity="A"), _cnot_photon_to_alpha)
+_CONDITIONAL_NOT = _Step("conditional-not", BOB, "not-atom", ("beta",),
+                         partial(ideal_block, GateKind.NOT_ATOM, atom="beta"),
+                         _not_beta)
+_STEP5_CNOT = _Step("step5", BOB, "cnot-atom-to-cavity", ("beta", "B"),
+                    partial(ideal_block, GateKind.CNOT_ATOM_TO_CAVITY,
+                            atom="beta", cavity="B"), _cnot_beta_to_photon)
+_STEP5_CQPG = _Step("step5", BOB, "cqpg-local", ("beta", "B"),
+                    partial(ideal_block, GateKind.CQPG_LOCAL, atom="beta",
+                            cavity="B"), _cqpg_at_bob, ideal_text="phi=pi")
+_STEP6 = _Step("step6", BOB, "hadamard", ("beta",), _true_hadamard,
+               _hadamard_beta)
+# physical only: the photon-phase cycle needs alpha back in g
+_ALPHA_RESET = _Step("correction", ALICE, "not-atom", ("alpha",), None,
+                     _reset_alpha)
+_PHOTON_PHASE = _Step("correction", ALICE, "photon-phase", ("A",),
+                      partial(ideal_block, GateKind.SIGMA_Z, cavity="A"),
+                      _photon_phase)
+
+
+@dataclass(frozen=True)
+class _Gate:
+    """What differs between the nonlocal CNOT and CQPG."""
+
+    beta_dim: int
+    node_params: Callable       # ProtocolConfig -> JCParams
+    step5: _Step
+    correction_on: str          # the beta outcome that sends Alice's correction
+    photon_gun: bool            # whether a photon-gun ebit is wired
+    target: Callable            # cavity dim -> the nonlocal gate on (A, B)
+
+
+_GATES = {
+    "cnot": _Gate(2, lambda config: config.swap_params.jc_params(), _STEP5_CNOT,
+                  "g", True, _cnot_target),
+    "cqpg": _Gate(3, lambda config: desk_params(1.0, x=config.x), _STEP5_CQPG,
+                  "e", False, _cqpg_target),
+}
+
+
+def _load_physical(ref_cav, amplitudes, config, params) -> StateVector:
+    reg = prepare_register(*amplitudes, mode="physical",
+                           fock_cutoff=config.fock_cutoff,
+                           params_a=params, params_b=params)
+    return _reorder_sub(reg, ref_cav.space)
+
+
+def _apply_ideal(step, state, params, config):
+    return (apply_local(state, *step.ideal(state.space)),
+            [(step.operation, step.ideal_text, "-", step.support)])
+
+
+@dataclass(frozen=True)
+class _Level:
+    """How one level loads the register and applies a step."""
+
+    register_text: str
+    load: Callable              # (ref_cav, amplitudes, config, params) -> state
+    apply: Callable             # (step, state, params, config) -> (state, records)
+    resets_alpha: bool          # whether e branches reset alpha before the phase
+
+
+_LEVELS = {
+    "ideal": _Level("ideal", lambda ref_cav, *_: ref_cav, _apply_ideal, False),
+    "physical": _Level("resonant quarter-cycle transfer", _load_physical,
+                       lambda step, *args: step.physical(step, *args), True),
+}
+
+
+def _record(records: list, branch: str, step: str, node: Node, operation: str,
+            params_text: str, outcome: str, support: tuple = ()) -> None:
+    if not _is_local(node.name, support):
+        raise ProtocolError(
+            f"operation on {support} exceeds node {node.name} ({sorted(node.factors)})")
+    records.append(TraceRecord(branch, step, node.name, operation, params_text,
+                               outcome, tuple(support)))
+
+
+def _run_step(records: list, level: _Level, params: JCParams,
+              config: ProtocolConfig, branch: str, step: _Step,
+              state: StateVector) -> StateVector:
+    state, done = level.apply(step, state, params, config)
+    for operation, params_text, outcome, support in done:
+        _record(records, branch, step.name, step.node, operation, params_text,
+                outcome, support)
+    return state
 
 
 def run_nonlocal_cnot(a: complex = 1 / math.sqrt(2), b: complex = 1 / math.sqrt(2),
@@ -517,25 +654,23 @@ def run_nonlocal_cqpg(a: complex = 1 / math.sqrt(2), b: complex = 1 / math.sqrt(
 
 def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
                   ebit_mode, gun_model, ebit_state, config) -> ProtocolTrace:
-    if level not in ("ideal", "physical"):
+    if level not in _LEVELS:
         raise QStateError(f"unknown level {level!r}")
     if branch_mode not in ("enumerate", "sample"):
         raise QStateError(f"unknown branch_mode {branch_mode!r}")
     if input_state is not None and level != "ideal":
         raise ProtocolError("external-ancilla inputs are supported at the ideal level")
+    lvl, spec = _LEVELS[level], _GATES[gate]
     config = config or ProtocolConfig()
-    run = _Run(gate, level, config)
-    beta_dim = 3 if gate == "cqpg" else 2
     dim_c = config.fock_cutoff + 1
     rng = make_rng(seed) if seed is not None else None
     if branch_mode == "sample" and rng is None:
         raise QStateError("branch_mode sample needs a seed")
-
-    params = _node_params(gate, config)
-    gate_cfg = config.gate_config()
-    tp3 = ThreeLevelParams(rabi_coupling=params.rabi_coupling)
-
-    run.record("*", "encoding", SOURCE, "logical-encoding", ENCODING_NOTE, "-", ())
+    sampler = rng if branch_mode == "sample" else None
+    params = spec.node_params(config)
+    records: list = []
+    branches: list = []
+    _record(records, "*", "encoding", SOURCE, "logical-encoding", ENCODING_NOTE, "-")
 
     # step 1-2: register
     if input_state is not None:
@@ -544,8 +679,7 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
                 raise QStateError(f"input_state must contain factor {need!r}")
             if input_state.space.factor(need).dim != dim_c:
                 raise QStateError(f"input_state factor {need!r} must have dim {dim_c}")
-        cav_state = input_state
-        ref_cav = input_state
+        cav_state = ref_cav = input_state
         amplitudes = None
         desc = "external input state on " + ",".join(input_state.space.names)
     else:
@@ -553,214 +687,88 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
         _check_pair(c, d, "cd")
         ref_cav = tensor([_cavity_qubit("A", dim_c, a, b),
                           _cavity_qubit("B", dim_c, c, d)])
-        if level == "physical":
-            reg = prepare_register(a, b, c, d, mode="physical",
-                                   fock_cutoff=config.fock_cutoff,
-                                   params_a=params, params_b=params)
-            cav_state = _reorder_sub(reg, CompositeSpace(
-                [FactorLabel("A", dim_c), FactorLabel("B", dim_c)]))
-        else:
-            cav_state = ref_cav
         amplitudes = (complex(a), complex(b), complex(c), complex(d))
+        cav_state = lvl.load(ref_cav, amplitudes, config, params)
         desc = "product register (a|1>+b|0>)_A (c|1>+d|0>)_B"
-    run.record("*", "register", ALICE, "prepare-cavity",
-               "resonant quarter-cycle transfer" if level == "physical" else "ideal",
-               "A loaded", ("A", "alpha"))
-    run.record("*", "register", BOB, "prepare-cavity",
-               "resonant quarter-cycle transfer" if level == "physical" else "ideal",
-               "B loaded", ("B", "beta"))
+    for node in (ALICE, BOB):
+        _record(records, "*", "register", node, "prepare-cavity",
+                lvl.register_text, f"{node.cavity} loaded", (node.cavity, node.atom))
 
     # step 3: entanglement distribution
     flagged = False
     if ebit_state is not None:
         atoms = ebit_state
-        run.record("*", "ebit", SOURCE, "inject-ebit", "caller-supplied pair state",
-                   "-", ())
+        _record(records, "*", "ebit", SOURCE, "inject-ebit",
+                "caller-supplied pair state", "-")
     elif ebit_mode == "photon_gun":
-        if gate != "cnot":
+        if not spec.photon_gun:
             raise ProtocolError("photon gun distribution is wired for the cnot protocol")
         if rng is None:
             raise QStateError("photon_gun mode needs a seed")
         atoms, flagged = prepare_ebit("photon_gun", gun_model or PhotonGunModel(),
                                       rng=rng)
-        run.record("*", "ebit", SOURCE, "photon-gun+beam-splitter",
-                   "theta=pi/4 phase=-pi/2", f"herald_failed={flagged}",
-                   ("p1", "p2"))
-        run.record("*", "ebit", ALICE, "port-transfer", "resonant quarter cycle",
-                   "p1 -> alpha", ("alpha", "p1"))
-        run.record("*", "ebit", BOB, "port-transfer", "resonant quarter cycle",
-                   "p2 -> beta", ("beta", "p2"))
+        _record(records, "*", "ebit", SOURCE, "photon-gun+beam-splitter",
+                "theta=pi/4 phase=-pi/2", f"herald_failed={flagged}", ("p1", "p2"))
+        for node in (ALICE, BOB):
+            _record(records, "*", "ebit", node, "port-transfer", "resonant quarter cycle",
+                    f"{node.port} -> {node.atom}", (node.atom, node.port))
     else:
-        atoms, _ = prepare_ebit("ideal", beta_dim=beta_dim)
-        run.record("*", "ebit", SOURCE, "distribute-bell-pair",
-                   "(|eg>+|ge>)/sqrt2", "-", ())
-        run.record("*", "ebit", SOURCE, "handoff", "alpha to Alice, beta to Bob",
-                   "-", ())
-    if atoms.space.factor("beta").dim != beta_dim:
-        atoms = _widen_beta(atoms, beta_dim)
+        atoms, _ = prepare_ebit("ideal")
+        _record(records, "*", "ebit", SOURCE, "distribute-bell-pair",
+                "(|eg>+|ge>)/sqrt2", "-")
+        _record(records, "*", "ebit", SOURCE, "handoff",
+                "alpha to Alice, beta to Bob", "-")
+    if atoms.space.factor("beta").dim != spec.beta_dim:
+        atoms = _widen_beta(atoms, spec.beta_dim)
     state = tensor([cav_state, atoms])
 
     # ideal reference for fidelity targets: the nonlocal gate on the input
-    ref_atoms = tensor([_atom_level("alpha", 2, 0), _atom_level("beta", beta_dim, 0)])
+    ref_atoms = tensor([_atom_level("alpha", 2, 0),
+                        _atom_level("beta", spec.beta_dim, 0)])
     target_initial = apply_local(tensor([ref_cav, ref_atoms]),
-                                 _nonlocal_target_block(dim_c, gate), ("A", "B"))
+                                 spec.target(dim_c), ("A", "B"))
 
-    # step 4: photon-controlled flip of alpha at Alice
-    if level == "ideal":
-        state = apply_local(state, *ideal_block(GateKind.CNOT_CAVITY_TO_ATOM,
-                                                 state.space, "alpha", "A"))
-        run.record("*", "step4", ALICE, "cnot-cavity-to-atom", "ideal", "-",
-                   ("alpha", "A"))
-    else:
-        res = physical_cnot_cavity_to_atom(state, params, gate_cfg,
-                                           atom="alpha", cavity="A")
-        state = res.output
-        run.record("*", "step4", ALICE, "cnot-cavity-to-atom",
-                   _pulse_text(res), f"fidelity={res.fidelity_vs_ideal:.9f}",
-                   ("alpha", "A"))
+    state = _run_step(records, lvl, params, config, "*", _STEP4, state)
 
-    # measurement of alpha, branching
-    alpha_branches = enumerate_branches(state, "alpha", basis=_basis_ge(2))
-    if branch_mode == "sample":
-        alpha_branches = [_sample_branch(alpha_branches, rng)]
-
-    for alpha_out, state_a, p_alpha in alpha_branches:
-        if state_a is None:
-            continue
+    # alpha measured: one bit to Bob, his NOT on e, then steps 5 and 6
+    beta_basis = _basis_ge(spec.beta_dim)
+    for alpha_out, s, p_alpha in _measure(state, "alpha", _basis_ge(2), sampler):
         tag_a = alpha_out + "?"
-        run.record(tag_a, "measure-alpha", ALICE, "projective-measurement",
-                   "basis g/e", f"outcome={alpha_out} p={p_alpha:.6f}", ("alpha",))
-        bits = [("Alice", "Bob", _bit_of(alpha_out), "alpha-measurement")]
-        run.record(tag_a, "classical", ALICE, "send-bit",
-                   f"bit={_bit_of(alpha_out)}", "Alice -> Bob", ())
-
-        s = state_a
+        _record(records, tag_a, "measure-alpha", ALICE, "projective-measurement",
+                "basis g/e", f"outcome={alpha_out} p={p_alpha:.6f}", ("alpha",))
+        to_bob = ClassicalChannel()
+        to_bob.send("Alice", "Bob", _bit_of(alpha_out), "alpha-measurement")
+        _record(records, tag_a, "classical", ALICE, "send-bit",
+                f"bit={_bit_of(alpha_out)}", "Alice -> Bob")
         if alpha_out == "e":
-            if level == "ideal":
-                s = apply_local(s, *ideal_block(GateKind.NOT_ATOM, s.space, "beta"))
-                run.record(tag_a, "conditional-not", BOB, "not-atom", "ideal",
-                           "-", ("beta",))
-            else:
-                cav_for_not = None if beta_dim == 3 else "B"
-                resn = physical_not_atom(s, params, gate_cfg, atom="beta",
-                                         cavity=cav_for_not)
-                s = resn.output
-                run.record(tag_a, "conditional-not", BOB, "not-atom",
-                           _pulse_text(resn),
-                           f"fidelity={resn.fidelity_vs_ideal:.9f}",
-                           ("beta",) if cav_for_not is None else ("beta", "B"))
+            s = _run_step(records, lvl, params, config, tag_a, _CONDITIONAL_NOT, s)
+        s = _run_step(records, lvl, params, config, tag_a, spec.step5, s)
+        s = _run_step(records, lvl, params, config, tag_a, _STEP6, s)
 
-        # step 5
-        if gate == "cnot":
-            if level == "ideal":
-                s = apply_local(s, *ideal_block(GateKind.CNOT_ATOM_TO_CAVITY,
-                                                 s.space, "beta", "B"))
-                run.record(tag_a, "step5", BOB, "cnot-atom-to-cavity", "ideal",
-                           "-", ("beta", "B"))
-            else:
-                res5 = physical_cnot_atom_to_cavity(s, config.swap_params,
-                                                    gate_cfg, atom="beta",
-                                                    cavity="B")
-                s = res5.output
-                run.record(tag_a, "step5", BOB, "cnot-atom-to-cavity",
-                           _pulse_text(res5),
-                           f"fidelity={res5.fidelity_vs_ideal:.9f} "
-                           f"exchange={res5.exchange_probability_tdse:.6f}",
-                           ("beta", "B"))
-        else:
-            if level == "ideal":
-                s = apply_local(s, *ideal_block(GateKind.CQPG_LOCAL, s.space,
-                                                 "beta", "B"))
-                run.record(tag_a, "step5", BOB, "cqpg-local", "phi=pi", "-",
-                           ("beta", "B"))
-            else:
-                res5 = physical_cqpg_local(s, tp3, gate_cfg, atom="beta",
-                                           cavity="B")
-                s = res5.output
-                run.record(tag_a, "step5", BOB, "cqpg-local",
-                           f"resonant e-i cycle t=pi/{params.rabi_coupling:.6g}",
-                           f"fidelity={res5.fidelity_vs_ideal:.9f}",
-                           ("beta", "B"))
-
-        # step 6: protocol Hadamard on beta
-        if level == "ideal":
-            s = apply_local(s, _atom_block(beta_dim, TRUE_HADAMARD), ("beta",))
-            run.record(tag_a, "step6", BOB, "hadamard", "ideal", "-", ("beta",))
-        else:
-            frame = _atom_block(beta_dim, np.diag(HADAMARD_FRAME_PHASE))
-            s = apply_local(s, frame, ("beta",))
-            if beta_dim == 3:
-                resh = physical_hadamard_atom(s, params, gate_cfg, atom="beta",
-                                              cavity=None)
-                sup = ("beta",)
-            else:
-                params_h = set_stark_detuning(
-                    params, params.omega + params.rabi_coupling / config.hadamard_x)
-                run.record(tag_a, "step6", BOB, "stark-switch",
-                           f"delta -> coupling/{config.hadamard_x:.6g}", "-",
-                           ("beta", "B"))
-                resh = physical_hadamard_atom(s, params_h, gate_cfg, atom="beta",
-                                              cavity="B")
-                sup = ("beta", "B")
-            s = apply_local(resh.output, frame, ("beta",))
-            run.record(tag_a, "step6", BOB, "hadamard",
-                       _pulse_text(resh) + " + atom frame phases diag(i,1)",
-                       f"fidelity={resh.fidelity_vs_ideal:.9f}", sup)
-
-        beta_branches = enumerate_branches(s, "beta", basis=_basis_ge(beta_dim))
-        if branch_mode == "sample":
-            beta_branches = [_sample_branch(beta_branches, rng)]
-
-        for beta_out, state_b, p_beta in beta_branches:
-            if state_b is None:
-                continue
+        # beta measured: one bit to Alice, her photon phase on the trigger
+        for beta_out, sf, p_beta in _measure(s, "beta", beta_basis, sampler):
             tag = alpha_out + beta_out
-            run.record(tag, "measure-beta", BOB, "projective-measurement",
-                       f"basis {'/'.join(n for n, _ in _basis_ge(beta_dim))}",
-                       f"outcome={beta_out} p={p_beta:.6f}", ("beta",))
+            _record(records, tag, "measure-beta", BOB, "projective-measurement",
+                    f"basis {'/'.join(n for n, _ in beta_basis)}",
+                    f"outcome={beta_out} p={p_beta:.6f}", ("beta",))
             if beta_out == "i":
-                self_prob = float(p_alpha * p_beta)
-                run.branches.append(BranchResult(
-                    alpha_out, beta_out, self_prob, 0.0, state_b,
-                    ("auxiliary-level leakage",), tuple(bits)))
+                branches.append(BranchResult(
+                    alpha_out, beta_out, float(p_alpha * p_beta), 0.0, sf,
+                    ("auxiliary-level leakage",), tuple(to_bob.log)))
                 continue
-            channel = ClassicalChannel()
-            for sender, recipient, bit, step in bits:
-                channel.send(sender, recipient, bit, step)
-            channel.send("Bob", "Alice", _bit_of(beta_out), "beta-measurement")
-            run.record(tag, "classical", BOB, "send-bit",
-                       f"bit={_bit_of(beta_out)}", "Bob -> Alice", ())
+            to_alice = ClassicalChannel()
+            to_alice.send("Bob", "Alice", _bit_of(beta_out), "beta-measurement")
+            _record(records, tag, "classical", BOB, "send-bit",
+                    f"bit={_bit_of(beta_out)}", "Bob -> Alice")
 
-            sf = state_b
             corrections = []
             alpha_final = alpha_out
-            trigger = "g" if gate == "cnot" else "e"
-            if beta_out == trigger:
-                if level == "ideal":
-                    sf = apply_local(sf, *ideal_block(GateKind.SIGMA_Z, sf.space,
-                                                       cavity="A"))
-                    run.record(tag, "correction", ALICE, "photon-phase", "ideal",
-                               "-", ("A",))
-                else:
-                    if alpha_out == "e":
-                        resr = physical_not_atom(sf, params, gate_cfg,
-                                                 atom="alpha", cavity=None)
-                        sf = resr.output
-                        alpha_final = "g"
-                        corrections.append("alpha reset (decoupled pi pulse)")
-                        run.record(tag, "correction", ALICE, "not-atom",
-                                   "decoupled reset before phase pulse",
-                                   f"fidelity={resr.fidelity_vs_ideal:.9f}",
-                                   ("alpha",))
-                    resonant = set_stark_detuning(params, params.omega)
-                    run.record(tag, "correction", ALICE, "stark-switch",
-                               "delta -> 0", "-", ("alpha", "A"))
-                    sf = resonant_rabi_evolve(resonant, sf,
-                                              math.pi / params.rabi_coupling,
-                                              atom="alpha", cavity="A")
-                    run.record(tag, "correction", ALICE, "resonant-2pi-cycle",
-                               f"t=pi/{params.rabi_coupling:.6g}", "-",
-                               ("alpha", "A"))
+            if beta_out == spec.correction_on:
+                if lvl.resets_alpha and alpha_out == "e":
+                    sf = _run_step(records, lvl, params, config, tag, _ALPHA_RESET, sf)
+                    alpha_final = "g"
+                    corrections.append("alpha reset (decoupled pi pulse)")
+                sf = _run_step(records, lvl, params, config, tag, _PHOTON_PHASE, sf)
                 corrections.append("photon phase on A")
 
             target = _branch_target(target_initial, alpha_final, beta_out)
@@ -768,41 +776,32 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
             if flagged:
                 fid = 0.0
                 corrections.append("failed herald")
-            run.branches.append(BranchResult(
+            branches.append(BranchResult(
                 alpha_out, beta_out, float(p_alpha * p_beta), fid, sf,
-                tuple(corrections), tuple(channel.log)))
+                tuple(corrections), tuple(to_bob.log + to_alice.log)))
 
     if branch_mode == "enumerate" and not flagged:
-        total = sum(br.probability for br in run.branches)
+        total = sum(br.probability for br in branches)
         if abs(total - 1.0) > 1e-10:
             raise ProtocolError(f"branch probabilities sum to {total}")
-    for br in run.branches:
+    for br in branches:
         if len(br.bits) != 2 and br.beta != "i":
             raise ProtocolError(f"branch {br.label} used {len(br.bits)} bits")
 
     return ProtocolTrace(
         gate=gate, level=level, amplitudes=amplitudes, input_description=desc,
-        encoding=ENCODING_NOTE, records=tuple(run.records),
-        branches=tuple(run.branches), channel_bits_per_branch=2)
+        encoding=ENCODING_NOTE, records=tuple(records),
+        branches=tuple(branches), channel_bits_per_branch=2)
 
 
 def _widen_beta(atoms: StateVector, beta_dim: int) -> StateVector:
+    """The pair on (alpha, beta) with the added beta levels empty."""
+    old = atoms.tensor_view().transpose(atoms.space.axis("alpha"),
+                                        atoms.space.axis("beta"))
+    out = np.zeros((2, beta_dim), dtype=complex)
+    out[:, :old.shape[1]] = old
     space = CompositeSpace([FactorLabel("alpha", 2), FactorLabel("beta", beta_dim)])
-    out = np.zeros(space.dim, dtype=complex)
-    old = atoms.tensor_view()
-    ia = atoms.space.axis("alpha")
-    if ia != 0:
-        old = old.transpose(1, 0)
-    out_view = out.reshape(2, beta_dim)
-    out_view[:, :old.shape[1]] = old
-    return StateVector(space, out)
-
-
-def _sample_branch(branches, rng):
-    labels = [b[0] for b in branches]
-    probs = np.array([b[2] for b in branches])
-    k = int(rng.choice(len(labels), p=probs / probs.sum()))
-    return branches[k]
+    return StateVector(space, out.reshape(-1))
 
 
 def _pulse_text(result) -> str:

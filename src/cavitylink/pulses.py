@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import DOP853
 
 from .qstate import (ATOM_E, ATOM_G, CompositeSpace, FactorLabel, Operator,
                      QStateError, StateVector, embed)
-from .jcmodel import JCParams, mixing_angle
 
 PULSE_SHAPES = ("rectangular", "gaussian")
 
@@ -126,29 +125,12 @@ class DriveHamiltonian:
     and need not be Hermitian themselves (the conjugate term is implied).
     """
 
-    def __init__(self, space: CompositeSpace, terms: Sequence[tuple],
-                 rwa: bool = False, label: str = ""):
+    def __init__(self, space: CompositeSpace, terms: Sequence[tuple]):
         self.space = space
         self.terms = [(np.asarray(m, dtype=complex), fn) for m, fn in terms]
         for m, _ in self.terms:
             if m.shape != (space.dim, space.dim):
                 raise QStateError(f"drive term shape {m.shape} != space dim {space.dim}")
-        self.rwa = bool(rwa)
-        self.label = label
-
-    def matrix(self, t: float) -> np.ndarray:
-        h = np.zeros((self.space.dim, self.space.dim), dtype=complex)
-        for m, fn in self.terms:
-            a = complex(fn(t)) * m
-            h += a + a.conj().T
-        return h
-
-    def hermiticity_defect(self, times: Iterable[float]) -> float:
-        worst = 0.0
-        for t in times:
-            h = self.matrix(t)
-            worst = max(worst, float(np.max(np.abs(h - h.conj().T))))
-        return worst
 
 
 def drive_hamiltonian_bare(pulse: PulseSpec, atom_dim: int = 2,
@@ -180,47 +162,7 @@ def drive_hamiltonian_bare(pulse: PulseSpec, atom_dim: int = 2,
         def z(t, _env=unit.envelope):
             return scale * float(_env(t)) * math.cos(w * t + ph)
     space = CompositeSpace([FactorLabel(atom_name, atom_dim)])
-    return DriveHamiltonian(space, [(raise_op, z)], rwa=rwa,
-                            label=f"bare-{pulse.shape}")
-
-
-def dressed_block_3x3(params: JCParams) -> np.ndarray:
-    """Atom-raising coupling on the ordered basis (|g,0>, |V-,0>, |V+,0>).
-
-    The ground state couples to V-,0 with weight -sin(phi_0) (vanishing at
-    resonance ratio -> 0, where the bare g0 <-> g1 hop is forbidden) and to
-    V+,0 with weight cos(phi_0); the two dressed states do not couple to
-    each other (they sit in the same manifold).
-    """
-    phi0 = mixing_angle(params, 0)
-    h = np.zeros((3, 3), dtype=complex)
-    h[1, 0] = -math.sin(phi0)
-    h[2, 0] = math.cos(phi0)
-    h[0, 1] = h[1, 0].conjugate()
-    h[0, 2] = h[2, 0].conjugate()
-    return h
-
-
-def dressed_block_4x4(params: JCParams, n: int) -> np.ndarray:
-    """Atom-raising coupling between adjacent dressed manifolds n-1 and n.
-
-    Ordered basis (|V+,n-1>, |V-,n-1>, |V+,n>, |V-,n>).  Within-manifold
-    blocks are exactly zero (the drive changes the manifold index by one);
-    the cross block is built from products of adjacent mixing angles.
-    """
-    if n < 1:
-        raise QStateError("n must be >= 1; the n = 0 sector uses dressed_block_3x3")
-    pa = mixing_angle(params, n - 1)
-    pb = mixing_angle(params, n)
-    h = np.zeros((4, 4), dtype=complex)
-    # <V_b, n | s+ | V_a, n-1>: s+ keeps only the |g,n> component of the
-    # lower pair and lands it on |e,n> inside the upper pair
-    h[2, 0] = math.sin(pa) * math.cos(pb)
-    h[3, 0] = -math.sin(pa) * math.sin(pb)
-    h[2, 1] = math.cos(pa) * math.cos(pb)
-    h[3, 1] = -math.cos(pa) * math.sin(pb)
-    h[0:2, 2:4] = h[2:4, 0:2].conj().T
-    return h
+    return DriveHamiltonian(space, [(raise_op, z)])
 
 
 def _embedded_terms(drive: DriveHamiltonian, space: CompositeSpace) -> list:

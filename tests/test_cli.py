@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,20 +180,26 @@ def test_protocol_rejects_malformed_amps(capsys):
     assert rc == 1
 
 
+def _readme_worked_example() -> list:
+    """The trace lines of the README's worked example."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Worked example", 1)[1].split("```", 2)[1]
+    return block.strip("\n").splitlines()
+
+
 def test_protocol_writes_summary_and_trace(tmp_path, capsys):
     out_file = tmp_path / "run.csv"
     trace_file = tmp_path / "run.trace"
     rc, _out, _err = run_cli(capsys, "protocol", "--gate", "cnot",
-                             "--level", "ideal", "--amps", "1,0,0,1",
+                             "--level", "ideal", "--amps", "0.6,0.8,1,0",
                              "--out", str(out_file),
                              "--trace", str(trace_file))
     assert rc == 0
     summary = out_file.read_text().splitlines()
     assert summary[0] == "branch,probability,fidelity_vs_ideal"
-    trace = trace_file.read_text().splitlines()
-    assert all(ln.startswith("[") for ln in trace)
-    assert any("step=ebit" in ln for ln in trace)
-    assert any("op=send-bit" in ln for ln in trace)
+    expected = _readme_worked_example()
+    assert len(expected) == 25
+    assert trace_file.read_text().splitlines() == expected
 
 
 def test_protocol_physical_level_runs(capsys):

@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from cavitylink.qstate import QStateError
-from cavitylink.jcmodel import manifold_splitting, mixing_angle
+from cavitylink.qstate import ATOM_E, ATOM_G, QStateError
+from cavitylink.jcmodel import (dressed_pair, jc_space, manifold_splitting,
+                                mixing_angle)
 from cavitylink.perturb import (
     FROZEN_CALIBRATION, FROZEN_CONVENTION, SOURCE_POINT_ANGULAR,
-    SOURCE_POINT_CYCLIC, TwoPhotonParams, calibrate_convention,
+    SOURCE_POINT_CYCLIC, TwoPhotonParams, _path_elements, calibrate_convention,
     first_order_population, two_photon_amplitude, two_photon_probability,
     two_photon_tdse_oracle)
 
@@ -35,6 +36,35 @@ def test_laser_frequency_is_half_the_gap():
     override = TwoPhotonParams(rabi_coupling=1.0, delta=10.0, tau=8.0,
                                sigma0=0.02, omega_laser=3.3)
     assert override.laser_frequency == 3.3
+
+
+def _dressed_hops(p: TwoPhotonParams, cutoff: int = 2) -> tuple:
+    """Hops g0 -> V(+,-),0 and V(+,-),0 -> V+,1 as overlaps of dressed
+    vectors under the bare atom raising operator s+ (x) 1."""
+    params = p.jc_params()
+    raise_op = np.zeros((2, 2))
+    raise_op[ATOM_E, ATOM_G] = 1.0
+    s_plus = np.kron(raise_op, np.eye(cutoff + 1))
+    g0 = jc_space(cutoff).basis_state({"atom": ATOM_G, "cavity": 0}).amplitudes
+    pair0 = dressed_pair(params, 0, cutoff)
+    v1_plus = dressed_pair(params, 1, cutoff).v_plus
+    middle = (pair0.v_plus, pair0.v_minus)
+    hop1 = np.array([np.vdot(v, s_plus @ g0) for v in middle])
+    hop2 = np.array([np.vdot(v1_plus, s_plus @ v) for v in middle])
+    return hop1, hop2
+
+
+def test_path_weights_are_products_of_dressed_hops():
+    for p in (SOURCE_POINT_CYCLIC, TwoPhotonParams(1.0, 5.0, 3.0, 0.1)):
+        hop1, hop2 = _dressed_hops(p)
+        weights, _d1, _d2 = _path_elements(p)
+        np.testing.assert_allclose(weights, hop1 * hop2, rtol=0, atol=1e-14)
+    # the elements at the operating point, through V+ and V- respectively
+    hop1, hop2 = _dressed_hops(SOURCE_POINT_CYCLIC)
+    np.testing.assert_allclose(hop1, [0.99513333, -0.09853762], atol=1e-8)
+    np.testing.assert_allclose(hop2, [0.09760325, 0.98569713], atol=1e-8)
+    np.testing.assert_allclose(_path_elements(SOURCE_POINT_CYCLIC)[0],
+                               [0.09712825, -0.09712825], atol=1e-8)
 
 
 def test_zero_drive_gives_zero_amplitude():

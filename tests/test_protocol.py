@@ -1,5 +1,6 @@
 """Tests for the two-node protocol engine, ebit sources and bookkeeping."""
 
+import dataclasses
 import math
 import sys
 
@@ -29,7 +30,8 @@ from cavitylink import (
 )
 from cavitylink import gates, qstate
 from cavitylink.gates import HADAMATOM
-from cavitylink.protocol import ClassicalChannel
+from cavitylink import protocol
+from cavitylink.protocol import ClassicalChannel, TraceRecord
 from cavitylink.qstate import CompositeSpace, FactorLabel
 
 
@@ -83,6 +85,21 @@ def test_ideal_records_stay_local():
     assert locality_violations(tr.records) == []
     tr2 = run_nonlocal_cqpg(level="ideal")
     assert locality_violations(tr2.records) == []
+
+
+def test_locality_rule_flags_and_refuses_cross_node_operations(monkeypatch):
+    def record(node, support):
+        return TraceRecord("*", "hand-built", node, "op", "-", "-", support)
+
+    bad = [record("Alice", ("alpha", "B")), record("Bob", ("beta", "p1")),
+           record("Source", ("alpha",))]
+    good = [record("Alice", ("A", "anc")), record("Source", ("p1", "p2"))]
+    assert locality_violations(good + bad) == bad
+    # the runner applies the same rule to every step as it runs
+    leaky = dataclasses.replace(protocol._STEP4, support=("alpha", "B"))
+    monkeypatch.setattr(protocol, "_STEP4", leaky)
+    with pytest.raises(ProtocolError, match="exceeds node Alice"):
+        run_nonlocal_cnot(level="ideal")
 
 
 def test_ancilla_entangled_input():
@@ -276,6 +293,83 @@ def test_physical_cnot_protocol_reflects_weak_swap():
     assert locality_violations(tr.records) == []
     for br in tr.branches:
         assert len(br.bits) == 2
+
+
+# (branch, step, node, operation, support) of every physical record: the
+# Stark switch before the Hadamard only for a two-level beta, the alpha
+# reset only on corrected e branches
+PHYSICAL_SKELETON = {
+    "cnot": [
+        ('*', 'encoding', 'Source', 'logical-encoding', ()),
+        ('*', 'register', 'Alice', 'prepare-cavity', ('A', 'alpha')),
+        ('*', 'register', 'Bob', 'prepare-cavity', ('B', 'beta')),
+        ('*', 'ebit', 'Source', 'distribute-bell-pair', ()),
+        ('*', 'ebit', 'Source', 'handoff', ()),
+        ('*', 'step4', 'Alice', 'cnot-cavity-to-atom', ('alpha', 'A')),
+        ('g?', 'measure-alpha', 'Alice', 'projective-measurement', ('alpha',)),
+        ('g?', 'classical', 'Alice', 'send-bit', ()),
+        ('g?', 'step5', 'Bob', 'cnot-atom-to-cavity', ('beta', 'B')),
+        ('g?', 'step6', 'Bob', 'stark-switch', ('beta', 'B')),
+        ('g?', 'step6', 'Bob', 'hadamard', ('beta', 'B')),
+        ('gg', 'measure-beta', 'Bob', 'projective-measurement', ('beta',)),
+        ('gg', 'classical', 'Bob', 'send-bit', ()),
+        ('gg', 'correction', 'Alice', 'stark-switch', ('alpha', 'A')),
+        ('gg', 'correction', 'Alice', 'resonant-2pi-cycle', ('alpha', 'A')),
+        ('ge', 'measure-beta', 'Bob', 'projective-measurement', ('beta',)),
+        ('ge', 'classical', 'Bob', 'send-bit', ()),
+        ('e?', 'measure-alpha', 'Alice', 'projective-measurement', ('alpha',)),
+        ('e?', 'classical', 'Alice', 'send-bit', ()),
+        ('e?', 'conditional-not', 'Bob', 'not-atom', ('beta', 'B')),
+        ('e?', 'step5', 'Bob', 'cnot-atom-to-cavity', ('beta', 'B')),
+        ('e?', 'step6', 'Bob', 'stark-switch', ('beta', 'B')),
+        ('e?', 'step6', 'Bob', 'hadamard', ('beta', 'B')),
+        ('eg', 'measure-beta', 'Bob', 'projective-measurement', ('beta',)),
+        ('eg', 'classical', 'Bob', 'send-bit', ()),
+        ('eg', 'correction', 'Alice', 'not-atom', ('alpha',)),
+        ('eg', 'correction', 'Alice', 'stark-switch', ('alpha', 'A')),
+        ('eg', 'correction', 'Alice', 'resonant-2pi-cycle', ('alpha', 'A')),
+        ('ee', 'measure-beta', 'Bob', 'projective-measurement', ('beta',)),
+        ('ee', 'classical', 'Bob', 'send-bit', ()),
+    ],
+    "cqpg": [
+        ('*', 'encoding', 'Source', 'logical-encoding', ()),
+        ('*', 'register', 'Alice', 'prepare-cavity', ('A', 'alpha')),
+        ('*', 'register', 'Bob', 'prepare-cavity', ('B', 'beta')),
+        ('*', 'ebit', 'Source', 'distribute-bell-pair', ()),
+        ('*', 'ebit', 'Source', 'handoff', ()),
+        ('*', 'step4', 'Alice', 'cnot-cavity-to-atom', ('alpha', 'A')),
+        ('g?', 'measure-alpha', 'Alice', 'projective-measurement', ('alpha',)),
+        ('g?', 'classical', 'Alice', 'send-bit', ()),
+        ('g?', 'step5', 'Bob', 'cqpg-local', ('beta', 'B')),
+        ('g?', 'step6', 'Bob', 'hadamard', ('beta',)),
+        ('gg', 'measure-beta', 'Bob', 'projective-measurement', ('beta',)),
+        ('gg', 'classical', 'Bob', 'send-bit', ()),
+        ('ge', 'measure-beta', 'Bob', 'projective-measurement', ('beta',)),
+        ('ge', 'classical', 'Bob', 'send-bit', ()),
+        ('ge', 'correction', 'Alice', 'stark-switch', ('alpha', 'A')),
+        ('ge', 'correction', 'Alice', 'resonant-2pi-cycle', ('alpha', 'A')),
+        ('e?', 'measure-alpha', 'Alice', 'projective-measurement', ('alpha',)),
+        ('e?', 'classical', 'Alice', 'send-bit', ()),
+        ('e?', 'conditional-not', 'Bob', 'not-atom', ('beta',)),
+        ('e?', 'step5', 'Bob', 'cqpg-local', ('beta', 'B')),
+        ('e?', 'step6', 'Bob', 'hadamard', ('beta',)),
+        ('eg', 'measure-beta', 'Bob', 'projective-measurement', ('beta',)),
+        ('eg', 'classical', 'Bob', 'send-bit', ()),
+        ('ee', 'measure-beta', 'Bob', 'projective-measurement', ('beta',)),
+        ('ee', 'classical', 'Bob', 'send-bit', ()),
+        ('ee', 'correction', 'Alice', 'not-atom', ('alpha',)),
+        ('ee', 'correction', 'Alice', 'stark-switch', ('alpha', 'A')),
+        ('ee', 'correction', 'Alice', 'resonant-2pi-cycle', ('alpha', 'A')),
+    ],
+}
+
+
+def test_physical_trace_skeleton():
+    for gate, runner in (("cnot", run_nonlocal_cnot), ("cqpg", run_nonlocal_cqpg)):
+        tr = runner(level="physical")
+        got = [(r.branch, r.step, r.node, r.operation, r.support)
+               for r in tr.records]
+        assert got == PHYSICAL_SKELETON[gate], gate
 
 
 def test_physical_trace_reports_stark_switches():

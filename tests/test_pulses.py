@@ -6,11 +6,10 @@ import pytest
 from cavitylink.qstate import (CompositeSpace, FactorLabel, Operator,
                                QStateError, StateVector, make_rng)
 from cavitylink.jcmodel import (desk_params, dressed_pair, jc_rotating,
-                                jc_space, manifold_splitting, mixing_angle,
+                                jc_space, manifold_splitting,
                                 resonant_rabi_evolve)
 from cavitylink.pulses import (DriveHamiltonian, PulseSpec, StiffnessError,
-                               calibrate_pulse_area, dressed_block_3x3,
-                               dressed_block_4x4, drive_hamiltonian_bare,
+                               calibrate_pulse_area, drive_hamiltonian_bare,
                                evolve_tdse, propagate_basis)
 
 
@@ -56,22 +55,15 @@ def test_drive_hamiltonian_is_hermitian():
     pulse = PulseSpec(omega_drive=3.0, shape="gaussian", amplitude=0.5, width=1.0)
     for rwa in (False, True):
         drive = drive_hamiltonian_bare(pulse, rwa=rwa)
-        assert drive.hermiticity_defect(np.linspace(-3, 3, 17)) < 1e-15
-
-
-def test_dressed_blocks_structure():
-    p = desk_params(1.0, x=0.3)
-    b3 = dressed_block_3x3(p)
-    phi0 = mixing_angle(p, 0)
-    np.testing.assert_allclose(b3[2, 0], math.cos(phi0))
-    np.testing.assert_allclose(b3[1, 0], -math.sin(phi0))
-    np.testing.assert_allclose(b3, b3.conj().T)
-    b4 = dressed_block_4x4(p, 1)
-    np.testing.assert_allclose(b4, b4.conj().T)
-    np.testing.assert_allclose(b4[:2, :2], 0.0)   # no intra-manifold coupling
-    np.testing.assert_allclose(b4[2:, 2:], 0.0)
-    with pytest.raises(QStateError, match="n = 0 sector"):
-        dressed_block_4x4(p, 0)
+        for t in np.linspace(-3, 3, 17):
+            # H(t) = sum_k z_k(t) M_k + h.c., as the generator is documented
+            h = sum(fn(t) * m for m, fn in drive.terms)
+            h = h + h.conj().T
+            np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
+            env = float(pulse.envelope(t))
+            want = (0.5 * env * np.exp(-1j * 3.0 * t) if rwa
+                    else env * math.cos(3.0 * t))
+            np.testing.assert_allclose(h[1, 0], want, atol=1e-15)
 
 
 def test_free_evolution_is_exact():
@@ -159,13 +151,16 @@ def test_propagate_basis_norm_drift_reported():
     p = desk_params(1.0, x=0.1)
     static = jc_rotating(p, 2)
     pulse = PulseSpec(omega_drive=5.0, shape="gaussian", amplitude=0.3, width=2.0)
-    drive = drive_hamiltonian_bare(pulse, rwa=True)
-    cols, info = propagate_basis(static, [drive], -6.0, 6.0, 1e-10)
-    assert info["method"] == "DOP853"
-    assert info["norm_drift"] < 1e-9
-    # columns stay mutually orthogonal (unitarity of the propagator)
-    gram = cols.conj().T @ cols
-    np.testing.assert_allclose(gram, np.eye(cols.shape[1]), atol=1e-8)
+    # with and without the rotating-wave approximation the drive must stay
+    # Hermitian, or the propagator would not be unitary
+    for rwa in (True, False):
+        drive = drive_hamiltonian_bare(pulse, rwa=rwa)
+        cols, info = propagate_basis(static, [drive], -6.0, 6.0, 1e-10)
+        assert info["method"] == "DOP853"
+        assert info["norm_drift"] < 1e-9
+        # columns stay mutually orthogonal (unitarity of the propagator)
+        gram = cols.conj().T @ cols
+        np.testing.assert_allclose(gram, np.eye(cols.shape[1]), atol=1e-8)
 
 
 def test_propagate_basis_validation():
