@@ -5,8 +5,10 @@ Physical single-node gates share one pipeline:
 1. encode: the computational labels {|g,0>, |e,0>, |g,1>, |e,1>} are carried
    into the dressed frame by the adiabatic detuning-ramp map (bare photon
    states become |g,0>, |V+,0>, |V-,0>, |V+,1>);
-2. drive: a shaped pulse is integrated in the cavity-rotating frame, with
-   the counter-rotating term kept unless the config says otherwise;
+2. drive: a shaped pulse is integrated in the cavity-rotating frame as one
+   pulses.Drive on the atom's raising operator: its carrier is the offset
+   from the cavity frequency, and its counter-rotating term at 2 omega plus
+   that offset is kept unless the config sets rwa;
 3. correct: residual deterministic phases are removed by a diagonal
    correction solved from the simulated propagator itself, restricted to
    locally implementable phases (atom frame phases, photon-conditioned
@@ -24,7 +26,6 @@ the register holds.  Fidelity is always reported against the ideal oracle
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -36,9 +37,8 @@ import numpy as np
 from .qstate import (ATOM_E, ATOM_G, ATOM_I, CompositeSpace, FactorLabel,
                      Operator, QStateError, StateVector, apply_local, embed)
 from .jcmodel import (JCParams, bare_to_dressed_map, dressed_pair, jc_rotating,
-                      jc_space, manifold_splitting)
-from .pulses import (DriveHamiltonian, PulseSpec, calibrate_pulse_area,
-                     drive_hamiltonian_bare, propagate_basis)
+                      manifold_splitting)
+from .pulses import Drive, PulseSpec, calibrate_pulse_area, propagate_basis
 from .perturb import TwoPhotonParams, two_photon_probability
 
 
@@ -82,8 +82,8 @@ class PhysicalGateConfig:
     def __post_init__(self) -> None:
         if self.fock_cutoff < 2:
             raise QStateError("fock_cutoff must be >= 2")
-        if self.tol <= 0:
-            raise QStateError("tol must be > 0")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise QStateError(f"tol must be > 0 and finite, got {self.tol}")
         if self.tau_factor <= 0 or self.support <= 0:
             raise QStateError("tau_factor and support must be > 0")
 
@@ -253,40 +253,6 @@ def _logical_columns(params: JCParams, cutoff: int) -> np.ndarray:
     return cols
 
 
-def _atom_raise_full(cutoff: int) -> np.ndarray:
-    n_ph = cutoff + 1
-    raise_op = np.zeros((2, 2), dtype=complex)
-    raise_op[ATOM_E, ATOM_G] = 1.0
-    return np.kron(raise_op, np.eye(n_ph))
-
-
-def _rotating_drive(params: JCParams, cutoff: int, pulse: PulseSpec,
-                    carrier_rot: float, rwa: bool) -> DriveHamiltonian:
-    """Atom drive in the cavity-rotating frame.
-
-    The lab carrier sits at cavity frequency + carrier_rot; the rotating
-    frame turns it into a slow term at -carrier_rot on the raising operator
-    plus, unless rwa, a counter-rotating term at +(2 omega + carrier_rot).
-    """
-    unit = PulseSpec(omega_drive=pulse.omega_drive, shape=pulse.shape,
-                     amplitude=1.0, width=pulse.width, center=pulse.center,
-                     phase=pulse.phase, support=pulse.support)
-    amp = pulse.amplitude
-    w_fast = 2.0 * params.omega + carrier_rot
-
-    # scalar cmath, not numpy: this runs once per right-hand-side call
-    if rwa:
-        def z(t, _env=unit.envelope):
-            return 0.5 * amp * float(_env(t)) * cmath.exp(-1j * carrier_rot * t)
-    else:
-        # both halves act on the same raising operator: one coefficient,
-        # one envelope evaluation per integrator step
-        def z(t, _env=unit.envelope):
-            return 0.5 * amp * float(_env(t)) * (cmath.exp(-1j * carrier_rot * t)
-                                                 + cmath.exp(1j * w_fast * t))
-    return DriveHamiltonian(jc_space(cutoff), [(_atom_raise_full(cutoff), z)])
-
-
 def _level_phases_cnot(m: np.ndarray) -> np.ndarray:
     # one phase per level, each solved on its own truth-table entry
     th = np.zeros(4)
@@ -400,10 +366,11 @@ def _cnot_pulse(params: JCParams, config: PhysicalGateConfig) -> tuple:
 def _cnot_engine(params: JCParams, config: PhysicalGateConfig):
     cutoff = config.fock_cutoff
     pulse, carrier_rot = _cnot_pulse(params, config)
-    drive = _rotating_drive(params, cutoff, pulse, carrier_rot, config.rwa)
     static = jc_rotating(params, cutoff)
     logical = _logical_columns(params, cutoff)
     t0, t1 = pulse.window
+    drive = Drive(pulse, carrier_rot,
+                  None if config.rwa else 2.0 * params.omega + carrier_rot)
     u, info = propagate_basis(static, [drive], t0, t1, config.tol)
     theta = _level_phases_cnot(logical.conj().T @ u @ logical)
     action = _bare_action(params, cutoff, _corrected_action(u, logical, theta))
@@ -447,9 +414,7 @@ def _swap_engine(p: TwoPhotonParams, config: PhysicalGateConfig):
     pulse = PulseSpec(omega_drive=p.laser_frequency, shape="gaussian",
                       amplitude=2.0 * p.sigma0, width=p.tau, center=0.0,
                       support=config.support)
-    drives = []
-    if p.sigma0 > 0:
-        drives.append(drive_hamiltonian_bare(pulse, atom_dim=2, rwa=True))
+    drives = [Drive(pulse, pulse.omega_drive)] if p.sigma0 > 0 else []
     u, info = propagate_basis(static, drives, p.t_start, p.t_end, config.tol)
     logical = _logical_columns(params, cutoff)
     m = logical.conj().T @ u @ logical
@@ -567,10 +532,10 @@ def _bare_atom_pulse_engine(kind: GateKind, rabi: float, atom_dim: int,
     shape = PulseSpec(omega_drive=0.0, shape="gaussian", amplitude=1.0,
                       width=tau, center=0.0, support=support)
     pulse = calibrate_pulse_area(shape, math.pi / 2.0 if hadamard else math.pi)
-    drive = drive_hamiltonian_bare(pulse, atom_dim=atom_dim, rwa=True)
-    static = Operator(drive.space, np.zeros((atom_dim, atom_dim)), hermitian=True)
+    static = Operator(CompositeSpace([FactorLabel("atom", atom_dim)]),
+                      np.zeros((atom_dim, atom_dim)), hermitian=True)
     t0, t1 = pulse.window
-    u, info = propagate_basis(static, [drive], t0, t1, tol)
+    u, info = propagate_basis(static, [Drive(pulse, pulse.omega_drive)], t0, t1, tol)
     if hadamard:
         theta, eta = _atom_phases_hadamard(u)   # (g, e) lead the 4-level pattern
         theta, eta = theta[:2], eta[:2]
@@ -614,7 +579,8 @@ def _dressed_sector_pulse_engine(kind: GateKind, params: JCParams,
                           amplitude=1.0, width=tau, center=0.0,
                           support=config.support)
         pulse = calibrate_pulse_area(shape, math.pi / 2.0)
-        drives = [_rotating_drive(params, cutoff, pulse, carrier, config.rwa)]
+        drives = [Drive(pulse, carrier,
+                        None if config.rwa else 2.0 * params.omega + carrier)]
         pulses = (pulse,)
         t0, t1 = pulse.window
     else:
@@ -629,8 +595,8 @@ def _dressed_sector_pulse_engine(kind: GateKind, params: JCParams,
                            support=config.support)
         p1 = calibrate_pulse_area(shape1, math.pi)
         p0 = calibrate_pulse_area(shape0, math.pi)
-        drives = [_rotating_drive(params, cutoff, p1, sector1, config.rwa),
-                  _rotating_drive(params, cutoff, p0, sector0, config.rwa)]
+        drives = [Drive(p, c, None if config.rwa else 2.0 * params.omega + c)
+                  for p, c in ((p1, sector1), (p0, sector0))]
         pulses = (p1, p0)
         t0, t1 = -half, 3.0 * half
     u, info = propagate_basis(static, drives, t0, t1, config.tol)

@@ -25,7 +25,7 @@ import numpy as np
 from .qstate import ATOM_E, ATOM_G, QStateError
 from .jcmodel import (JCParams, dressed_pair, jc_rotating, jc_space,
                       manifold_splitting, mixing_angle)
-from .pulses import PulseSpec, drive_hamiltonian_bare, propagate_basis
+from .pulses import Drive, PulseSpec, propagate_basis
 
 
 class QuadratureError(RuntimeError):
@@ -267,13 +267,12 @@ def two_photon_tdse_oracle(p: TwoPhotonParams, direction: str = "forward",
     # full-sigma0 rotating-wave element needs pulse amplitude 2 sigma0
     pulse = PulseSpec(omega_drive=p.laser_frequency, shape="gaussian",
                       amplitude=2.0 * p.sigma0, width=p.tau, center=0.0)
-    drive = drive_hamiltonian_bare(pulse, atom_dim=2, rwa=True)
     pair1 = dressed_pair(params, 1, fock_cutoff)
     g0 = np.zeros(space.dim, dtype=complex)
     g0[space.index({"atom": ATOM_G, "cavity": 0})] = 1.0
     start, target = (g0, pair1.v_plus) if direction == "forward" else (pair1.v_plus, g0)
-    final, _info = propagate_basis(static, [drive], p.t_start, p.t_end, tol,
-                                   columns=start)
+    final, _info = propagate_basis(static, [Drive(pulse, pulse.omega_drive)],
+                                   p.t_start, p.t_end, tol, columns=start)
     return float(abs(np.vdot(target, final)) ** 2)
 
 

@@ -138,7 +138,6 @@ class BranchResult:
     probability: float
     fidelity_vs_ideal: float
     final_state: StateVector
-    corrections: tuple
     bits: tuple
 
     @property
@@ -159,11 +158,8 @@ class ProtocolTrace:
     gate: str
     level: str
     amplitudes: Optional[tuple]
-    input_description: str
-    encoding: str
     records: tuple
     branches: tuple
-    channel_bits_per_branch: int
 
     def trace_lines(self) -> list:
         return [r.line() for r in self.records]
@@ -681,7 +677,6 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
                 raise QStateError(f"input_state factor {need!r} must have dim {dim_c}")
         cav_state = ref_cav = input_state
         amplitudes = None
-        desc = "external input state on " + ",".join(input_state.space.names)
     else:
         _check_pair(a, b, "ab")
         _check_pair(c, d, "cd")
@@ -689,7 +684,6 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
                           _cavity_qubit("B", dim_c, c, d)])
         amplitudes = (complex(a), complex(b), complex(c), complex(d))
         cav_state = lvl.load(ref_cav, amplitudes, config, params)
-        desc = "product register (a|1>+b|0>)_A (c|1>+d|0>)_B"
     for node in (ALICE, BOB):
         _record(records, "*", "register", node, "prepare-cavity",
                 lvl.register_text, f"{node.cavity} loaded", (node.cavity, node.atom))
@@ -754,31 +748,26 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
             if beta_out == "i":
                 branches.append(BranchResult(
                     alpha_out, beta_out, float(p_alpha * p_beta), 0.0, sf,
-                    ("auxiliary-level leakage",), tuple(to_bob.log)))
+                    tuple(to_bob.log)))
                 continue
             to_alice = ClassicalChannel()
             to_alice.send("Bob", "Alice", _bit_of(beta_out), "beta-measurement")
             _record(records, tag, "classical", BOB, "send-bit",
                     f"bit={_bit_of(beta_out)}", "Bob -> Alice")
 
-            corrections = []
             alpha_final = alpha_out
             if beta_out == spec.correction_on:
                 if lvl.resets_alpha and alpha_out == "e":
                     sf = _run_step(records, lvl, params, config, tag, _ALPHA_RESET, sf)
                     alpha_final = "g"
-                    corrections.append("alpha reset (decoupled pi pulse)")
                 sf = _run_step(records, lvl, params, config, tag, _PHOTON_PHASE, sf)
-                corrections.append("photon phase on A")
 
             target = _branch_target(target_initial, alpha_final, beta_out)
-            fid = float(abs(np.vdot(target.amplitudes, sf.amplitudes)) ** 2)
-            if flagged:
-                fid = 0.0
-                corrections.append("failed herald")
+            fid = 0.0 if flagged else float(
+                abs(np.vdot(target.amplitudes, sf.amplitudes)) ** 2)
             branches.append(BranchResult(
                 alpha_out, beta_out, float(p_alpha * p_beta), fid, sf,
-                tuple(corrections), tuple(to_bob.log + to_alice.log)))
+                tuple(to_bob.log + to_alice.log)))
 
     if branch_mode == "enumerate" and not flagged:
         total = sum(br.probability for br in branches)
@@ -788,10 +777,8 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
         if len(br.bits) != 2 and br.beta != "i":
             raise ProtocolError(f"branch {br.label} used {len(br.bits)} bits")
 
-    return ProtocolTrace(
-        gate=gate, level=level, amplitudes=amplitudes, input_description=desc,
-        encoding=ENCODING_NOTE, records=tuple(records),
-        branches=tuple(branches), channel_bits_per_branch=2)
+    return ProtocolTrace(gate=gate, level=level, amplitudes=amplitudes,
+                         records=tuple(records), branches=tuple(branches))
 
 
 def _widen_beta(atoms: StateVector, beta_dim: int) -> StateVector:

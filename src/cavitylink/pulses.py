@@ -1,7 +1,9 @@
 """Classical drive pulses on an atom and time-dependent Schrodinger evolution.
 
-A drive is a sum of terms z_k(t) M_k + conj(z_k(t)) M_k', which keeps the
-generator Hermitian by construction and lets the integrator move to the
+Every drive is one Drive record: an envelope p(t) times a carrier, acting on
+the g<->e raising operator of the atom that leads the node's space.  Its
+coefficient z(t) multiplies s+ and conj(z(t)) multiplies s-, which keeps the
+generator Hermitian by construction.  The integrator works in the
 interaction picture of the static Hamiltonian: with H0 = Q E Q' diagonalized
 once, the picture change cancels all fast static phases and the remaining
 right-hand side is just the (slow) drive, so norm drift stays near machine
@@ -10,22 +12,21 @@ precision even over long pulses.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import DOP853
 
-from .qstate import (ATOM_E, ATOM_G, CompositeSpace, FactorLabel, Operator,
-                     QStateError, StateVector, embed)
+from .qstate import (ATOM_E, ATOM_G, CompositeSpace, Operator, QStateError,
+                     StateVector)
 
 PULSE_SHAPES = ("rectangular", "gaussian")
 
-# Gaussian envelopes are truncated at +/- support * width; erf(3) makes the
-# clipped area correction at the default support.
+# Gaussian envelopes are truncated at +/- support * width.
 DEFAULT_GAUSSIAN_SUPPORT = 3.0
-ERF_SUPPORT_3 = math.erf(3.0)
 
 
 class StiffnessError(RuntimeError):
@@ -37,8 +38,9 @@ class PulseSpec:
     """One classical pulse: carrier plus named envelope.
 
     amplitude is the peak Rabi rate of the envelope (rad/s); width is the
-    rectangular duration or the gaussian 1/e half-width tau (s); the carrier
-    is cos(omega_drive * t + phase).  Gaussian envelopes are identically zero
+    rectangular duration or the gaussian 1/e half-width tau (s); the lab
+    carrier is cos(omega_drive * t + phase), and a Drive states the frame
+    the pulse is integrated in.  Gaussian envelopes are identically zero
     outside center +/- support * width.
     """
 
@@ -106,76 +108,52 @@ def calibrate_pulse_area(envelope: PulseSpec, target_area: float,
     """
     if target_area <= 0:
         raise QStateError(f"target_area must be > 0, got {target_area}")
-    unit = PulseSpec(omega_drive=envelope.omega_drive, shape=envelope.shape,
-                     amplitude=1.0, width=envelope.width, center=envelope.center,
-                     phase=envelope.phase, support=envelope.support)
-    amp = target_area / unit.envelope_area()
+    amp = target_area / replace(envelope, amplitude=1.0).envelope_area()
     if max_amplitude is not None and amp > max_amplitude:
         raise QStateError(
             f"area {target_area} unreachable: needs amplitude {amp} > bound {max_amplitude}")
-    return PulseSpec(omega_drive=envelope.omega_drive, shape=envelope.shape,
-                     amplitude=amp, width=envelope.width, center=envelope.center,
-                     phase=envelope.phase, support=envelope.support)
+    return replace(envelope, amplitude=amp)
 
 
-class DriveHamiltonian:
-    """Time-dependent Hermitian generator H(t) = sum_k z_k(t) M_k + h.c.
+@dataclass(frozen=True)
+class Drive:
+    """One classical pulse on the atom's g->e raising operator s+.
 
-    terms is a list of (matrix, scalar function); matrices live on `space`
-    and need not be Hermitian themselves (the conjugate term is implied).
+    The s+ coefficient is (p(t)/2) exp(-i(carrier t + phase)), plus
+    (p(t)/2) exp(+i(counter t + phase)) unless counter is None (the
+    rotating-wave approximation); s- carries the conjugate.  A bare drive
+    has carrier = counter = pulse.omega_drive, i.e. <e|H|g> =
+    p(t) cos(omega_drive t + phase); in the cavity-rotating frame the
+    carrier is the offset from the cavity and counter = 2 omega + carrier.
     """
 
-    def __init__(self, space: CompositeSpace, terms: Sequence[tuple]):
-        self.space = space
-        self.terms = [(np.asarray(m, dtype=complex), fn) for m, fn in terms]
-        for m, _ in self.terms:
-            if m.shape != (space.dim, space.dim):
-                raise QStateError(f"drive term shape {m.shape} != space dim {space.dim}")
+    pulse: PulseSpec
+    carrier: float
+    counter: Optional[float] = None
+
+    def coefficient(self, t: float) -> complex:
+        """Coefficient z(t) of s+ at time t."""
+        half = 0.5 * self.pulse.envelope(t)
+        phase = self.pulse.phase
+        # scalar cmath, not numpy: this runs once per right-hand-side call
+        if self.counter is None:
+            return half * cmath.exp(-1j * (self.carrier * t + phase))
+        return half * (cmath.exp(-1j * (self.carrier * t + phase))
+                       + cmath.exp(1j * (self.counter * t + phase)))
 
 
-def drive_hamiltonian_bare(pulse: PulseSpec, atom_dim: int = 2,
-                           coupling: Optional[float] = None, rwa: bool = False,
-                           atom_name: str = "atom") -> DriveHamiltonian:
-    """Laser drive on the bare g<->e transition of a 2- or 3-level atom.
-
-    Full form: <e|H(t)|g> = p(t) cos(omega_drive t + phase), with p(t) the
-    envelope (peak `coupling`, defaulting to the pulse amplitude).  With
-    rwa=True the counter-rotating half is dropped and the element becomes
-    (p(t)/2) exp(-i(omega_drive t + phase)).  Any third level is untouched.
-    """
-    if atom_dim not in (2, 3):
-        raise QStateError(f"atom_dim must be 2 or 3, got {atom_dim}")
-    if coupling is not None and coupling <= 0:
-        raise QStateError(f"coupling must be > 0, got {coupling}")
-    scale = pulse.amplitude if coupling is None else coupling
-    raise_op = np.zeros((atom_dim, atom_dim), dtype=complex)
+def _atom_raise(space: CompositeSpace) -> np.ndarray:
+    """s+ on the leading atom factor, identity on the rest of the space."""
+    atom = space.factors[0]
+    if atom.name != "atom" or atom.dim not in (2, 3):
+        raise QStateError(
+            f"drives act on a leading 'atom' factor of dim 2 or 3, got {atom}")
+    raise_op = np.zeros((atom.dim, atom.dim), dtype=complex)
     raise_op[ATOM_E, ATOM_G] = 1.0
-    unit = PulseSpec(omega_drive=pulse.omega_drive, shape=pulse.shape, amplitude=1.0,
-                     width=pulse.width, center=pulse.center, phase=pulse.phase,
-                     support=pulse.support)
-    w, ph = pulse.omega_drive, pulse.phase
-    if rwa:
-        def z(t, _env=unit.envelope):
-            return 0.5 * scale * float(_env(t)) * np.exp(-1j * (w * t + ph))
-    else:
-        # real scalar on s+ plus its conjugate on s- rebuilds p(t) cos(...)
-        def z(t, _env=unit.envelope):
-            return scale * float(_env(t)) * math.cos(w * t + ph)
-    space = CompositeSpace([FactorLabel(atom_name, atom_dim)])
-    return DriveHamiltonian(space, [(raise_op, z)])
+    return np.kron(raise_op, np.eye(space.dim // atom.dim))
 
 
-def _embedded_terms(drive: DriveHamiltonian, space: CompositeSpace) -> list:
-    if drive.space == space:
-        return list(drive.terms)
-    out = []
-    for m, fn in drive.terms:
-        big = embed(Operator(drive.space, m), space).matrix
-        out.append((big, fn))
-    return out
-
-
-def propagate_basis(static_h: Operator, drives: Sequence[DriveHamiltonian],
+def propagate_basis(static_h: Operator, drives: Sequence[Drive],
                     t0: float, t1: float, tol: float,
                     columns: Optional[np.ndarray] = None):
     """Propagate one or more columns under static_h plus drives.
@@ -183,13 +161,15 @@ def propagate_basis(static_h: Operator, drives: Sequence[DriveHamiltonian],
     Returns (final columns, info).  Integration happens in the interaction
     picture of static_h: the static part is removed exactly by the
     eigenbasis phase change, leaving only the drive terms on the right-hand
-    side.  Norm is never renormalized; info["norm_drift"] reports the worst
-    deviation as the accuracy diagnostic.
+    side.  Every drive acts on the raising operator of the space's leading
+    factor, which must be an atom named "atom" (dim 2 or 3).  Norm is never
+    renormalized; info["norm_drift"] reports the worst deviation as the
+    accuracy diagnostic.
     """
     if t1 <= t0:
         raise QStateError(f"need t1 > t0, got [{t0}, {t1}]")
-    if tol <= 0:
-        raise QStateError(f"tol must be > 0, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise QStateError(f"tol must be > 0 and finite, got {tol}")
     dim = static_h.space.dim
     if columns is None:
         columns = np.eye(dim, dtype=complex)
@@ -202,36 +182,31 @@ def propagate_basis(static_h: Operator, drives: Sequence[DriveHamiltonian],
     norms0 = np.linalg.norm(cols, axis=0)
 
     evals, q = np.linalg.eigh(static_h.matrix)
-    terms = []
-    for d in drives:
-        for m, fn in _embedded_terms(d, static_h.space):
-            m_e = q.conj().T @ m @ q
-            terms.append((-1j * m_e, -1j * m_e.conj().T, fn))   # -i H
 
-    if not terms:
+    if not drives:
         # free evolution is exact in this picture
         phase = np.exp(-1j * evals * (t1 - t0))
         out = q @ (phase[:, None] * (q.conj().T @ cols))
         info = {"norm_drift": 0.0, "nfev": 0, "method": "exact"}
         return (out[:, 0] if squeeze else out), info
 
+    raise_e = q.conj().T @ _atom_raise(static_h.space) @ q
+    m_e, m_h = -1j * raise_e, -1j * raise_e.conj().T   # -i s+ and -i s-
+    first, rest = drives[0], tuple(drives[1:])
     n_cols = cols.shape[1]
     y0 = np.exp(1j * evals * t0)[:, None] * (q.conj().T @ cols)
 
     i_evals = 1j * evals
 
-    # in the picture the drive is D (sum z_k M_k + h.c.) D* with
-    # D = diag(exp(i E t)), applied to the columns as D (-i H (D* Y))
+    # in the picture the drive is D (z s+ + h.c.) D* with D = diag(exp(i E t)),
+    # applied to the columns as D (-i H (D* Y))
     def rhs(t, y):
         ph = np.exp(i_evals * t)[:, None]
-        h = None
-        for m_e, m_h, fn in terms:
-            z = complex(fn(t))
-            if h is None:
-                h = z * m_e
-            else:
-                h += z * m_e
-            h += z.conjugate() * m_h
+        z = first.coefficient(t)
+        for d in rest:
+            z += d.coefficient(t)
+        h = z * m_e
+        h += z.conjugate() * m_h
         out = h @ (ph.conj() * y.reshape(dim, n_cols))
         out *= ph
         return out.ravel()
@@ -253,7 +228,7 @@ def propagate_basis(static_h: Operator, drives: Sequence[DriveHamiltonian],
 
 
 def evolve_tdse(state: StateVector, static_h: Operator,
-                drives: Sequence[DriveHamiltonian], t0: float, t1: float,
+                drives: Sequence[Drive], t0: float, t1: float,
                 tol: float) -> StateVector:
     """Integrate i d|psi>/dt = (H0 + sum H_drive(t)) |psi> from t0 to t1.
 

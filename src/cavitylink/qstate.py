@@ -202,25 +202,6 @@ def tensor(states: Iterable[StateVector]) -> StateVector:
     return StateVector(CompositeSpace(factors), amps)
 
 
-def tensor_operators(ops: Iterable[Operator]) -> Operator:
-    """Kronecker product of operators on disjoint factor sets."""
-    ops = list(ops)
-    seen = set()
-    for o in ops:
-        overlap_names = seen.intersection(o.space.names)
-        if overlap_names:
-            raise QStateError(f"label collision on {sorted(overlap_names)}")
-        seen.update(o.space.names)
-    factors = [f for o in ops for f in o.space.factors]
-    mat = ops[0].matrix
-    for o in ops[1:]:
-        mat = np.kron(mat, o.matrix)
-    return Operator(CompositeSpace(factors),
-                    mat,
-                    hermitian=all(o.hermitian for o in ops) or None,
-                    unitary=all(o.unitary for o in ops) or None)
-
-
 def apply_local(state: StateVector, matrix: np.ndarray,
                 factors: Sequence[str]) -> StateVector:
     """Apply a matrix on the named factors of a state, identity elsewhere.
@@ -350,21 +331,6 @@ def measure_factor(state: StateVector, factor: str, basis=None,
 def state_fidelity(x: StateVector, y: StateVector) -> float:
     """|<x|y>|^2; insensitive to global phase by construction."""
     return float(abs(x.overlap(y)) ** 2)
-
-
-def equal_up_to_global_phase(x: np.ndarray, y: np.ndarray, tol: float = 1e-10) -> bool:
-    """Amplitude-level comparison modulo one global phase."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    if x.shape != y.shape:
-        return False
-    k = int(np.argmax(np.abs(x)))
-    if abs(x[k]) < tol:
-        return bool(np.max(np.abs(y)) < tol)
-    phase = y[k] / x[k]
-    if abs(abs(phase) - 1.0) > tol:
-        return False
-    return bool(np.max(np.abs(x * phase - y)) <= tol)
 
 
 def make_rng(seed: Optional[int]) -> np.random.Generator:

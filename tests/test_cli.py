@@ -1,6 +1,7 @@
 """Tests for the command line interface: formats, exit codes, determinism."""
 
 import math
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -120,6 +121,21 @@ def test_sweep_rejects_nonpositive_x_for_simulation(capsys):
                             "--mode", "simulated")
     assert rc == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("fidelity-sweep", "--mode", "simulated", "--steps", "1",
+     "--x-min", "0.1", "--x-max", "0.1"),
+    ("protocol", "--gate", "cnot", "--level", "physical"),
+], ids=["fidelity-sweep", "protocol-physical"])
+def test_non_finite_tolerance_is_bad_input(capsys, command):
+    # a NaN or infinite rtol would send the integrator off without end
+    for bad in ("nan", "inf"):
+        start = time.perf_counter()
+        rc, _out, err = run_cli(capsys, *command, "--tolerance", bad)
+        assert rc == 1, bad
+        assert "tol must be > 0 and finite" in err
+        assert time.perf_counter() - start < 5.0
 
 
 # ---------------------------------------------------------------------------

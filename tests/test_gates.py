@@ -170,8 +170,9 @@ def test_ideal_gate_label_errors():
 def test_config_and_params_validation():
     with pytest.raises(QStateError, match="fock_cutoff must be >= 2"):
         PhysicalGateConfig(fock_cutoff=1)
-    with pytest.raises(QStateError, match="tol must be > 0"):
-        PhysicalGateConfig(tol=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(QStateError, match="tol must be > 0"):
+            PhysicalGateConfig(tol=bad)
     with pytest.raises(QStateError, match="tau_factor and support must be > 0"):
         PhysicalGateConfig(tau_factor=-1.0)
     with pytest.raises(QStateError, match="rabi_coupling must be > 0"):

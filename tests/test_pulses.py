@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from cavitylink.qstate import (CompositeSpace, FactorLabel, Operator,
-                               QStateError, StateVector, make_rng)
+                               QStateError, make_rng)
 from cavitylink.jcmodel import (desk_params, dressed_pair, jc_rotating,
                                 jc_space, manifold_splitting,
                                 resonant_rabi_evolve)
-from cavitylink.pulses import (DriveHamiltonian, PulseSpec, StiffnessError,
-                               calibrate_pulse_area, drive_hamiltonian_bare,
-                               evolve_tdse, propagate_basis)
+from cavitylink.pulses import (Drive, PulseSpec, _atom_raise,
+                               calibrate_pulse_area, evolve_tdse,
+                               propagate_basis)
 
 
 def test_pulse_spec_validation():
@@ -53,17 +53,53 @@ def test_calibrate_pulse_area():
 
 def test_drive_hamiltonian_is_hermitian():
     pulse = PulseSpec(omega_drive=3.0, shape="gaussian", amplitude=0.5, width=1.0)
+    raise_op = _atom_raise(CompositeSpace([FactorLabel("atom", 2)]))
+    np.testing.assert_array_equal(raise_op, [[0.0, 0.0], [1.0, 0.0]])
     for rwa in (False, True):
-        drive = drive_hamiltonian_bare(pulse, rwa=rwa)
+        drive = Drive(pulse, 3.0, None if rwa else 3.0)
         for t in np.linspace(-3, 3, 17):
-            # H(t) = sum_k z_k(t) M_k + h.c., as the generator is documented
-            h = sum(fn(t) * m for m, fn in drive.terms)
+            # H(t) = z(t) s+ + h.c., as the generator is documented
+            h = drive.coefficient(t) * raise_op
             h = h + h.conj().T
             np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
             env = float(pulse.envelope(t))
             want = (0.5 * env * np.exp(-1j * 3.0 * t) if rwa
                     else env * math.cos(3.0 * t))
             np.testing.assert_allclose(h[1, 0], want, atol=1e-15)
+
+
+def test_cavity_frame_drive_coefficient():
+    # rotating at the cavity frequency omega turns a lab carrier omega + c
+    # into a slow term at -c plus a counter-rotating term at 2 omega + c
+    p = desk_params(1.0, x=0.1)
+    carrier = 0.37
+    pulse = PulseSpec(omega_drive=p.omega + carrier, shape="gaussian",
+                      amplitude=0.8, width=2.0, center=0.5)
+    full = Drive(pulse, carrier, 2.0 * p.omega + carrier)
+    rwa = Drive(pulse, carrier)
+    for t in np.linspace(-6.0, 7.0, 23):
+        half = 0.5 * float(pulse.envelope(t))
+        slow = half * np.exp(-1j * carrier * t)
+        fast = half * np.exp(1j * (2.0 * p.omega + carrier) * t)
+        np.testing.assert_allclose(rwa.coefficient(t), slow, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(full.coefficient(t), slow + fast, rtol=1e-13,
+                                   atol=1e-15)
+    assert full.coefficient(7.0) == 0.0   # outside the envelope window
+
+
+def test_drive_needs_leading_atom_factor():
+    pulse = PulseSpec(omega_drive=1.0, shape="gaussian", amplitude=0.3, width=1.0)
+    drive = Drive(pulse, pulse.omega_drive)
+    spaces = ([FactorLabel("cavity", 3), FactorLabel("atom", 2)],
+              [FactorLabel("qubit", 2)],
+              [FactorLabel("atom", 4)])
+    for factors in spaces:
+        space = CompositeSpace(factors)
+        static = Operator(space, np.zeros((space.dim, space.dim)), hermitian=True)
+        with pytest.raises(QStateError, match="leading 'atom'"):
+            propagate_basis(static, [drive], -3.0, 3.0, 1e-10)
+        # free evolution has no drive to place
+        propagate_basis(static, [], 0.0, 1.0, 1e-10)
 
 
 def test_free_evolution_is_exact():
@@ -97,9 +133,9 @@ def test_resonant_pi_pulse_inverts_atom():
     pulse = calibrate_pulse_area(
         PulseSpec(omega_drive=0.0, shape="rectangular", amplitude=1.0, width=3.0,
                   center=1.5), math.pi)
-    drive = drive_hamiltonian_bare(pulse, rwa=True)
     start = space.basis_state({"atom": 0})
-    out = evolve_tdse(start, static, [drive], 0.0, 3.0, 1e-10)
+    out = evolve_tdse(start, static, [Drive(pulse, pulse.omega_drive)], 0.0, 3.0,
+                      1e-10)
     assert abs(out.amplitude({"atom": 1})) ** 2 > 0.999999
     assert abs(out.norm() - 1.0) < 1e-9
 
@@ -115,7 +151,7 @@ def test_rwa_matches_full_model_for_slow_pulse():
     start = space.basis_state({"atom": 0})
     outs = {}
     for rwa in (True, False):
-        drive = drive_hamiltonian_bare(pulse, rwa=rwa)
+        drive = Drive(pulse, omega0, None if rwa else omega0)
         t0, t1 = pulse.window
         outs[rwa] = evolve_tdse(start, static, [drive], t0, t1, 1e-11)
     p_rwa = abs(outs[True].amplitude({"atom": 1})) ** 2
@@ -138,7 +174,7 @@ def test_dressed_inversion_via_jc_drive():
     pulse = calibrate_pulse_area(
         PulseSpec(omega_drive=carrier, shape="gaussian", amplitude=1.0,
                   width=width), area)
-    drive = drive_hamiltonian_bare(pulse, rwa=True)
+    drive = Drive(pulse, carrier)
     start = space.basis_state({"atom": 0, "cavity": 0})
     t0, t1 = pulse.window
     out = evolve_tdse(start, static, [drive], t0, t1, 1e-10)
@@ -154,7 +190,7 @@ def test_propagate_basis_norm_drift_reported():
     # with and without the rotating-wave approximation the drive must stay
     # Hermitian, or the propagator would not be unitary
     for rwa in (True, False):
-        drive = drive_hamiltonian_bare(pulse, rwa=rwa)
+        drive = Drive(pulse, 5.0, None if rwa else 5.0)
         cols, info = propagate_basis(static, [drive], -6.0, 6.0, 1e-10)
         assert info["method"] == "DOP853"
         assert info["norm_drift"] < 1e-9
@@ -168,8 +204,9 @@ def test_propagate_basis_validation():
     static = jc_rotating(p, 2)
     with pytest.raises(QStateError, match="t1 > t0"):
         propagate_basis(static, [], 1.0, 1.0, 1e-10)
-    with pytest.raises(QStateError, match="tol"):
-        propagate_basis(static, [], 0.0, 1.0, 0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(QStateError, match="tol"):
+            propagate_basis(static, [], 0.0, 1.0, bad)
     with pytest.raises(QStateError, match="column length"):
         propagate_basis(static, [], 0.0, 1.0, 1e-10, columns=np.ones(3))
 

@@ -3,9 +3,8 @@ import pytest
 
 from cavitylink.qstate import (
     TOLERANCES, CompositeSpace, FactorLabel, Operator, QStateError,
-    StateVector, apply_local, embed, enumerate_branches,
-    equal_up_to_global_phase, make_rng, measure_factor, state_fidelity, tensor,
-    tensor_operators)
+    StateVector, apply_local, embed, enumerate_branches, make_rng,
+    measure_factor, state_fidelity, tensor)
 
 
 def two_qubits():
@@ -149,17 +148,6 @@ def test_apply_local_rejects_bad_labels_and_shapes():
         apply_local(st, 2.0 * np.eye(2), ("a",))
 
 
-def test_tensor_operators_parallel_application():
-    xa = Operator(CompositeSpace([FactorLabel("a", 2)]),
-                  np.array([[0.0, 1.0], [1.0, 0.0]]), unitary=True)
-    zb = Operator(CompositeSpace([FactorLabel("b", 2)]),
-                  np.diag([1.0, -1.0]), unitary=True)
-    both = tensor_operators([xa, zb])
-    st = StateVector(both.space, np.array([0.0, 1.0, 0.0, 0.0]))  # |a0 b1>
-    out = both.apply(st)
-    np.testing.assert_allclose(out.amplitude({"a": 1, "b": 1}), -1.0)
-
-
 def test_enumerate_branches_completeness():
     rng = make_rng(11)
     space = CompositeSpace([FactorLabel("a", 2), FactorLabel("b", 3)])
@@ -222,8 +210,6 @@ def test_state_fidelity_and_global_phase():
     st = StateVector(space, v)
     rotated = StateVector(space, np.exp(0.7j) * v)
     np.testing.assert_allclose(state_fidelity(st, rotated), 1.0, atol=1e-12)
-    assert equal_up_to_global_phase(st.amplitudes, rotated.amplitudes)
-    assert not equal_up_to_global_phase(st.amplitudes, np.roll(v, 1))
 
 
 def test_make_rng_determinism():
