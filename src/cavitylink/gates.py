@@ -8,7 +8,9 @@ Physical single-node gates share one pipeline:
 2. drive: a shaped pulse is integrated in the cavity-rotating frame as one
    pulses.Drive on the atom's raising operator: its carrier is the offset
    from the cavity frequency, and its counter-rotating term at 2 omega plus
-   that offset is kept unless the config sets rwa;
+   that offset is kept unless the config sets rwa.  A rotating-wave drive
+   takes pulses' 6th-order Magnus path in the carrier's frame, to an error
+   estimate below tol; the full drive takes DOP853;
 3. correct: residual deterministic phases are removed by a diagonal
    correction solved from the simulated propagator itself, restricted to
    locally implementable phases (atom frame phases, photon-conditioned

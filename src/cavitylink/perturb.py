@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .qstate import ATOM_E, ATOM_G, QStateError
+from .qstate import ATOM_G, QStateError
 from .jcmodel import (JCParams, dressed_pair, jc_rotating, jc_space,
                       manifold_splitting, mixing_angle)
 from .pulses import Drive, PulseSpec, propagate_basis

@@ -187,6 +187,10 @@ class ProtocolConfig:
     swap_params: TwoPhotonParams = SOURCE_POINT_CYCLIC
     hadamard_x: float = 1e-3
 
+    def __post_init__(self) -> None:
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise QStateError(f"tol must be > 0 and finite, got {self.tol}")
+
     def gate_config(self) -> PhysicalGateConfig:
         return PhysicalGateConfig(fock_cutoff=self.fock_cutoff, rwa=self.rwa,
                                   tol=self.tol)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cavitylink import pulses
 from cavitylink.cli import _fmt_at_tol, main
 
 
@@ -127,7 +128,8 @@ def test_sweep_rejects_nonpositive_x_for_simulation(capsys):
     ("fidelity-sweep", "--mode", "simulated", "--steps", "1",
      "--x-min", "0.1", "--x-max", "0.1"),
     ("protocol", "--gate", "cnot", "--level", "physical"),
-], ids=["fidelity-sweep", "protocol-physical"])
+    ("protocol", "--gate", "cqpg", "--level", "ideal"),
+], ids=["fidelity-sweep", "protocol-physical", "protocol-ideal"])
 def test_non_finite_tolerance_is_bad_input(capsys, command):
     # a NaN or infinite rtol would send the integrator off without end
     for bad in ("nan", "inf"):
@@ -136,6 +138,16 @@ def test_non_finite_tolerance_is_bad_input(capsys, command):
         assert rc == 1, bad
         assert "tol must be > 0 and finite" in err
         assert time.perf_counter() - start < 5.0
+
+
+def test_under_resolved_sweep_is_a_numerical_failure(capsys, monkeypatch):
+    # the RWA CNOT pulse needs about a thousand Magnus steps; refuse past 128
+    monkeypatch.setattr(pulses, "MAGNUS_MAX_STEPS", 128)
+    rc, out, err = run_cli(capsys, "fidelity-sweep", "--mode", "simulated",
+                           "--steps", "1", "--x-min", "0.07", "--x-max", "0.07")
+    assert rc == 2
+    assert out == ""
+    assert "numerical failure" in err and "passed 128" in err
 
 
 # ---------------------------------------------------------------------------

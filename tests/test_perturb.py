@@ -1,12 +1,10 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from cavitylink.qstate import ATOM_E, ATOM_G, QStateError
-from cavitylink.jcmodel import (dressed_pair, jc_space, manifold_splitting,
-                                mixing_angle)
+from cavitylink.jcmodel import dressed_pair, jc_space, manifold_splitting
 from cavitylink.perturb import (
     FROZEN_CALIBRATION, FROZEN_CONVENTION, SOURCE_POINT_ANGULAR,
     SOURCE_POINT_CYCLIC, TwoPhotonParams, _path_elements, calibrate_convention,

@@ -28,7 +28,7 @@ from cavitylink import (
     run_nonlocal_cnot,
     run_nonlocal_cqpg,
 )
-from cavitylink import gates, qstate
+from cavitylink import gates, pulses, qstate
 from cavitylink.gates import HADAMATOM
 from cavitylink import protocol
 from cavitylink.protocol import ClassicalChannel, TraceRecord
@@ -387,6 +387,30 @@ def test_cold_physical_cnot_integrates_the_cnot_pulse_once():
     info = gates._cnot_engine.cache_info()
     assert info.misses == 1
     assert info.hits >= 1
+
+
+def test_cold_physical_protocols_construct_no_dop853(monkeypatch):
+    # every drive of the physical protocol is rotating-wave, so every
+    # engine takes the Magnus path; only the full drive needs DOP853
+    for cached in vars(gates).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    made = []
+    real = pulses.DOP853
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pulses, "DOP853", counting)
+    run_nonlocal_cqpg(level="physical")
+    run_nonlocal_cnot(level="physical")
+    assert gates._cnot_engine.cache_info().misses > 0   # the runs were cold
+    assert made == []
+    full = gates.PhysicalGateConfig(rwa=False)
+    gates._cnot_engine.__wrapped__(JCParams(omega0=3.0, omega=2.0,
+                                            rabi_coupling=0.3), full)
+    assert len(made) == 1
 
 
 def _count_embed_calls(monkeypatch) -> list:

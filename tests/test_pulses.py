@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from cavitylink import gates, perturb, pulses
 from cavitylink.qstate import (CompositeSpace, FactorLabel, Operator,
                                QStateError, make_rng)
 from cavitylink.jcmodel import (desk_params, dressed_pair, jc_rotating,
                                 jc_space, manifold_splitting,
                                 resonant_rabi_evolve)
-from cavitylink.pulses import (Drive, PulseSpec, _atom_raise,
+from cavitylink.gates import GateKind, PhysicalGateConfig
+from cavitylink.perturb import (SOURCE_POINT_ANGULAR, SOURCE_POINT_CYCLIC,
+                                two_photon_tdse_oracle)
+from cavitylink.pulses import (Drive, PulseSpec, StiffnessError, _atom_raise,
                                calibrate_pulse_area, evolve_tdse,
                                propagate_basis)
 
@@ -192,7 +196,7 @@ def test_propagate_basis_norm_drift_reported():
     for rwa in (True, False):
         drive = Drive(pulse, 5.0, None if rwa else 5.0)
         cols, info = propagate_basis(static, [drive], -6.0, 6.0, 1e-10)
-        assert info["method"] == "DOP853"
+        assert info["method"] == ("magnus6" if rwa else "DOP853")
         assert info["norm_drift"] < 1e-9
         # columns stay mutually orthogonal (unitarity of the propagator)
         gram = cols.conj().T @ cols
@@ -218,3 +222,107 @@ def test_evolve_tdse_space_mismatch():
     with pytest.raises(QStateError, match="different spaces"):
         evolve_tdse(other.basis_state({"atom": 0, "cavity": 0}), static, [],
                     0.0, 1.0, 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the rotating-wave (Magnus) path
+
+
+def test_magnus_step_is_sixth_order():
+    # a sign slip in any commutator of the step lowers the order while the
+    # result still converges, so check the rate, not one step count
+    p = desk_params(1.0, x=0.1)
+    static = jc_rotating(p, 2)
+    carrier = 0.7
+    k = -1j * (static.matrix - carrier * np.diag(pulses._excitations(static.space)))
+    raise_op = _atom_raise(static.space)
+    b = -0.5j * (raise_op + raise_op.T)
+    pulse = calibrate_pulse_area(PulseSpec(omega_drive=carrier, shape="gaussian",
+                                           amplitude=1.0, width=4.0), math.pi)
+    t0, t1 = pulse.window
+    ref = pulses._magnus_steps(k, b, pulse.envelope, t0, t1, 4096)
+    errors = [np.max(np.abs(pulses._magnus_steps(k, b, pulse.envelope, t0, t1, n) - ref))
+              for n in (64, 128, 256, 512)]
+    assert errors[-1] < 1e-10
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine >= 2.0 ** 5, errors
+
+
+def test_magnus_info_and_frame_checks():
+    p = desk_params(1.0, x=0.1)
+    static = jc_rotating(p, 2)
+    first = PulseSpec(omega_drive=0.4, shape="gaussian", amplitude=0.3, width=1.0)
+    u, info = propagate_basis(static, [Drive(first, 0.4)], -3.0, 5.0, 1e-10)
+    assert info["method"] == "magnus6"
+    assert info["steps"] >= 2 * pulses.MAGNUS_FIRST_STEPS
+    assert 0.0 <= info["error_estimate"] < 1e-10
+    # three Gauss points per step, over every doubling
+    assert info["nfev"] == 3 * (2 * info["steps"] - pulses.MAGNUS_FIRST_STEPS)
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(static.space.dim), atol=1e-12)
+    overlapping = PulseSpec(omega_drive=0.2, shape="gaussian", amplitude=0.3,
+                            width=1.0, center=1.0)
+    with pytest.raises(QStateError, match="overlap"):
+        propagate_basis(static, [Drive(first, 0.4), Drive(overlapping, 0.2)],
+                        -3.0, 5.0, 1e-10)
+    # a static term that changes the excitation number has no carrier frame
+    leaky = static.matrix.copy()
+    leaky[0, 1] = leaky[1, 0] = 0.1
+    with pytest.raises(QStateError, match="conserves N"):
+        propagate_basis(Operator(static.space, leaky, hermitian=True),
+                        [Drive(first, 0.4)], -3.0, 3.0, 1e-10)
+
+
+def _dop853(static, drives, t0, t1, tol, columns=None):
+    """The DOP853 path on rotating-wave drives, as an independent oracle."""
+    dim = static.space.dim
+    cols = np.eye(dim, dtype=complex) if columns is None else \
+        np.asarray(columns, dtype=complex).reshape(dim, -1)
+    evals, q = np.linalg.eigh(static.matrix)
+    out, _info = pulses._dop853_columns(evals, q, _atom_raise(static.space),
+                                        drives, t0, t1, tol, cols)
+    return out
+
+
+RWA = PhysicalGateConfig(rwa=True)
+RWA_ENGINES = {
+    "cnot-x0.1": lambda: gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.1), RWA),
+    "cnot-x0.02": lambda: gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.02), RWA),
+    "swap-cyclic": lambda: gates._swap_engine.__wrapped__(SOURCE_POINT_CYCLIC, RWA),
+    "dressed-hadamard-x1e-3": lambda: gates._dressed_sector_pulse_engine.__wrapped__(
+        GateKind.HADAMARD_ATOM, desk_params(1.0, x=1e-3), RWA),
+    "sequential-not": lambda: gates._dressed_sector_pulse_engine.__wrapped__(
+        GateKind.NOT_ATOM, desk_params(1.0, x=0.1), RWA),
+    **{f"bare-{kind.value}-dim{dim}":
+       (lambda kind=kind, dim=dim: gates._bare_atom_pulse_engine.__wrapped__(
+           kind, 1.0, dim, 1e-10, 3.0))
+       for kind in (GateKind.HADAMARD_ATOM, GateKind.NOT_ATOM) for dim in (2, 3)},
+    "two-photon-angular": lambda: two_photon_tdse_oracle(SOURCE_POINT_ANGULAR),
+    "two-photon-cyclic": lambda: two_photon_tdse_oracle(SOURCE_POINT_CYCLIC),
+}
+
+
+@pytest.mark.parametrize("build", RWA_ENGINES.values(), ids=RWA_ENGINES.keys())
+def test_rotating_wave_engines_match_dop853(monkeypatch, build):
+    calls = []
+
+    def spy(static, drives, t0, t1, tol, columns=None):
+        out, info = propagate_basis(static, drives, t0, t1, tol, columns=columns)
+        calls.append((static, drives, t0, t1, tol, columns, out, info))
+        return out, info
+
+    for module in (gates, perturb):
+        monkeypatch.setattr(module, "propagate_basis", spy)
+    build()
+    assert len(calls) == 1
+    static, drives, t0, t1, tol, columns, out, info = calls[0]
+    assert info["method"] == "magnus6"
+    assert info["error_estimate"] < tol
+    oracle = _dop853(static, drives, t0, t1, tol, columns)
+    assert np.max(np.abs(out.reshape(oracle.shape) - oracle)) <= tol
+
+
+def test_under_resolved_drive_raises_stiffness(monkeypatch):
+    # the CNOT pulse needs about a thousand steps; refuse past 128
+    monkeypatch.setattr(pulses, "MAGNUS_MAX_STEPS", 128)
+    with pytest.raises(StiffnessError, match="passed 128"):
+        gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.1), RWA)
