@@ -8,9 +8,9 @@ Physical single-node gates share one pipeline:
 2. drive: a shaped pulse is integrated in the cavity-rotating frame as one
    pulses.Drive on the atom's raising operator: its carrier is the offset
    from the cavity frequency, and its counter-rotating term at 2 omega plus
-   that offset is kept unless the config sets rwa.  A rotating-wave drive
-   takes pulses' 6th-order Magnus path in the carrier's frame, to an error
-   estimate below tol; the full drive takes DOP853;
+   that offset is kept unless the config sets rwa.  Either drive takes
+   pulses' 6th-order Magnus path in the carrier's frame, to an error
+   estimate below tol that the GateResult carries with its step count;
 3. correct: residual deterministic phases are removed by a diagonal
    correction solved from the simulated propagator itself, restricted to
    locally implementable phases (atom frame phases, photon-conditioned
@@ -125,6 +125,10 @@ class GateResult:
     correction: Optional[dict] = None
     exchange_probability_tdse: Optional[float] = None
     exchange_probability_perturbative: Optional[float] = None
+    # step-doubling estimate of max |U - U_exact| over the propagators the
+    # action is built from, and their Magnus steps (0 for exact evolution)
+    error_estimate: Optional[float] = None
+    steps: Optional[int] = None
 
     def __post_init__(self) -> None:
         f = self.fidelity_vs_ideal
@@ -336,7 +340,7 @@ def _gate_result(state: StateVector, engine: tuple, factors: tuple,
     ideal block (matrix, factors) on the same input.
 
     engine is what every *_engine returns: (bare-basis action, pulses,
-    duration, meta with "norm_drift" and optionally "correction").
+    duration, meta with _integration's keys and optionally "correction").
     """
     action, pulses, duration, meta = engine
     out = apply_local(state, action, factors)
@@ -344,7 +348,13 @@ def _gate_result(state: StateVector, engine: tuple, factors: tuple,
     fidelity = float(abs(np.vdot(target.amplitudes, out.amplitudes)) ** 2)
     return GateResult(output=out, fidelity_vs_ideal=fidelity, pulse_log=pulses,
                       duration=duration, norm_drift=meta["norm_drift"],
+                      error_estimate=meta["error_estimate"], steps=meta["steps"],
                       correction=meta.get("correction"), **fields)
+
+
+def _integration(info: dict) -> dict:
+    """The engine meta read from one propagate_basis info."""
+    return {key: info[key] for key in ("norm_drift", "error_estimate", "steps")}
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +386,7 @@ def _cnot_engine(params: JCParams, config: PhysicalGateConfig):
     u, info = propagate_basis(static, [drive], t0, t1, config.tol)
     theta = _level_phases_cnot(logical.conj().T @ u @ logical)
     action = _bare_action(params, cutoff, _corrected_action(u, logical, theta))
-    meta = {"norm_drift": info["norm_drift"],
+    meta = {**_integration(info),
             "correction": {"theta": tuple(float(v) for v in theta),
                            "ramp": "adiabatic detuning ramp on computational labels"}}
     return action, (pulse,), (t1 - t0), meta
@@ -422,7 +432,7 @@ def _swap_engine(p: TwoPhotonParams, config: PhysicalGateConfig):
     m = logical.conj().T @ u @ logical
     theta = _free_phases_swap(m)
     action = _bare_action(params, cutoff, _corrected_action(u, logical, theta))
-    meta = {"norm_drift": info["norm_drift"],
+    meta = {**_integration(info),
             "correction": {"theta": tuple(float(v) for v in theta)},
             "exchange_forward": float(abs(m[3, 0]) ** 2)}
     return action, (pulse,), (p.t_end - p.t_start), meta
@@ -470,7 +480,11 @@ def _cnot_atom_to_cavity_engine(p: TwoPhotonParams, config: PhysicalGateConfig):
                                                                  config)
     action = swap_action @ cnot_action @ swap_action
     action.setflags(write=False)
+    # the swap propagator is applied twice but integrated once
     meta = {"norm_drift": max(swap_meta["norm_drift"], cnot_meta["norm_drift"]),
+            "error_estimate": 2.0 * swap_meta["error_estimate"]
+            + cnot_meta["error_estimate"],
+            "steps": swap_meta["steps"] + cnot_meta["steps"],
             "exchange_forward": swap_meta["exchange_forward"]}
     return (action, swap_pulses + cnot_pulses + swap_pulses,
             2.0 * swap_dur + cnot_dur, meta)
@@ -553,7 +567,7 @@ def _bare_atom_pulse_engine(kind: GateKind, rabi: float, atom_dim: int,
     if hadamard:
         correction["eta"] = tuple(float(v) for v in eta)
     correction["mode"] = "decoupled"
-    return action, (pulse,), (t1 - t0), {"norm_drift": info["norm_drift"],
+    return action, (pulse,), (t1 - t0), {**_integration(info),
                                          "correction": correction}
 
 
@@ -613,7 +627,7 @@ def _dressed_sector_pulse_engine(kind: GateKind, params: JCParams,
         correction = {"theta": tuple(float(v) for v in theta),
                       "mode": "dressed-sequential"}
     action = _bare_action(params, cutoff, _corrected_action(u, logical, theta, eta))
-    return action, pulses, (t1 - t0), {"norm_drift": info["norm_drift"],
+    return action, pulses, (t1 - t0), {**_integration(info),
                                        "correction": correction}
 
 
@@ -719,7 +733,7 @@ def _cqpg_engine(tp: ThreeLevelParams, config: PhysicalGateConfig):
     action = u.copy()
     action[rows, :] *= np.exp(1j * th)[:, None]
     action.setflags(write=False)
-    meta = {"norm_drift": info["norm_drift"],
+    meta = {**_integration(info),
             "correction": {"theta": tuple(float(v) for v in th),
                            "mode": "resonant e-i cycle"}}
     return action, (), t_full, meta

@@ -7,16 +7,17 @@ generator Hermitian by construction.  propagate_basis picks its method from
 the drives it is given:
 
 - no drive: free evolution, exact through one eigendecomposition of H0;
-- rotating-wave drives only: a 6th-order Magnus propagator in the frame
-  rotating at each drive's carrier c on the excitation number N (the atom's
-  e population plus the cavity's photon number).  H0 conserves N and s+
-  raises it by one, so the generator there is H0 - c N + p(t) B with a
-  constant B: only the real envelope depends on time.  Step doubling picks
-  the step count and supplies the error estimate (Blanes, Casas, Oteo &
-  Ros, Phys. Rep. 470, 151 (2009));
-- any full drive: adaptive DOP853 in the interaction picture of H0, where
-  the picture change cancels all static phases and the right-hand side is
-  just the drive with both its rotating and counter-rotating terms.
+- any drive: a 6th-order Magnus propagator in the frame rotating at each
+  drive's carrier c on the excitation number N (the atom's e population
+  plus the cavity's photon number).  H0 conserves N and s+ raises it by
+  one, so the generator there is K + z(t) X + conj(z(t)) Y with constant K,
+  X and Y: only the scalar z depends on time.  A rotating-wave drive has
+  z = (p(t)/2) exp(-i phase); the full drive adds its counter-rotating
+  term, which oscillates at the carrier plus the counter frequency and so
+  sets the smallest useful step.  Each step is built from six fixed
+  matrices and exponentiated by a scaled Taylor polynomial, stacked
+  matmuls only.  Step doubling picks the step count and supplies the
+  error estimate (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
 
 No path renormalizes; the norm drift of the result is reported as a check.
 """
@@ -29,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .qstate import (ATOM_E, ATOM_G, CompositeSpace, Operator, QStateError,
                      StateVector)
@@ -42,18 +42,25 @@ DEFAULT_GAUSSIAN_SUPPORT = 3.0
 
 # 3-point Gauss-Legendre nodes on a unit step, for the 6th-order Magnus step.
 _GAUSS3 = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
-# Magnus steps start at MAGNUS_FIRST_STEPS per drive and double until the
+# Magnus steps start at MAGNUS_FIRST_STEPS per drive, or at the first
+# doubling that resolves the counter-rotating term, and double until the
 # estimate meets the tolerance; past MAGNUS_MAX_STEPS the drive is refused.
 MAGNUS_FIRST_STEPS = 64
-MAGNUS_MAX_STEPS = 2 ** 20
+MAGNUS_MAX_STEPS = 2 ** 23
 # Steps are exponentiated and multiplied this many at a time, so memory does
 # not grow with the step count.
 MAGNUS_BLOCK = 256
+# Taylor coefficients 1/k!, k = 0..12, as three Paterson-Stockmeyer blocks
+# and the last, and log2(13! u) with u = 2^-53 the unit roundoff: the
+# budget for the degree-12 remainder (see _expm_stack).
+_TAYLOR_BLOCKS = np.array([1.0 / math.factorial(k) for k in range(12)]).reshape(3, 4)
+_TAYLOR_LAST = 1.0 / math.factorial(12)
+_TAYLOR_LOG2_BUDGET = math.log2(math.factorial(13)) - 53.0
 
 
 class StiffnessError(RuntimeError):
-    """The integrator failed to resolve the drive: DOP853's step size
-    underflowed, or Magnus step doubling passed MAGNUS_MAX_STEPS."""
+    """The integrator failed to resolve the drive: Magnus step doubling
+    passed MAGNUS_MAX_STEPS before its error estimate met the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -96,8 +103,9 @@ class PulseSpec:
     def envelope(self, t):
         """Envelope p(t) in rad/s, without the carrier.
 
-        A float t gives a float (DOP853's per-step path); anything else is
-        evaluated elementwise as an array (the Magnus path's Gauss points).
+        A float t gives a float (Drive.coefficient's scalar path); anything
+        else is evaluated elementwise as an array (the Magnus path's Gauss
+        points).
         """
         lo, hi = self.window
         if isinstance(t, float):
@@ -158,7 +166,7 @@ class Drive:
         """Coefficient z(t) of s+ at time t."""
         half = 0.5 * self.pulse.envelope(t)
         phase = self.pulse.phase
-        # scalar cmath, not numpy: this runs once per right-hand-side call
+        # scalar cmath, not numpy: an ODE right-hand side calls this per step
         if self.counter is None:
             return half * cmath.exp(-1j * (self.carrier * t + phase))
         return half * (cmath.exp(-1j * (self.carrier * t + phase))
@@ -203,74 +211,159 @@ def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _magnus_steps(k: np.ndarray, b: np.ndarray, envelope, t0: float, t1: float,
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix in the stack a, from stacked matmuls only.
+
+    The stack is scaled by 2^s; f = exp(a / 2^s) - 1 is the degree-12
+    Taylor polynomial less its constant, evaluated by Paterson-Stockmeyer
+    in five products, and squared s times as (1 + f)^2 - 1 = 2 f + f^2
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  The identity
+    joins only at the end: carried through the squarings it would round
+    every step the same way, an error that grows with the step count.
+    Squaring multiplies the truncation error by 2^s, so s is the least
+    with 2^s (norm / 2^s)^13 / 13! below the unit roundoff, for the
+    largest 1-norm in the stack.
+    """
+    norm = float(np.max(np.sum(np.abs(a), axis=-2)))
+    s = max(0, math.ceil((13.0 * math.log2(norm) - _TAYLOR_LOG2_BUDGET) / 12.0)) \
+        if norm > 0 else 0
+    dim = a.shape[-1]
+    powers = np.empty((3,) + a.shape, dtype=complex)    # a, a^2, a^3
+    np.multiply(a, 0.5 ** s, out=powers[0])
+    np.matmul(powers[0], powers[0], out=powers[1])
+    np.matmul(powers[1], powers[0], out=powers[2])
+    a4 = powers[1] @ powers[1]
+    # b_j = sum_i c_{4j+i} a^i for i = 0..3, less the constant 1 in b_0
+    b = (_TAYLOR_BLOCKS[:, 1:] @ powers.reshape(3, -1)).reshape(powers.shape)
+    b.reshape(3, -1, dim * dim)[1:, :, ::dim + 1] += _TAYLOR_BLOCKS[1:, :1, None]
+    f = b[0] + a4 @ (b[1] + a4 @ (b[2] + _TAYLOR_LAST * a4))
+    for _ in range(s):
+        f = 2.0 * f + f @ f     # (1 + f)^2 - 1
+    f.reshape(len(f), -1)[:, ::dim + 1] += 1.0
+    return f
+
+
+def _magnus_basis(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K, X, Y = -X', [K, X], [K, Y] and [X, Y], one flattened row each.
+
+    For a generator K + z(t) X + conj(z(t)) Y every Magnus term short of
+    the nested commutators is a combination of these six.
+    """
+    y = -x.conj().T
+    mats = (k, x, y, _commutator(k, x), _commutator(k, y), _commutator(x, y))
+    return np.stack(mats).reshape(6, -1)
+
+
+def _magnus_steps(basis: np.ndarray, coefficient, t0: float, t1: float,
                   n: int) -> np.ndarray:
-    """Propagator of dU/dt = (k + p(t) b) U over [t0, t1] in n steps of the
-    6th-order 3-point Gauss-Legendre Magnus scheme (Blanes et al. 2009)."""
+    """Propagator of dU/dt = (K + z X + conj(z) Y) U over [t0, t1] in n steps
+    of the 6th-order 3-point Gauss-Legendre Magnus scheme (Blanes et al.
+    2009); basis is _magnus_basis(K, X) and coefficient gives z at an array
+    of times."""
     h = (t1 - t0) / n
-    u = np.eye(k.shape[0], dtype=complex)
+    dim = math.isqrt(basis.shape[1])
+    u = np.eye(dim, dtype=complex)
     for first in range(0, n, MAGNUS_BLOCK):
-        j = np.arange(first, min(first + MAGNUS_BLOCK, n))
-        p1, p2, p3 = np.asarray(envelope(t0 + h * (j[:, None] + _GAUSS3))).T
-        a1 = h * (k + p2[:, None, None] * b)
-        a2 = (math.sqrt(15.0) * h / 3.0 * (p3 - p1))[:, None, None] * b
-        a3 = (10.0 * h / 3.0 * (p3 - 2.0 * p2 + p1))[:, None, None] * b
-        c1 = _commutator(a1, a2)
-        c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
-        omega = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-        # omega is anti-Hermitian: exp(omega) = V exp(-i w) V' from i omega = V w V'
-        w, v = np.linalg.eigh(1j * omega)
-        steps = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-        u = _time_ordered_product(steps) @ u
+        m = min(MAGNUS_BLOCK, n - first)
+        z1, z2, z3 = np.asarray(
+            coefficient(t0 + h * (np.arange(first, first + m)[:, None] + _GAUSS3))).T
+        # a1, a2 and a3 on (X, Y); K enters a1 alone, as h K
+        x1 = h * z2
+        x2 = (math.sqrt(15.0) * h / 3.0) * (z3 - z1)
+        x3 = (10.0 * h / 3.0) * (z3 - 2.0 * z2 + z1)
+        # rows a1, a2, d = 2 a3 + c1, l = -20 a1 - a3 + c1 and a1 + a3 / 12 on
+        # the basis; c1 = [a1, a2] lies on ([K, X], [K, Y], [X, Y])
+        coef = np.zeros((5, m, 6), dtype=complex)
+        coef[:, :, 0] = np.array([[h], [0.0], [0.0], [-20.0 * h], [h]])
+        coef[:, :, 1] = (x1, x2, 2.0 * x3, -20.0 * x1 - x3, x1 + x3 / 12.0)
+        coef[:, :, 2] = coef[:, :, 1].conj()
+        coef[2:4, :, 3] = h * x2
+        coef[2:4, :, 4] = h * x2.conj()
+        coef[2:4, :, 5] = x1 * x2.conj() - x1.conj() * x2
+        a1, a2, d, l, low = (coef.reshape(5 * m, 6) @ basis).reshape(5, m, dim, dim)
+        r = a2 - _commutator(a1, d) / 60.0        # a2 + c2, c2 = -[a1, d] / 60
+        omega = low + _commutator(l, r) / 240.0
+        u = _time_ordered_product(_expm_stack(omega)) @ u
     return u
+
+
+def _first_steps(w: float, t0: float, t1: float) -> int:
+    """Where step doubling starts: MAGNUS_FIRST_STEPS, doubled while one step
+    spans more than pi radians of a term oscillating at w, which its three
+    Gauss points cannot resolve."""
+    n = MAGNUS_FIRST_STEPS
+    while abs(w) * (t1 - t0) / n > math.pi:
+        n *= 2
+    return n
 
 
 def _magnus_window(h0: np.ndarray, n_exc: np.ndarray, raise_op: np.ndarray,
                    drive: Drive, t0: float, t1: float, tol: float) -> tuple:
-    """One rotating-wave drive over [t0, t1], integrated in its carrier's frame.
+    """One drive over [t0, t1], integrated in its carrier's frame.
 
-    With V = exp(i c N t) the generator becomes H0 - c N + p(t) B, where
-    B = (exp(-i phase) s+ + h.c.) / 2.  The step count doubles from
-    MAGNUS_FIRST_STEPS until the gap to the previous count, over 2^6 - 1,
-    is below tol.  Returns (U, steps, error estimate, envelope evaluations).
+    With V = exp(i c N t) the generator becomes K + z(t) X + conj(z(t)) Y,
+    where K = -i (H0 - c N), X = -i s+, Y = -i s- and
+    z(t) = (p(t)/2) (exp(-i phase) + exp(i (W t + phase))), W = carrier +
+    counter; a rotating-wave drive keeps only the first term.  The step
+    count doubles until the gap to the previous count, over 2^6 - 1, is
+    below tol.  Returns (U, steps, error estimate, steps computed).
     """
-    c = drive.carrier
-    k = -1j * (h0 - c * np.diag(n_exc))
-    half_raise = 0.5 * cmath.exp(-1j * drive.pulse.phase) * raise_op
-    b = -1j * (half_raise + half_raise.conj().T)
-    n, estimate = MAGNUS_FIRST_STEPS, math.inf
-    coarse = _magnus_steps(k, b, drive.pulse.envelope, t0, t1, n)
-    nfev = 3 * n
+    c, pulse = drive.carrier, drive.pulse
+    h_frame = h0 - c * np.diag(n_exc)
+    # the trace is a global phase: taking it out of every step makes the
+    # steps smaller and so needs fewer squarings in _expm_stack
+    shift = float(np.trace(h_frame).real) / len(h_frame)
+    basis = _magnus_basis(-1j * (h_frame - shift * np.eye(len(h_frame))),
+                          -1j * raise_op)
+    # z is written out in this frame rather than taken as coefficient(t)
+    # exp(i c t), whose large opposite phases would cancel only to rounding
+    slow = 0.5 * cmath.exp(-1j * pulse.phase)
+    if drive.counter is None:
+        w = 0.0
+
+        def coefficient(t):
+            return slow * pulse.envelope(t)
+    else:
+        w = c + drive.counter
+        fast = 0.5 * cmath.exp(1j * pulse.phase)
+
+        def coefficient(t):
+            return pulse.envelope(t) * (slow + fast * np.exp(1j * w * t))
+    n = _first_steps(w, t0, t1)
+    computed, estimate = n, math.inf
+    coarse = _magnus_steps(basis, coefficient, t0, t1, n)
     while True:
         if 2 * n > MAGNUS_MAX_STEPS:
             raise StiffnessError(
                 f"Magnus steps on [{t0:.6g}, {t1:.6g}] passed {MAGNUS_MAX_STEPS} "
                 f"with error estimate {estimate:.3g} > tol {tol:.3g}")
         n *= 2
-        fine = _magnus_steps(k, b, drive.pulse.envelope, t0, t1, n)
-        nfev += 3 * n
+        fine = _magnus_steps(basis, coefficient, t0, t1, n)
+        computed += n
         estimate = float(np.max(np.abs(fine - coarse))) / 63.0
         if estimate < tol:
             break
         coarse = fine
     # back to the lab frame: U = exp(-i c N t1) U' exp(i c N t0)
-    u = np.exp(-1j * c * n_exc * t1)[:, None] * fine * np.exp(1j * c * n_exc * t0)
-    return u, n, estimate, nfev
+    post = np.exp(-1j * (c * n_exc * t1 + shift * (t1 - t0)))
+    u = post[:, None] * fine * np.exp(1j * c * n_exc * t0)
+    return u, n, estimate, computed
 
 
 def _magnus_propagator(static_h: Operator, evals: np.ndarray, q: np.ndarray,
-                       raise_op: np.ndarray, drives: Sequence[Drive],
-                       t0: float, t1: float, tol: float) -> tuple:
-    """Propagator over [t0, t1] under rotating-wave drives.
+                       drives: Sequence[Drive], t0: float, t1: float,
+                       tol: float) -> tuple:
+    """Propagator over [t0, t1] under drives with disjoint windows.
 
     Each drive's window is one segment in its own carrier's frame; the time
     outside every window evolves exactly under static_h.  Returns
     (U, info).
     """
     h0 = static_h.matrix
+    raise_op = _atom_raise(static_h.space)
     n_exc = _excitations(static_h.space)
     if np.any(h0[n_exc[:, None] != n_exc[None, :]] != 0):
-        raise QStateError("rotating-wave propagation needs a static Hamiltonian "
+        raise QStateError("carrier-frame propagation needs a static Hamiltonian "
                           "that conserves N (atom e population plus photons)")
     windows = []
     for drive in drives:
@@ -281,66 +374,23 @@ def _magnus_propagator(static_h: Operator, evals: np.ndarray, q: np.ndarray,
     windows.sort(key=lambda w: w[0])
     for (_lo, hi, _d), (lo, _hi, _d2) in zip(windows, windows[1:]):
         if lo < hi:
-            raise QStateError(
-                f"rotating-wave drive windows overlap on [{lo:.6g}, {hi:.6g}]")
+            raise QStateError(f"drive windows overlap on [{lo:.6g}, {hi:.6g}]")
 
     def free(dt):
         return (q * np.exp(-1j * evals * dt)) @ q.conj().T
 
     u = np.eye(h0.shape[0], dtype=complex)
-    t, steps, estimate, nfev = t0, 0, 0.0, 0
+    t, steps, estimate, computed = t0, 0, 0.0, 0
     for lo, hi, drive in windows:
         if lo > t:
             u = free(lo - t) @ u
-        seg, n, est, calls = _magnus_window(h0, n_exc, raise_op, drive, lo, hi, tol)
+        seg, n, est, work = _magnus_window(h0, n_exc, raise_op, drive, lo, hi, tol)
         u = seg @ u
-        t, steps, estimate, nfev = hi, steps + n, estimate + est, nfev + calls
+        t, steps, estimate, computed = hi, steps + n, estimate + est, computed + work
     if t1 > t:
         u = free(t1 - t) @ u
-    return u, {"nfev": nfev, "method": "magnus6", "steps": steps,
+    return u, {"nfev": 3 * computed, "method": "magnus6", "steps": steps,
                "error_estimate": estimate}
-
-
-def _dop853_columns(evals: np.ndarray, q: np.ndarray, raise_op: np.ndarray,
-                    drives: Sequence[Drive], t0: float, t1: float, tol: float,
-                    cols: np.ndarray) -> tuple:
-    """Columns integrated by DOP853 in the interaction picture of H0 = Q E Q'.
-
-    Returns (final columns, info).
-    """
-    dim, n_cols = cols.shape
-    raise_e = q.conj().T @ raise_op @ q
-    m_e, m_h = -1j * raise_e, -1j * raise_e.conj().T   # -i s+ and -i s-
-    first, rest = drives[0], tuple(drives[1:])
-    y0 = np.exp(1j * evals * t0)[:, None] * (q.conj().T @ cols)
-
-    i_evals = 1j * evals
-
-    # in the picture the drive is D (z s+ + h.c.) D* with D = diag(exp(i E t)),
-    # applied to the columns as D (-i H (D* Y))
-    def rhs(t, y):
-        ph = np.exp(i_evals * t)[:, None]
-        z = first.coefficient(t)
-        for d in rest:
-            z += d.coefficient(t)
-        h = z * m_e
-        h += z.conjugate() * m_h
-        out = h @ (ph.conj() * y.reshape(dim, n_cols))
-        out *= ph
-        return out.ravel()
-
-    # stepped here rather than through solve_ivp, which would keep the
-    # state of every step: tens of MB for a full node without the RWA
-    solver = DOP853(rhs, float(t0), y0.ravel(), float(t1), rtol=tol,
-                    atol=tol * 1e-2)
-    while solver.status == "running":
-        message = solver.step()
-    if solver.status == "failed":
-        raise StiffnessError(
-            f"integrator stalled at t = {solver.t:.6g} of [{t0:.6g}, {t1:.6g}]: {message}")
-    y = solver.y.reshape(dim, n_cols)
-    out = q @ (np.exp(-1j * evals * t1)[:, None] * y)
-    return out, {"nfev": int(solver.nfev), "method": "DOP853"}
 
 
 def propagate_basis(static_h: Operator, drives: Sequence[Drive],
@@ -349,13 +399,16 @@ def propagate_basis(static_h: Operator, drives: Sequence[Drive],
     """Propagate one or more columns under static_h plus drives.
 
     Returns (final columns, info).  The drives pick the method (see the
-    module notes): info["method"] is "exact" without drives, "magnus6"
-    when every drive is rotating-wave and "DOP853" otherwise.  Every drive
-    acts on the raising operator of the space's leading factor, which must
-    be an atom named "atom" (dim 2 or 3).  Norm is never renormalized;
-    info["norm_drift"] reports the worst deviation of a column's norm, and
-    the Magnus path adds info["steps"] and info["error_estimate"], its
-    step-doubling estimate of max |U - U_exact| (held below tol).
+    module notes): info["method"] is "exact" without drives and "magnus6"
+    with them.  Every drive acts on the raising operator of the space's
+    leading factor, which must be an atom named "atom" (dim 2 or 3), and
+    no two drive windows may overlap.  Norm is never renormalized;
+    info["norm_drift"] reports the worst deviation of a column's norm.
+    info["steps"] counts the Magnus steps of the result and
+    info["error_estimate"] is their step-doubling estimate of
+    max |U - U_exact|, held below tol (both 0 on the exact path);
+    info["nfev"] counts coefficient evaluations, three per step computed
+    over every doubling.
     """
     if t1 <= t0:
         raise QStateError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -378,16 +431,12 @@ def propagate_basis(static_h: Operator, drives: Sequence[Drive],
         # free evolution is exact in this picture
         phase = np.exp(-1j * evals * (t1 - t0))
         out = q @ (phase[:, None] * (q.conj().T @ cols))
-        info = {"norm_drift": 0.0, "nfev": 0, "method": "exact"}
+        info = {"norm_drift": 0.0, "nfev": 0, "method": "exact", "steps": 0,
+                "error_estimate": 0.0}
         return (out[:, 0] if squeeze else out), info
 
-    raise_op = _atom_raise(static_h.space)
-    if all(d.counter is None for d in drives):
-        u, info = _magnus_propagator(static_h, evals, q, raise_op, drives,
-                                     t0, t1, tol)
-        out = u @ cols
-    else:
-        out, info = _dop853_columns(evals, q, raise_op, drives, t0, t1, tol, cols)
+    u, info = _magnus_propagator(static_h, evals, q, drives, t0, t1, tol)
+    out = u @ cols
     info["norm_drift"] = float(np.max(np.abs(np.linalg.norm(out, axis=0) - norms0)))
     return (out[:, 0] if squeeze else out), info
 

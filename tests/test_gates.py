@@ -457,3 +457,34 @@ def test_jc_space_shapes_match_gate_expectations():
     space = jc_space(5)
     assert space.factor("atom").dim == 2
     assert space.factor("cavity").dim == 6
+
+
+# ---------------------------------------------------------------------------
+# integration error on every gate
+
+
+@pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "full"])
+def test_every_physical_gate_reports_an_estimate_below_tol(rwa):
+    config = PhysicalGateConfig(rwa=rwa)
+    dispersive = desk_params(1.0, 0.1)
+    plus = _plus_register()
+    results = {
+        "cnot": physical_cnot_cavity_to_atom(plus, dispersive, config),
+        "swap": physical_swap_two_photon(plus, SOURCE_POINT_CYCLIC, config),
+        "composite-cnot": physical_cnot_atom_to_cavity(plus, SOURCE_POINT_CYCLIC,
+                                                       config),
+        "bare-hadamard": physical_hadamard_atom(plus, dispersive, config),
+        "bare-not": physical_not_atom(plus, dispersive, config),
+        "dressed-not": physical_not_atom(plus, dispersive, config, cavity="cavity"),
+        "cqpg": physical_cqpg_local(_node_state({(1, 1): 1.0}, atom_dim=3),
+                                    ThreeLevelParams(rabi_coupling=1.0), config),
+    }
+    if rwa:
+        # with the full drive this pulse needs 262,144 steps (seconds); the
+        # full drive's path is already covered by the CNOT and the NOT
+        results["dressed-hadamard"] = physical_hadamard_atom(
+            plus, desk_params(1.0, 1e-3), config, cavity="cavity")
+    for name, res in results.items():
+        assert 0.0 <= res.error_estimate < config.tol, (name, res.error_estimate)
+        # the controlled phase is free evolution, exact without steps
+        assert (res.steps == 0) == (name == "cqpg"), (name, res.steps)

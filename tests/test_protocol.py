@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -28,7 +30,8 @@ from cavitylink import (
     run_nonlocal_cnot,
     run_nonlocal_cqpg,
 )
-from cavitylink import gates, pulses, qstate
+import cavitylink
+from cavitylink import gates, qstate
 from cavitylink.gates import HADAMATOM
 from cavitylink import protocol
 from cavitylink.protocol import ClassicalChannel, TraceRecord
@@ -389,28 +392,20 @@ def test_cold_physical_cnot_integrates_the_cnot_pulse_once():
     assert info.hits >= 1
 
 
-def test_cold_physical_protocols_construct_no_dop853(monkeypatch):
-    # every drive of the physical protocol is rotating-wave, so every
-    # engine takes the Magnus path; only the full drive needs DOP853
-    for cached in vars(gates).values():
-        if hasattr(cached, "cache_clear"):
-            cached.cache_clear()
-    made = []
-    real = pulses.DOP853
-
-    def counting(*args, **kwargs):
-        made.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(pulses, "DOP853", counting)
-    run_nonlocal_cqpg(level="physical")
-    run_nonlocal_cnot(level="physical")
-    assert gates._cnot_engine.cache_info().misses > 0   # the runs were cold
-    assert made == []
-    full = gates.PhysicalGateConfig(rwa=False)
-    gates._cnot_engine.__wrapped__(JCParams(omega0=3.0, omega=2.0,
-                                            rabi_coupling=0.3), full)
-    assert len(made) == 1
+def test_import_and_physical_protocol_load_no_ode_integrator():
+    # every drive takes the Magnus path, so a fresh interpreter never loads
+    # scipy's ODE integrators; scipy itself stays (protocol uses scipy.linalg)
+    code = ("import sys, cavitylink\n"
+            "from cavitylink.protocol import run_nonlocal_cqpg\n"
+            "run_nonlocal_cqpg(level='physical')\n"
+            "assert 'scipy' in sys.modules\n"
+            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate loaded'\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cavitylink.__file__)),
+         os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def _count_embed_calls(monkeypatch) -> list:

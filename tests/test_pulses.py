@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 from cavitylink import gates, perturb, pulses
 from cavitylink.qstate import (CompositeSpace, FactorLabel, Operator,
@@ -196,7 +197,7 @@ def test_propagate_basis_norm_drift_reported():
     for rwa in (True, False):
         drive = Drive(pulse, 5.0, None if rwa else 5.0)
         cols, info = propagate_basis(static, [drive], -6.0, 6.0, 1e-10)
-        assert info["method"] == ("magnus6" if rwa else "DOP853")
+        assert info["method"] == "magnus6"
         assert info["norm_drift"] < 1e-9
         # columns stay mutually orthogonal (unitarity of the propagator)
         gram = cols.conj().T @ cols
@@ -225,40 +226,78 @@ def test_evolve_tdse_space_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# the rotating-wave (Magnus) path
+# the Magnus path
+
+
+def _frame_generator(carrier, counter):
+    """Basis and coefficient of the cutoff-2 CNOT node in the carrier's frame,
+    under a pi-area gaussian drive; counter None is the rotating wave."""
+    p = desk_params(1.0, x=0.1)
+    static = jc_rotating(p, 2)
+    k = -1j * (static.matrix - carrier * np.diag(pulses._excitations(static.space)))
+    basis = pulses._magnus_basis(k, -1j * _atom_raise(static.space))
+    pulse = calibrate_pulse_area(PulseSpec(omega_drive=carrier, shape="gaussian",
+                                           amplitude=1.0, width=4.0), math.pi)
+    if counter is None:
+        def coefficient(t):
+            return 0.5 * pulse.envelope(t)
+    else:
+        def coefficient(t):
+            return 0.5 * pulse.envelope(t) * (1.0 + np.exp(1j * (carrier + counter) * t))
+    return basis, coefficient, pulse.window
+
+
+def _check_sixth_order(counter, coarsest):
+    basis, coefficient, (t0, t1) = _frame_generator(0.7, counter)
+    ref = pulses._magnus_steps(basis, coefficient, t0, t1, 64 * coarsest)
+    counts = [coarsest * 2 ** k for k in range(4)]
+    errors = [np.max(np.abs(pulses._magnus_steps(basis, coefficient, t0, t1, n) - ref))
+              for n in counts]
+    assert errors[-1] < 1e-10
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine >= 2.0 ** 5, errors
 
 
 def test_magnus_step_is_sixth_order():
     # a sign slip in any commutator of the step lowers the order while the
     # result still converges, so check the rate, not one step count
-    p = desk_params(1.0, x=0.1)
-    static = jc_rotating(p, 2)
-    carrier = 0.7
-    k = -1j * (static.matrix - carrier * np.diag(pulses._excitations(static.space)))
-    raise_op = _atom_raise(static.space)
-    b = -0.5j * (raise_op + raise_op.T)
-    pulse = calibrate_pulse_area(PulseSpec(omega_drive=carrier, shape="gaussian",
-                                           amplitude=1.0, width=4.0), math.pi)
-    t0, t1 = pulse.window
-    ref = pulses._magnus_steps(k, b, pulse.envelope, t0, t1, 4096)
-    errors = [np.max(np.abs(pulses._magnus_steps(k, b, pulse.envelope, t0, t1, n) - ref))
-              for n in (64, 128, 256, 512)]
-    assert errors[-1] < 1e-10
-    for coarse, fine in zip(errors, errors[1:]):
-        assert coarse / fine >= 2.0 ** 5, errors
+    _check_sixth_order(None, 64)
+
+
+def test_magnus_step_is_sixth_order_with_counter_rotating_term():
+    # at 256 steps a step spans 0.56 rad of the 6 rad/s counter-rotating
+    # term; past 2048 steps the errors meet the rounding floor
+    _check_sixth_order(5.3, 256)
+
+
+def test_taylor_exponential_matches_eigh():
+    rng = make_rng(5)
+    h = rng.normal(size=(7, 12, 12)) + 1j * rng.normal(size=(7, 12, 12))
+    h = (h + h.conj().transpose(0, 2, 1)) * np.logspace(-3, 1.5, 7)[:, None, None]
+    w, v = np.linalg.eigh(h)
+    exact = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    for one, want in zip(h, exact):
+        # one matrix at a time, so each is scaled by its own norm
+        got = pulses._expm_stack(-1j * one[None])[0]
+        assert np.max(np.abs(got - want)) < 1e-13 * max(1.0, np.max(np.abs(one)))
 
 
 def test_magnus_info_and_frame_checks():
     p = desk_params(1.0, x=0.1)
     static = jc_rotating(p, 2)
     first = PulseSpec(omega_drive=0.4, shape="gaussian", amplitude=0.3, width=1.0)
-    u, info = propagate_basis(static, [Drive(first, 0.4)], -3.0, 5.0, 1e-10)
-    assert info["method"] == "magnus6"
-    assert info["steps"] >= 2 * pulses.MAGNUS_FIRST_STEPS
-    assert 0.0 <= info["error_estimate"] < 1e-10
-    # three Gauss points per step, over every doubling
-    assert info["nfev"] == 3 * (2 * info["steps"] - pulses.MAGNUS_FIRST_STEPS)
-    np.testing.assert_allclose(u.conj().T @ u, np.eye(static.space.dim), atol=1e-12)
+    for counter in (None, 40.0):
+        u, info = propagate_basis(static, [Drive(first, 0.4, counter)], -3.0, 5.0, 1e-10)
+        assert info["method"] == "magnus6"
+        # the doubling starts where a step spans at most pi of the
+        # counter-rotating phase: 3.8 rad a step at 64 steps, 1.9 at 128
+        start = pulses.MAGNUS_FIRST_STEPS * (1 if counter is None else 2)
+        assert pulses._first_steps(0.0 if counter is None else 40.4, -3.0, 3.0) == start
+        assert info["steps"] >= 2 * start
+        assert 0.0 <= info["error_estimate"] < 1e-10
+        # three Gauss points per step, over every doubling
+        assert info["nfev"] == 3 * (2 * info["steps"] - start)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(static.space.dim), atol=1e-12)
     overlapping = PulseSpec(omega_drive=0.2, shape="gaussian", amplitude=0.3,
                             width=1.0, center=1.0)
     with pytest.raises(QStateError, match="overlap"):
@@ -273,17 +312,45 @@ def test_magnus_info_and_frame_checks():
 
 
 def _dop853(static, drives, t0, t1, tol, columns=None):
-    """The DOP853 path on rotating-wave drives, as an independent oracle."""
+    """Adaptive DOP853 in the interaction picture of H0 = Q E Q', as an
+    independent oracle: the picture change cancels every static phase and
+    the right-hand side is just the drives' coefficients on s+ and s-."""
     dim = static.space.dim
     cols = np.eye(dim, dtype=complex) if columns is None else \
         np.asarray(columns, dtype=complex).reshape(dim, -1)
+    n_cols = cols.shape[1]
     evals, q = np.linalg.eigh(static.matrix)
-    out, _info = pulses._dop853_columns(evals, q, _atom_raise(static.space),
-                                        drives, t0, t1, tol, cols)
-    return out
+    raise_e = q.conj().T @ _atom_raise(static.space) @ q
+    m_e, m_h = -1j * raise_e, -1j * raise_e.conj().T
+    y0 = np.exp(1j * evals * t0)[:, None] * (q.conj().T @ cols)
+
+    def rhs(t, y):
+        ph = np.exp(1j * evals * t)[:, None]
+        z = sum(d.coefficient(t) for d in drives)
+        h = z * m_e + np.conj(z) * m_h
+        return (ph * (h @ (ph.conj() * y.reshape(dim, n_cols)))).ravel()
+
+    solver = DOP853(rhs, float(t0), y0.ravel(), float(t1), rtol=tol, atol=tol * 1e-2)
+    while solver.status == "running":
+        solver.step()
+    assert solver.status == "finished"
+    return q @ (np.exp(-1j * evals * t1)[:, None] * solver.y.reshape(dim, n_cols))
 
 
 RWA = PhysicalGateConfig(rwa=True)
+FULL = PhysicalGateConfig(rwa=False)
+
+
+def _slow_bare_full_drive():
+    # a slow pi/2 pulse on a bare atom, counter-rotating term kept
+    space = CompositeSpace([FactorLabel("atom", 2)])
+    static = Operator(space, np.diag([0.0, 60.0]), hermitian=True)
+    pulse = calibrate_pulse_area(PulseSpec(omega_drive=60.0, shape="gaussian",
+                                           amplitude=1.0, width=8.0), math.pi / 2)
+    return pulses.propagate_basis(static, [Drive(pulse, 60.0, 60.0)], *pulse.window,
+                                  1e-10)
+
+
 RWA_ENGINES = {
     "cnot-x0.1": lambda: gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.1), RWA),
     "cnot-x0.02": lambda: gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.02), RWA),
@@ -299,10 +366,16 @@ RWA_ENGINES = {
     "two-photon-angular": lambda: two_photon_tdse_oracle(SOURCE_POINT_ANGULAR),
     "two-photon-cyclic": lambda: two_photon_tdse_oracle(SOURCE_POINT_CYCLIC),
 }
+FULL_ENGINES = {
+    "cnot-x0.1": lambda: gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.1), FULL),
+    "cnot-x0.05": lambda: gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.05), FULL),
+    "sequential-not": lambda: gates._dressed_sector_pulse_engine.__wrapped__(
+        GateKind.NOT_ATOM, desk_params(1.0, x=0.1), FULL),
+    "bare-slow": _slow_bare_full_drive,
+}
 
 
-@pytest.mark.parametrize("build", RWA_ENGINES.values(), ids=RWA_ENGINES.keys())
-def test_rotating_wave_engines_match_dop853(monkeypatch, build):
+def _check_against_dop853(monkeypatch, build):
     calls = []
 
     def spy(static, drives, t0, t1, tol, columns=None):
@@ -310,7 +383,7 @@ def test_rotating_wave_engines_match_dop853(monkeypatch, build):
         calls.append((static, drives, t0, t1, tol, columns, out, info))
         return out, info
 
-    for module in (gates, perturb):
+    for module in (gates, perturb, pulses):
         monkeypatch.setattr(module, "propagate_basis", spy)
     build()
     assert len(calls) == 1
@@ -319,6 +392,18 @@ def test_rotating_wave_engines_match_dop853(monkeypatch, build):
     assert info["error_estimate"] < tol
     oracle = _dop853(static, drives, t0, t1, tol, columns)
     assert np.max(np.abs(out.reshape(oracle.shape) - oracle)) <= tol
+    return drives
+
+
+@pytest.mark.parametrize("build", RWA_ENGINES.values(), ids=RWA_ENGINES.keys())
+def test_rotating_wave_engines_match_dop853(monkeypatch, build):
+    _check_against_dop853(monkeypatch, build)
+
+
+@pytest.mark.parametrize("build", FULL_ENGINES.values(), ids=FULL_ENGINES.keys())
+def test_full_drive_engines_match_dop853(monkeypatch, build):
+    drives = _check_against_dop853(monkeypatch, build)
+    assert all(drive.counter is not None for drive in drives)
 
 
 def test_under_resolved_drive_raises_stiffness(monkeypatch):
