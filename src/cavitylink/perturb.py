@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -81,19 +82,28 @@ class TwoPhotonParams:
 
     @property
     def laser_frequency(self) -> float:
-        if self.omega_laser is not None:
-            return self.omega_laser
-        r1 = float(manifold_splitting(self.jc_params(), 1))
-        return (r1 + self.delta / 2.0) / 2.0
+        return _laser_frequency(self.rabi_coupling, self.delta, self.omega_laser)
 
     def jc_params(self) -> JCParams:
-        """Node parameters with the cavity placed at a desk-scale frequency.
+        return _node_params(self.rabi_coupling, self.delta)
 
-        Only the detuning and coupling matter in the rotating frame used
-        throughout this module.
-        """
-        return JCParams(omega0=3.0 * self.delta, omega=2.0 * self.delta,
-                        rabi_coupling=self.rabi_coupling)
+
+def _node_params(rabi_coupling: float, delta: float) -> JCParams:
+    """Node parameters with the cavity placed at a desk-scale frequency.
+
+    Only the detuning and coupling matter in the rotating frame used
+    throughout this module.
+    """
+    return JCParams(omega0=3.0 * delta, omega=2.0 * delta,
+                    rabi_coupling=rabi_coupling)
+
+
+def _laser_frequency(rabi_coupling: float, delta: float,
+                     omega_laser: Optional[float]) -> float:
+    if omega_laser is not None:
+        return omega_laser
+    r1 = float(manifold_splitting(_node_params(rabi_coupling, delta), 1))
+    return (r1 + delta / 2.0) / 2.0
 
 
 # Operating point quoted at the source scale, under both frequency readings.
@@ -112,24 +122,26 @@ FROZEN_CALIBRATION = {
 }
 
 
-def _path_elements(p: TwoPhotonParams):
+def _path_elements(rabi_coupling: float, delta: float,
+                   omega_laser: Optional[float]):
     """Matrix elements and detunings of the two intermediate paths.
 
     Returns (weights, d1, d2): per path j in (+, -), weights[j] is the
     product of the two hop elements, d1/d2 the rotating-frame detunings of
-    the first and second hop under a laser at p.laser_frequency.
+    the first and second hop under the laser of TwoPhotonParams.laser_frequency.
+    None of them depends on the drive strength sigma0.
     """
-    params = p.jc_params()
+    params = _node_params(rabi_coupling, delta)
     phi0 = mixing_angle(params, 0)
     phi1 = mixing_angle(params, 1)
     r0 = float(manifold_splitting(params, 0))
     r1 = float(manifold_splitting(params, 1))
-    wl = p.laser_frequency
+    wl = _laser_frequency(rabi_coupling, delta, omega_laser)
     # hop 1: <V_j,0| s+ |g,0>; hop 2: <V+,1| s+ |V_j,0>
     m1 = np.array([math.cos(phi0), -math.sin(phi0)])
     m2 = np.array([math.sin(phi0) * math.cos(phi1),
                    math.cos(phi0) * math.cos(phi1)])
-    e_i, e_f = -p.delta / 2.0, r1
+    e_i, e_f = -delta / 2.0, r1
     e_j = np.array([r0, -r0])
     d1 = e_j - e_i - wl
     d2 = e_f - e_j - wl
@@ -163,24 +175,25 @@ def _ordered_double_integral(env_t, t, dt, d_inner, d_outer, work):
     return f_in[1:].sum()
 
 
-def two_photon_amplitude(p: TwoPhotonParams, direction: str = "forward",
-                         rel_tol: float = 1e-4, n_start: int = 4096,
-                         n_max: int = 2 ** 17) -> complex:
-    """Second-order amplitude of the |g,0> -> |V+,1> exchange (or reverse).
-
-    Time-ordered double integral over both intermediate paths on the window
-    [-3 tau, t_final], refined on a doubling grid until the amplitude moves
+@lru_cache(maxsize=32)
+def _sigma0_free_total(rabi_coupling: float, delta: float, tau: float,
+                       t_final: Optional[float], omega_laser: Optional[float],
+                       direction: str, rel_tol: float, n_start: int,
+                       n_max: int) -> complex:
+    """sum_j w_j times the ordered double integral of path j, with the drive
+    strength sigma0 taken out: converged on a doubling grid until it moves
     by less than rel_tol/3 between refinements.
+
+    Keyed on the operating point's sigma0-free fields rather than on a
+    TwoPhotonParams copy, whose construction would repeat its warnings.
     """
-    if direction not in ("forward", "reverse"):
-        raise QStateError(f"direction must be forward or reverse, got {direction!r}")
-    if p.sigma0 == 0.0:
-        return 0.0 + 0.0j
-    weights, d1, d2 = _path_elements(p)
+    weights, d1, d2 = _path_elements(rabi_coupling, delta, omega_laser)
     if direction == "reverse":
         # conjugated hops in the opposite order: emission back down
         d1, d2 = -d2, -d1
-    tau = p.tau
+    # the window of TwoPhotonParams.t_start and t_end
+    t_start = -3.0 * tau
+    t_end = 3.0 * tau if t_final is None else t_final
 
     def env(t):
         t = np.asarray(t, dtype=float)
@@ -189,14 +202,14 @@ def two_photon_amplitude(p: TwoPhotonParams, direction: str = "forward",
 
     def evaluate(n):
         # one grid, envelope and workspace for both paths
-        t = np.linspace(p.t_start, p.t_end, n + 1)
+        t = np.linspace(t_start, t_end, n + 1)
         env_t = env(t)
         work = np.empty((3, n + 1), dtype=complex)
         total = 0.0 + 0.0j
         for w, da, db in zip(weights, d1, d2):
-            total += w * _ordered_double_integral(env_t, t, (p.t_end - p.t_start) / n,
+            total += w * _ordered_double_integral(env_t, t, (t_end - t_start) / n,
                                                   da, db, work)
-        return -(p.sigma0 ** 2) * total  # (-i)^2 prefactor
+        return total
 
     n = n_start
     prev = evaluate(n)
@@ -212,6 +225,28 @@ def two_photon_amplitude(p: TwoPhotonParams, direction: str = "forward",
         if achieved < rel_tol / 3.0:
             return complex(cur)
         prev = cur
+
+
+def two_photon_amplitude(p: TwoPhotonParams, direction: str = "forward",
+                         rel_tol: float = 1e-4, n_start: int = 4096,
+                         n_max: int = 2 ** 17) -> complex:
+    """Second-order amplitude of the |g,0> -> |V+,1> exchange (or reverse).
+
+    Time-ordered double integral over both intermediate paths on the window
+    [-3 tau, t_final], refined on a doubling grid until it moves by less
+    than rel_tol/3 between refinements.  The amplitude is exactly
+    -sigma0^2 times an integral that does not depend on sigma0, so that
+    integral is computed once per operating point (coupling, detuning,
+    window, laser and refinement settings) and cached; a call at another
+    drive strength only rescales it.
+    """
+    if direction not in ("forward", "reverse"):
+        raise QStateError(f"direction must be forward or reverse, got {direction!r}")
+    if p.sigma0 == 0.0:
+        return 0.0 + 0.0j
+    total = _sigma0_free_total(p.rabi_coupling, p.delta, p.tau, p.t_final,
+                               p.omega_laser, direction, rel_tol, n_start, n_max)
+    return complex(-(p.sigma0 ** 2) * total)  # (-i)^2 prefactor
 
 
 def two_photon_probability(p: TwoPhotonParams, direction: str = "forward",

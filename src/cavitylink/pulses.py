@@ -47,6 +47,11 @@ _GAUSS3 = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 1
 # estimate meets the tolerance; past MAGNUS_MAX_STEPS the drive is refused.
 MAGNUS_FIRST_STEPS = 64
 MAGNUS_MAX_STEPS = 2 ** 23
+# An estimate below this that rises at the next doubling has met the
+# rounding floor: finer steps only add rounding, so the doubling stops.
+# No tol of this size or more can see the rule, since the doubling would
+# already have ended at the estimate below it.
+MAGNUS_ROUNDING_ONSET = 1e-10
 # Steps are exponentiated and multiplied this many at a time, so memory does
 # not grow with the step count.
 MAGNUS_BLOCK = 256
@@ -60,7 +65,8 @@ _TAYLOR_LOG2_BUDGET = math.log2(math.factorial(13)) - 53.0
 
 class StiffnessError(RuntimeError):
     """The integrator failed to resolve the drive: Magnus step doubling
-    passed MAGNUS_MAX_STEPS before its error estimate met the tolerance."""
+    passed MAGNUS_MAX_STEPS, or met its rounding floor, before its error
+    estimate met the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -340,9 +346,15 @@ def _magnus_window(h0: np.ndarray, n_exc: np.ndarray, raise_op: np.ndarray,
         n *= 2
         fine = _magnus_steps(basis, coefficient, t0, t1, n)
         computed += n
+        previous = estimate
         estimate = float(np.max(np.abs(fine - coarse))) / 63.0
         if estimate < tol:
             break
+        if previous < MAGNUS_ROUNDING_ONSET and estimate > previous:
+            raise StiffnessError(
+                f"Magnus steps on [{t0:.6g}, {t1:.6g}] met the rounding floor: "
+                f"the error estimate rose from {previous:.3g} to {estimate:.3g} "
+                f"at {n} steps, so tol {tol:.3g} is out of reach")
         coarse = fine
     # back to the lab frame: U = exp(-i c N t1) U' exp(i c N t0)
     post = np.exp(-1j * (c * n_exc * t1 + shift * (t1 - t0)))

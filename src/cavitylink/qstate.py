@@ -207,23 +207,26 @@ def apply_local(state: StateVector, matrix: np.ndarray,
     """Apply a matrix on the named factors of a state, identity elsewhere.
 
     The matrix acts on the product of the factors in the order given (not
-    the state's order), e.g. a (atom, cavity) node block; the work is one
-    tensordot over those axes, O(D d) for a d-dimensional block.
+    the state's order), e.g. a (atom, cavity) node block.  The named axes
+    are transposed to the front and the amplitudes reshaped to (d, D/d), so
+    the work is one matmul, O(D d) for a d-dimensional block.
     """
     space = state.space
     axes = [space.axis(name) for name in factors]  # raises on unknown label
     if len(set(axes)) != len(axes):
         raise QStateError(f"repeated factor in {tuple(factors)}")
-    dims = [space.dims[k] for k in axes]
-    d = int(np.prod(dims))
+    d = int(np.prod([space.dims[k] for k in axes]))
     mat = np.asarray(matrix, dtype=complex)
     if mat.shape != (d, d):
         raise QStateError(f"matrix shape {mat.shape} != ({d}, {d}) for factors "
                           f"{tuple(factors)}")
-    n = len(axes)
-    out = np.tensordot(mat.reshape(dims + dims), state.tensor_view(),
-                       axes=(list(range(n, 2 * n)), axes))
-    return StateVector(space, np.moveaxis(out, range(n), axes).reshape(-1))
+    order = axes + [k for k in range(len(space.dims)) if k not in axes]
+    psi = state.tensor_view().transpose(order)
+    out = (mat @ psi.reshape(d, -1)).reshape(psi.shape)
+    # the inverse permutation, sorted in Python: np.argsort's first call
+    # faults in numpy's sort kernels, a third of a MB of peak RSS
+    inverse = sorted(range(len(order)), key=order.__getitem__)
+    return StateVector(space, out.transpose(inverse).reshape(-1))
 
 
 def embed(op: Operator, space: CompositeSpace) -> Operator:
@@ -272,12 +275,11 @@ def _validate_basis(factor: FactorLabel, basis) -> list:
 
 def _project_factor(state: StateVector, axis: int, vec: np.ndarray):
     """Return (projected un-normalized amplitudes, probability)."""
-    psi = state.tensor_view()
-    psi = np.moveaxis(psi, axis, 0)
-    coeff = np.tensordot(vec.conj(), psi, axes=(0, 0))  # amplitude per rest-index
+    dims = state.space.dims
+    psi = state.amplitudes.reshape(int(np.prod(dims[:axis])), dims[axis], -1)
+    coeff = vec.conj() @ psi  # amplitude per (left, right) rest-index
     prob = float(np.sum(np.abs(coeff) ** 2))
-    proj = np.multiply.outer(vec, coeff)
-    proj = np.moveaxis(proj, 0, axis)
+    proj = vec[:, None] * coeff[:, None, :]
     return proj.reshape(-1), prob
 
 

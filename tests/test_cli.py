@@ -150,6 +150,18 @@ def test_under_resolved_sweep_is_a_numerical_failure(capsys, monkeypatch):
     assert "numerical failure" in err and "passed 128" in err
 
 
+def test_tolerance_below_the_rounding_floor_is_a_numerical_failure(capsys):
+    # the Magnus doubling stops at its rounding floor within seconds
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "fidelity-sweep", "--mode", "simulated",
+                           "--steps", "1", "--x-min", "0.1", "--x-max", "0.1",
+                           "--tolerance", "1e-16")
+    assert time.perf_counter() - start < 30.0
+    assert rc == 2
+    assert out == ""
+    assert "numerical failure" in err and "rounding floor" in err
+
+
 # ---------------------------------------------------------------------------
 # two-photon
 

@@ -27,7 +27,8 @@ from cavitylink import (
     state_fidelity,
 )
 from cavitylink.gates import HADAMATOM, GateResult
-from cavitylink.perturb import SOURCE_POINT_CYCLIC
+from cavitylink.perturb import (SOURCE_POINT_ANGULAR, SOURCE_POINT_CYCLIC,
+                                _sigma0_free_total, two_photon_probability)
 from cavitylink.qstate import CompositeSpace, FactorLabel
 
 
@@ -296,6 +297,19 @@ def test_swap_source_point_exchange_probability():
                                                                   rel=1e-3)
     assert set(res.correction) == {"theta"}
     assert res.norm_drift < 1e-9
+
+
+@pytest.mark.parametrize("point, expected", [
+    (SOURCE_POINT_CYCLIC, 0.3604527445398969),
+    (SOURCE_POINT_ANGULAR, 0.009307960209725559)], ids=["cyclic", "angular"])
+def test_swap_perturbative_estimate_is_the_two_photon_probability(point, expected):
+    # full-precision frozen values, read through the sigma0-free integral's
+    # cache cold (the swap) and warm (the composite CNOT)
+    st = _node_state({(0, 0): 1.0})
+    _sigma0_free_total.cache_clear()
+    cold = physical_swap_two_photon(st, point).exchange_probability_perturbative
+    warm = physical_cnot_atom_to_cavity(st, point).exchange_probability_perturbative
+    assert cold == warm == two_photon_probability(point) == expected
 
 
 def test_swap_needs_deep_ladder():

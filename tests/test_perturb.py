@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from cavitylink.qstate import ATOM_E, ATOM_G, QStateError
 from cavitylink.jcmodel import dressed_pair, jc_space, manifold_splitting
 from cavitylink.perturb import (
     FROZEN_CALIBRATION, FROZEN_CONVENTION, SOURCE_POINT_ANGULAR,
-    SOURCE_POINT_CYCLIC, TwoPhotonParams, _path_elements, calibrate_convention,
-    first_order_population, two_photon_amplitude, two_photon_probability,
-    two_photon_tdse_oracle)
+    SOURCE_POINT_CYCLIC, TwoPhotonParams, _path_elements, _sigma0_free_total,
+    calibrate_convention, first_order_population, two_photon_amplitude,
+    two_photon_probability, two_photon_tdse_oracle)
 
 
 def small_point(sigma0=0.02):
@@ -55,19 +57,48 @@ def _dressed_hops(p: TwoPhotonParams, cutoff: int = 2) -> tuple:
 def test_path_weights_are_products_of_dressed_hops():
     for p in (SOURCE_POINT_CYCLIC, TwoPhotonParams(1.0, 5.0, 3.0, 0.1)):
         hop1, hop2 = _dressed_hops(p)
-        weights, _d1, _d2 = _path_elements(p)
+        weights, _d1, _d2 = _path_elements(p.rabi_coupling, p.delta, p.omega_laser)
         np.testing.assert_allclose(weights, hop1 * hop2, rtol=0, atol=1e-14)
     # the elements at the operating point, through V+ and V- respectively
     hop1, hop2 = _dressed_hops(SOURCE_POINT_CYCLIC)
     np.testing.assert_allclose(hop1, [0.99513333, -0.09853762], atol=1e-8)
     np.testing.assert_allclose(hop2, [0.09760325, 0.98569713], atol=1e-8)
-    np.testing.assert_allclose(_path_elements(SOURCE_POINT_CYCLIC)[0],
-                               [0.09712825, -0.09712825], atol=1e-8)
+    cyc = SOURCE_POINT_CYCLIC
+    np.testing.assert_allclose(
+        _path_elements(cyc.rabi_coupling, cyc.delta, cyc.omega_laser)[0],
+        [0.09712825, -0.09712825], atol=1e-8)
 
 
 def test_zero_drive_gives_zero_amplitude():
     p = small_point(sigma0=0.0)
+    _sigma0_free_total.cache_clear()
     assert two_photon_probability(p) == 0.0
+    assert two_photon_amplitude(p, "reverse") == 0.0
+    # exactly zero without integrating, so nothing is cached
+    assert _sigma0_free_total.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("point", [SOURCE_POINT_ANGULAR, SOURCE_POINT_CYCLIC,
+                                   small_point()], ids=["angular", "cyclic", "small"])
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_cold_and_warm_amplitudes_are_identical(point, direction):
+    # the cached integral is filled at one drive strength and read at others:
+    # every amplitude must equal the one computed with the cache empty
+    scales = np.random.default_rng(17).uniform(0.1, 1.0, size=4)
+    points = [dataclasses.replace(point, sigma0=point.sigma0 * s) for s in scales]
+    cold = []
+    for p in points:
+        _sigma0_free_total.cache_clear()
+        cold.append(two_photon_amplitude(p, direction))
+    _sigma0_free_total.cache_clear()
+    base = two_photon_amplitude(point, direction)
+    warm = [two_photon_amplitude(p, direction) for p in points]
+    info = _sigma0_free_total.cache_info()
+    assert (info.misses, info.hits) == (1, len(points))
+    assert warm == cold
+    # and the amplitude scales as sigma0^2
+    for s, amp in zip(scales, warm):
+        np.testing.assert_allclose(amp, s ** 2 * base, rtol=1e-14, atol=0)
 
 
 def test_forward_reverse_symmetry():
@@ -104,8 +135,16 @@ def test_first_order_population_suppressed():
 
 def test_breakdown_warning_above_unity():
     strong = small_point(sigma0=2.0)
+    _sigma0_free_total.cache_clear()
     with pytest.warns(UserWarning, match="exceeds 1"):
         assert two_photon_probability(strong) > 1.0
+    # a cache hit warns as well, the cached integral being sigma0-free
+    with pytest.warns(UserWarning, match="exceeds 1"):
+        assert two_photon_probability(strong) > 1.0
+    assert _sigma0_free_total.cache_info().hits == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert two_photon_probability(small_point()) < 1.0
 
 
 def test_operating_point_calibration_frozen_values():

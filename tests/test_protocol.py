@@ -31,7 +31,7 @@ from cavitylink import (
     run_nonlocal_cqpg,
 )
 import cavitylink
-from cavitylink import gates, qstate
+from cavitylink import gates, perturb, qstate
 from cavitylink.gates import HADAMATOM
 from cavitylink import protocol
 from cavitylink.protocol import ClassicalChannel, TraceRecord
@@ -386,10 +386,13 @@ def test_cold_physical_cnot_integrates_the_cnot_pulse_once():
     # step 4 and the step-5 composite share one full-node CNOT propagator
     gates._cnot_engine.cache_clear()
     gates._cnot_atom_to_cavity_engine.cache_clear()
+    perturb._sigma0_free_total.cache_clear()
     run_nonlocal_cnot(level="physical")
     info = gates._cnot_engine.cache_info()
     assert info.misses == 1
     assert info.hits >= 1
+    # and the perturbative swap estimate integrates its grid once
+    assert perturb._sigma0_free_total.cache_info().misses == 1
 
 
 def test_import_and_physical_protocol_load_no_ode_integrator():

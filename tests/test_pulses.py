@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -411,3 +412,37 @@ def test_under_resolved_drive_raises_stiffness(monkeypatch):
     monkeypatch.setattr(pulses, "MAGNUS_MAX_STEPS", 128)
     with pytest.raises(StiffnessError, match="passed 128"):
         gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.1), RWA)
+
+
+def test_tolerance_below_the_rounding_floor_raises_stiffness():
+    # at 1e-16 the RWA CNOT's estimates fall to a few 1e-15 and then rise
+    # with rounding; the doubling stops there instead of running to the cap
+    tight = PhysicalGateConfig(rwa=True, tol=1e-16)
+    start = time.perf_counter()
+    with pytest.raises(StiffnessError, match="rounding floor"):
+        gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.1), tight)
+    assert time.perf_counter() - start < 30.0
+    # at the default tol the rule cannot act: the x = 0.02 pulse keeps its
+    # step count
+    meta = gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.02), RWA)[3]
+    assert meta["steps"] == 4096
+    assert meta["error_estimate"] < RWA.tol
+
+
+def test_rising_estimate_above_the_rounding_onset_keeps_doubling(monkeypatch):
+    # a strong pulse is under-resolved at first, and its estimate rises
+    # from the first doubling to the second; that is not rounding
+    passes = []
+    steps = pulses._magnus_steps
+
+    def spy(*args):
+        passes.append(steps(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(pulses, "_magnus_steps", spy)
+    static = jc_rotating(desk_params(1.0, x=0.1), 2)
+    strong = PulseSpec(omega_drive=0.4, shape="gaussian", amplitude=1600.0, width=1.0)
+    _u, info = propagate_basis(static, [Drive(strong, 0.4)], -3.0, 3.0, 1e-10)
+    estimates = [np.max(np.abs(b - a)) / 63.0 for a, b in zip(passes, passes[1:])]
+    assert pulses.MAGNUS_ROUNDING_ONSET < estimates[0] < estimates[1]
+    assert info["error_estimate"] == estimates[-1] < 1e-10

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from cavitylink.qstate import (
     TOLERANCES, CompositeSpace, FactorLabel, Operator, QStateError,
@@ -131,6 +132,62 @@ def test_apply_local_matches_dense_embed(factors):
     local = apply_local(st, u, factors)
     assert local.space == space
     np.testing.assert_allclose(local.amplitudes, dense.amplitudes, atol=1e-13)
+
+
+@strategies.composite
+def _factors_and_subset(draw):
+    """Factor dims of a random space and an ordered subset of its axes."""
+    dims = draw(strategies.lists(strategies.integers(2, 4), min_size=2, max_size=4))
+    order = draw(strategies.permutations(range(len(dims))))
+    picked = tuple(order[:draw(strategies.integers(1, len(dims)))])
+    return dims, picked, draw(strategies.integers(0, 2 ** 32 - 1))
+
+
+# derandomized, few examples and no example database: the same cases on
+# every run, in well under a second
+_PROPERTY = settings(max_examples=25, derandomize=True, database=None,
+                     deadline=None)
+
+
+def _numbered_space(dims):
+    return CompositeSpace([FactorLabel(f"f{k}", d) for k, d in enumerate(dims)])
+
+
+@_PROPERTY
+@given(_factors_and_subset())
+def test_apply_local_matches_dense_embed_on_random_spaces(case):
+    dims, picked, seed = case
+    space = _numbered_space(dims)
+    names = tuple(f"f{k}" for k in picked)
+    sub = CompositeSpace([space.factor(name) for name in names])
+    u = _random_unitary(sub.dim, seed)
+    st = _random_state(space, seed)
+    dense = embed(Operator(sub, u, unitary=True), space).apply(st)
+    np.testing.assert_allclose(apply_local(st, u, names).amplitudes,
+                               dense.amplitudes, rtol=0, atol=1e-13)
+
+
+@_PROPERTY
+@given(_factors_and_subset())
+def test_enumerate_branches_matches_dense_projectors(case):
+    # every axis, in the computational basis and in a random one
+    dims, _picked, seed = case
+    space = _numbered_space(dims)
+    st = _random_state(space, seed)
+    for f in space.factors:
+        rotated = _random_unitary(f.dim, seed + f.dim)
+        for basis in (None, [(f"b{j}", rotated[:, j]) for j in range(f.dim)]):
+            vecs = np.eye(f.dim) if basis is None else rotated
+            for j, (label, collapsed, prob) in enumerate(
+                    enumerate_branches(st, f.name, basis)):
+                proj = np.outer(vecs[:, j], vecs[:, j].conj())
+                dense = embed(Operator(CompositeSpace([f]), proj), space)
+                amps = dense.matrix @ st.amplitudes
+                p_ref = float(np.vdot(amps, amps).real)
+                assert label == (str(j) if basis is None else f"b{j}")
+                np.testing.assert_allclose(prob, p_ref, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(collapsed.amplitudes,
+                                           amps / np.sqrt(p_ref), rtol=0, atol=1e-13)
 
 
 def test_apply_local_rejects_bad_labels_and_shapes():
