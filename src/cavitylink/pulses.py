@@ -13,8 +13,13 @@ the drives it is given:
   one, so the generator there is K + z(t) X + conj(z(t)) Y with constant K,
   X and Y: only the scalar z depends on time.  A rotating-wave drive has
   z = (p(t)/2) exp(-i phase); the full drive adds its counter-rotating
-  term, which oscillates at the carrier plus the counter frequency and so
-  sets the smallest useful step.  Each step is built from six fixed
+  term, which oscillates at W, the carrier plus the counter frequency.
+  Each step reads z through three moments, integrated on a fixed
+  Gauss-Legendre rule with one panel per radian of W, and adds the double
+  integral of z times its conjugate that no polynomial through the
+  moments holds: the counter-rotating term's Bloch-Siegert shift.  So a
+  step may span more than a radian of W (a Magnus-Filon step: Iserles,
+  Appl. Numer. Math. 43, 145 (2002)).  Each step is built from six fixed
   matrices and exponentiated by a scaled Taylor polynomial, stacked
   matmuls only.  Step doubling picks the step count and supplies the
   error estimate (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
@@ -27,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,8 +46,12 @@ PULSE_SHAPES = ("rectangular", "gaussian")
 DEFAULT_GAUSSIAN_SUPPORT = 3.0
 
 
-# 3-point Gauss-Legendre nodes on a unit step, for the 6th-order Magnus step.
-_GAUSS3 = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
+# Each Magnus step takes its scalar moments on a fixed Gauss-Legendre rule of
+# FILON_NODES nodes on each of P equal panels, P the least count with each
+# panel spanning at most FILON_PANEL_RAD of the counter-rotating phase (one
+# panel for a rotating-wave drive).
+FILON_NODES = 10
+FILON_PANEL_RAD = 1.0
 # Magnus steps start at MAGNUS_FIRST_STEPS per drive, or at the first
 # doubling that resolves the counter-rotating term, and double until the
 # estimate meets the tolerance; past MAGNUS_MAX_STEPS the drive is refused.
@@ -110,8 +120,8 @@ class PulseSpec:
         """Envelope p(t) in rad/s, without the carrier.
 
         A float t gives a float (Drive.coefficient's scalar path); anything
-        else is evaluated elementwise as an array (the Magnus path's Gauss
-        points).
+        else is evaluated elementwise as an array (the Magnus path's panel
+        nodes).
         """
         lo, hi = self.window
         if isinstance(t, float):
@@ -260,23 +270,82 @@ def _magnus_basis(k: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.stack(mats).reshape(6, -1)
 
 
-def _magnus_steps(basis: np.ndarray, coefficient, t0: float, t1: float,
-                  n: int) -> np.ndarray:
+def _panels(w: float, h: float) -> int:
+    """Panels per step of length h for a term oscillating at w."""
+    return max(1, math.ceil(abs(w) * h / FILON_PANEL_RAD))
+
+
+@lru_cache(maxsize=16)
+def _step_rule(panels: int) -> tuple:
+    """The fixed rule of a unit step cut into equal panels.
+
+    Returns the nodes u in (0, 1), FILON_NODES per panel; the moment matrix
+    whose column j gives the integral of (u - 1/2)^j z(u) over the step; and
+    the weighted cumulative matrix whose row i gives w_i times the integral
+    of z from 0 to u_i, exact for z a degree-9 polynomial on each panel.
+    """
+    leg = np.polynomial.legendre
+    x, wx = leg.leggauss(FILON_NODES)
+    # integral from -1 to x_i of the Lagrange polynomial through x_k
+    lagrange = np.linalg.inv(leg.legvander(x, FILON_NODES - 1))
+    inside = leg.legvander(x, FILON_NODES) @ leg.legint(lagrange, lbnd=-1.0)
+    nodes = ((np.arange(panels)[:, None] + (x + 1.0) / 2.0) / panels).ravel()
+    weights = np.tile(wx / (2.0 * panels), panels)
+    # every earlier panel whole, then this one up to the node
+    cumulative = (np.kron(np.tri(panels, k=-1), np.tile(wx, (FILON_NODES, 1)))
+                  + np.kron(np.eye(panels), inside)) * (weights[:, None] / (2.0 * panels))
+    moments = weights[:, None] * (nodes[:, None] - 0.5) ** np.arange(3)
+    for array in (nodes, moments, cumulative):
+        array.setflags(write=False)
+    return nodes, moments, cumulative
+
+
+def _step_scalars(z: np.ndarray, h: float, rule: tuple) -> tuple:
+    """x1, x2, x3 and the Bloch-Siegert term of steps of length h, from z at
+    the rule's nodes (one row per step).
+
+    The moments B_j = h^-(j+1) int (t - t_mid)^j z dt fix the quadratic
+    that the 6th-order scheme reads as x1 + x2 s + x3 s^2, s = (t - t_mid)
+    / h.  The scheme's [X, Y] term is then R_poly / 2, with R_poly the
+    closed form of R = int int_{s<t} (z(t) conj z(s) - conj z(t) z(s)) for
+    that quadratic; the last value is (R - R_poly) / 2, R taken on the
+    nodes.  For a rotating-wave drive it vanishes to the scheme's order; the
+    counter-rotating term times its conjugate leaves the Bloch-Siegert
+    shift, which the quadratic cannot hold.
+    """
+    _nodes, moments, cumulative = rule
+    b0, b1, b2 = (z @ moments).T
+    x1 = h * (2.25 * b0 - 15.0 * b2)
+    x2 = (12.0 * h) * b1
+    x3 = h * (180.0 * b2 - 15.0 * b0)
+    r = (2j * h * h) * np.sum(z * (z.conj() @ cumulative.T), axis=1).imag
+    r_poly = (-(x1 * x2.conj() - x1.conj() * x2) / 6.0
+              + (x2 * x3.conj() - x2.conj() * x3) / 120.0)
+    return x1, x2, x3, 0.5 * (r - r_poly)
+
+
+def _magnus_steps(basis: np.ndarray, coefficient, w: float, t0: float,
+                  t1: float, n: int) -> np.ndarray:
     """Propagator of dU/dt = (K + z X + conj(z) Y) U over [t0, t1] in n steps
-    of the 6th-order 3-point Gauss-Legendre Magnus scheme (Blanes et al.
-    2009); basis is _magnus_basis(K, X) and coefficient gives z at an array
-    of times."""
+    of the 6th-order Magnus scheme (Blanes et al. 2009); basis is
+    _magnus_basis(K, X), coefficient gives z at an array of times, and w is
+    the frequency of its fastest term (0 for a rotating-wave drive).
+
+    Each step reads z through exact-to-rounding moments on _step_rule's
+    panels, not through point samples, and adds the Bloch-Siegert term of
+    _step_scalars to its [X, Y] coefficient, so a step may span a radian
+    or more of w (Iserles, Appl. Numer. Math. 43, 145 (2002)).
+    """
     h = (t1 - t0) / n
     dim = math.isqrt(basis.shape[1])
+    rule = _step_rule(_panels(w, h))
     u = np.eye(dim, dtype=complex)
     for first in range(0, n, MAGNUS_BLOCK):
         m = min(MAGNUS_BLOCK, n - first)
-        z1, z2, z3 = np.asarray(
-            coefficient(t0 + h * (np.arange(first, first + m)[:, None] + _GAUSS3))).T
+        z = np.asarray(coefficient(t0 + h * (np.arange(first, first + m)[:, None]
+                                             + rule[0])))
         # a1, a2 and a3 on (X, Y); K enters a1 alone, as h K
-        x1 = h * z2
-        x2 = (math.sqrt(15.0) * h / 3.0) * (z3 - z1)
-        x3 = (10.0 * h / 3.0) * (z3 - 2.0 * z2 + z1)
+        x1, x2, x3, bloch_siegert = _step_scalars(z, h, rule)
         # rows a1, a2, d = 2 a3 + c1, l = -20 a1 - a3 + c1 and a1 + a3 / 12 on
         # the basis; c1 = [a1, a2] lies on ([K, X], [K, Y], [X, Y])
         coef = np.zeros((5, m, 6), dtype=complex)
@@ -286,6 +355,7 @@ def _magnus_steps(basis: np.ndarray, coefficient, t0: float, t1: float,
         coef[2:4, :, 3] = h * x2
         coef[2:4, :, 4] = h * x2.conj()
         coef[2:4, :, 5] = x1 * x2.conj() - x1.conj() * x2
+        coef[4, :, 5] = bloch_siegert
         a1, a2, d, l, low = (coef.reshape(5 * m, 6) @ basis).reshape(5, m, dim, dim)
         r = a2 - _commutator(a1, d) / 60.0        # a2 + c2, c2 = -[a1, d] / 60
         omega = low + _commutator(l, r) / 240.0
@@ -295,8 +365,9 @@ def _magnus_steps(basis: np.ndarray, coefficient, t0: float, t1: float,
 
 def _first_steps(w: float, t0: float, t1: float) -> int:
     """Where step doubling starts: MAGNUS_FIRST_STEPS, doubled while one step
-    spans more than pi radians of a term oscillating at w, which its three
-    Gauss points cannot resolve."""
+    spans more than pi radians of a term oscillating at w.  The panels
+    integrate such a step well; the start keeps the first comparison where
+    the error falls by 2^6 a doubling, which the estimate assumes."""
     n = MAGNUS_FIRST_STEPS
     while abs(w) * (t1 - t0) / n > math.pi:
         n *= 2
@@ -312,7 +383,8 @@ def _magnus_window(h0: np.ndarray, n_exc: np.ndarray, raise_op: np.ndarray,
     z(t) = (p(t)/2) (exp(-i phase) + exp(i (W t + phase))), W = carrier +
     counter; a rotating-wave drive keeps only the first term.  The step
     count doubles until the gap to the previous count, over 2^6 - 1, is
-    below tol.  Returns (U, steps, error estimate, steps computed).
+    below tol.  Returns (U, steps, error estimate, coefficient evaluations
+    over every pass).
     """
     c, pulse = drive.carrier, drive.pulse
     h_frame = h0 - c * np.diag(n_exc)
@@ -335,17 +407,25 @@ def _magnus_window(h0: np.ndarray, n_exc: np.ndarray, raise_op: np.ndarray,
 
         def coefficient(t):
             return pulse.envelope(t) * (slow + fast * np.exp(1j * w * t))
+    evaluations = 0
+
+    def integrate(count):
+        nonlocal evaluations
+        evaluations += count * FILON_NODES * _panels(w, (t1 - t0) / count)
+        return _magnus_steps(basis, coefficient, w, t0, t1, count)
+
     n = _first_steps(w, t0, t1)
-    computed, estimate = n, math.inf
-    coarse = _magnus_steps(basis, coefficient, t0, t1, n)
+    estimate, fine = math.inf, None
     while True:
+        # a comparison needs 2n steps: refuse before integrating any of them
         if 2 * n > MAGNUS_MAX_STEPS:
             raise StiffnessError(
                 f"Magnus steps on [{t0:.6g}, {t1:.6g}] passed {MAGNUS_MAX_STEPS} "
-                f"with error estimate {estimate:.3g} > tol {tol:.3g}")
+                f"(the next comparison needs {2 * n}) with error estimate "
+                f"{estimate:.3g} > tol {tol:.3g}")
+        coarse = integrate(n) if fine is None else fine
         n *= 2
-        fine = _magnus_steps(basis, coefficient, t0, t1, n)
-        computed += n
+        fine = integrate(n)
         previous = estimate
         estimate = float(np.max(np.abs(fine - coarse))) / 63.0
         if estimate < tol:
@@ -355,11 +435,10 @@ def _magnus_window(h0: np.ndarray, n_exc: np.ndarray, raise_op: np.ndarray,
                 f"Magnus steps on [{t0:.6g}, {t1:.6g}] met the rounding floor: "
                 f"the error estimate rose from {previous:.3g} to {estimate:.3g} "
                 f"at {n} steps, so tol {tol:.3g} is out of reach")
-        coarse = fine
     # back to the lab frame: U = exp(-i c N t1) U' exp(i c N t0)
     post = np.exp(-1j * (c * n_exc * t1 + shift * (t1 - t0)))
     u = post[:, None] * fine * np.exp(1j * c * n_exc * t0)
-    return u, n, estimate, computed
+    return u, n, estimate, evaluations
 
 
 def _magnus_propagator(static_h: Operator, evals: np.ndarray, q: np.ndarray,
@@ -392,16 +471,16 @@ def _magnus_propagator(static_h: Operator, evals: np.ndarray, q: np.ndarray,
         return (q * np.exp(-1j * evals * dt)) @ q.conj().T
 
     u = np.eye(h0.shape[0], dtype=complex)
-    t, steps, estimate, computed = t0, 0, 0.0, 0
+    t, steps, estimate, evaluations = t0, 0, 0.0, 0
     for lo, hi, drive in windows:
         if lo > t:
             u = free(lo - t) @ u
         seg, n, est, work = _magnus_window(h0, n_exc, raise_op, drive, lo, hi, tol)
         u = seg @ u
-        t, steps, estimate, computed = hi, steps + n, estimate + est, computed + work
+        t, steps, estimate, evaluations = hi, steps + n, estimate + est, evaluations + work
     if t1 > t:
         u = free(t1 - t) @ u
-    return u, {"nfev": 3 * computed, "method": "magnus6", "steps": steps,
+    return u, {"nfev": evaluations, "method": "magnus6", "steps": steps,
                "error_estimate": estimate}
 
 
@@ -419,8 +498,9 @@ def propagate_basis(static_h: Operator, drives: Sequence[Drive],
     info["steps"] counts the Magnus steps of the result and
     info["error_estimate"] is their step-doubling estimate of
     max |U - U_exact|, held below tol (both 0 on the exact path);
-    info["nfev"] counts coefficient evaluations, three per step computed
-    over every doubling.
+    info["nfev"] counts coefficient evaluations at the step rule's nodes,
+    FILON_NODES per panel of every step computed over every doubling: 10 a
+    step for a rotating-wave drive, 10 P for the full drive's P panels.
     """
     if t1 <= t0:
         raise QStateError(f"need t1 > t0, got [{t0}, {t1}]")

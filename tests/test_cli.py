@@ -150,6 +150,21 @@ def test_under_resolved_sweep_is_a_numerical_failure(capsys, monkeypatch):
     assert "numerical failure" in err and "passed 128" in err
 
 
+def test_start_past_the_step_cap_is_refused_before_integrating(capsys, monkeypatch):
+    # at x = 0.002 a step may span at most pi of the full drive's
+    # counter-rotating term from 2^24 steps on, past MAGNUS_MAX_STEPS: the
+    # drive is refused before any pass, not after one of 2^24 steps
+    passes = []
+    monkeypatch.setattr(pulses, "_magnus_steps", lambda *args: passes.append(args))
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "fidelity-sweep", "--mode", "simulated", "--no-rwa",
+                           "--steps", "1", "--x-min", "0.002", "--x-max", "0.002")
+    assert time.perf_counter() - start < 10.0
+    assert rc == 2
+    assert out == "" and passes == []
+    assert "numerical failure" in err and f"passed {pulses.MAGNUS_MAX_STEPS}" in err
+
+
 def test_tolerance_below_the_rounding_floor_is_a_numerical_failure(capsys):
     # the Magnus doubling stops at its rounding floor within seconds
     start = time.perf_counter()

@@ -231,8 +231,9 @@ def test_evolve_tdse_space_mismatch():
 
 
 def _frame_generator(carrier, counter):
-    """Basis and coefficient of the cutoff-2 CNOT node in the carrier's frame,
-    under a pi-area gaussian drive; counter None is the rotating wave."""
+    """Basis, coefficient and its fastest frequency for the cutoff-2 CNOT node
+    in the carrier's frame, under a pi-area gaussian drive; counter None is
+    the rotating wave."""
     p = desk_params(1.0, x=0.1)
     static = jc_rotating(p, 2)
     k = -1j * (static.matrix - carrier * np.diag(pulses._excitations(static.space)))
@@ -240,21 +241,26 @@ def _frame_generator(carrier, counter):
     pulse = calibrate_pulse_area(PulseSpec(omega_drive=carrier, shape="gaussian",
                                            amplitude=1.0, width=4.0), math.pi)
     if counter is None:
+        w = 0.0
+
         def coefficient(t):
             return 0.5 * pulse.envelope(t)
     else:
+        w = carrier + counter
+
         def coefficient(t):
-            return 0.5 * pulse.envelope(t) * (1.0 + np.exp(1j * (carrier + counter) * t))
-    return basis, coefficient, pulse.window
+            return 0.5 * pulse.envelope(t) * (1.0 + np.exp(1j * w * t))
+    return basis, coefficient, w, pulse.window
 
 
-def _check_sixth_order(counter, coarsest):
-    basis, coefficient, (t0, t1) = _frame_generator(0.7, counter)
-    ref = pulses._magnus_steps(basis, coefficient, t0, t1, 64 * coarsest)
+def _check_sixth_order(counter, coarsest, finest_error=1e-10):
+    basis, coefficient, w, (t0, t1) = _frame_generator(0.7, counter)
+    ref = pulses._magnus_steps(basis, coefficient, w, t0, t1, 64 * coarsest)
     counts = [coarsest * 2 ** k for k in range(4)]
-    errors = [np.max(np.abs(pulses._magnus_steps(basis, coefficient, t0, t1, n) - ref))
+    errors = [np.max(np.abs(pulses._magnus_steps(basis, coefficient, w, t0, t1, n)
+                            - ref))
               for n in counts]
-    assert errors[-1] < 1e-10
+    assert errors[-1] < finest_error
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse / fine >= 2.0 ** 5, errors
 
@@ -269,6 +275,44 @@ def test_magnus_step_is_sixth_order_with_counter_rotating_term():
     # at 256 steps a step spans 0.56 rad of the 6 rad/s counter-rotating
     # term; past 2048 steps the errors meet the rounding floor
     _check_sixth_order(5.3, 256)
+    # at 16 rad/s the steps span 3 and 1.5 rad over the first doubling: the
+    # panel moments and the Bloch-Siegert term keep the rate there
+    _check_sixth_order(15.3, 128, finest_error=1e-9)
+
+
+def test_step_rule_bloch_siegert_term_vanishes_on_a_quadratic():
+    # R_poly is R for the quadratic the moments describe, so a quadratic z
+    # leaves no Bloch-Siegert term, on any panel count
+    rng = make_rng(3)
+    for panels in (1, 2, 4):
+        rule = pulses._step_rule(panels)
+        c = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
+        s = rule[0] - 0.5
+        z = (c[0] + c[1] * s + c[2] * s * s)[None, :]
+        x1, x2, x3, bloch_siegert = pulses._step_scalars(z, 0.7, rule)
+        np.testing.assert_allclose(np.ravel([x1, x2, x3]), 0.7 * c.ravel(), atol=1e-14)
+        assert abs(bloch_siegert[0]) < 2e-15
+
+
+def test_full_drive_bloch_siegert_term_at_fixed_steps(monkeypatch):
+    # the cutoff-5 CNOT at x = 0.1 under the full drive: at 8192 steps a step
+    # spans 1.36 rad of the counter-rotating term.  Without the
+    # Bloch-Siegert term the moments are 6.1e-8 off the 16x reference (and
+    # three Gauss samples a step 3.1e-8); with it, 9.6e-10
+    calls = []
+    steps = pulses._magnus_steps
+
+    def spy(*args):
+        calls.append(args)
+        return steps(*args)
+
+    monkeypatch.setattr(pulses, "_magnus_steps", spy)
+    gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.1), FULL)
+    basis, coefficient, w, t0, t1, _n = calls[0]
+    assert 1.3 < w * (t1 - t0) / 8192 < 1.4
+    coarse = steps(basis, coefficient, w, t0, t1, 8192)
+    fine = steps(basis, coefficient, w, t0, t1, 16 * 8192)
+    assert np.max(np.abs(coarse - fine)) < 2e-9
 
 
 def test_taylor_exponential_matches_eigh():
@@ -296,8 +340,13 @@ def test_magnus_info_and_frame_checks():
         assert pulses._first_steps(0.0 if counter is None else 40.4, -3.0, 3.0) == start
         assert info["steps"] >= 2 * start
         assert 0.0 <= info["error_estimate"] < 1e-10
-        # three Gauss points per step, over every doubling
-        assert info["nfev"] == 3 * (2 * info["steps"] - start)
+        # ten nodes per panel of every step, over every doubling: one panel a
+        # step for the rotating wave, two at 128 full-drive steps (1.9 rad)
+        passes = [start << k for k in range((info["steps"] // start).bit_length())]
+        w = 0.0 if counter is None else 40.4
+        assert info["nfev"] == sum(10 * n * pulses._panels(w, 6.0 / n) for n in passes)
+        if counter is None:
+            assert info["nfev"] == 10 * (2 * info["steps"] - start)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(static.space.dim), atol=1e-12)
     overlapping = PulseSpec(omega_drive=0.2, shape="gaussian", amplitude=0.3,
                             width=1.0, center=1.0)
@@ -376,6 +425,19 @@ FULL_ENGINES = {
 }
 
 
+# the step counts each engine ends at, pinned: the rotating-wave counts are
+# those of the 3-point Gauss step that the panel moments replaced, and the
+# full-drive CNOT needs half or a quarter of its former 32768 and 131072
+ENGINE_STEPS = {
+    "rwa": {"cnot-x0.1": 1024, "cnot-x0.02": 4096, "swap-cyclic": 2048,
+            "dressed-hadamard-x1e-3": 1024, "sequential-not": 2048,
+            **{name: 128 for name in RWA_ENGINES if name.startswith("bare-")},
+            "two-photon-angular": 256, "two-photon-cyclic": 2048},
+    "full": {"cnot-x0.1": 16384, "cnot-x0.05": 32768, "sequential-not": 32768,
+             "bare-slow": 4096},
+}
+
+
 def _check_against_dop853(monkeypatch, build):
     calls = []
 
@@ -393,18 +455,20 @@ def _check_against_dop853(monkeypatch, build):
     assert info["error_estimate"] < tol
     oracle = _dop853(static, drives, t0, t1, tol, columns)
     assert np.max(np.abs(out.reshape(oracle.shape) - oracle)) <= tol
-    return drives
+    return drives, info["steps"]
 
 
-@pytest.mark.parametrize("build", RWA_ENGINES.values(), ids=RWA_ENGINES.keys())
-def test_rotating_wave_engines_match_dop853(monkeypatch, build):
-    _check_against_dop853(monkeypatch, build)
+@pytest.mark.parametrize("name", RWA_ENGINES)
+def test_rotating_wave_engines_match_dop853(monkeypatch, name):
+    _drives, steps = _check_against_dop853(monkeypatch, RWA_ENGINES[name])
+    assert steps == ENGINE_STEPS["rwa"][name]
 
 
-@pytest.mark.parametrize("build", FULL_ENGINES.values(), ids=FULL_ENGINES.keys())
-def test_full_drive_engines_match_dop853(monkeypatch, build):
-    drives = _check_against_dop853(monkeypatch, build)
+@pytest.mark.parametrize("name", FULL_ENGINES)
+def test_full_drive_engines_match_dop853(monkeypatch, name):
+    drives, steps = _check_against_dop853(monkeypatch, FULL_ENGINES[name])
     assert all(drive.counter is not None for drive in drives)
+    assert steps == ENGINE_STEPS["full"][name]
 
 
 def test_under_resolved_drive_raises_stiffness(monkeypatch):
