@@ -3,10 +3,11 @@
 
 The laser couples |g,0> to the manifold-0 dressed pair and that pair to
 |V+,1>; summing the two paths with their time-ordered double integral gives
-the exchange amplitude of the swap primitive.  Energies are taken in the
-frame co-rotating at the cavity frequency, where the three levels sit at
--delta/2, +/-R_0 and +R_1, so the resonant laser frequency is
-(R_1 + delta/2)/2, half the total two-photon gap.
+the exchange amplitude of the swap primitive, taken on the Magnus step's
+Filon panel rule (pulses._step_rule) repeated over the laser window.
+Energies are taken in the frame co-rotating at the cavity frequency, where
+the three levels sit at -delta/2, +/-R_0 and +R_1, so the resonant laser
+frequency is (R_1 + delta/2)/2, half the total two-photon gap.
 
 The source-scale operating point is kept under two frequency readings
 (numbers as rad/s, or numbers as cycles/s times 2 pi); see
@@ -26,11 +27,17 @@ import numpy as np
 from .qstate import ATOM_G, QStateError
 from .jcmodel import (JCParams, dressed_pair, jc_rotating, jc_space,
                       manifold_splitting, mixing_angle)
-from .pulses import Drive, PulseSpec, propagate_basis
+from .pulses import Drive, PulseSpec, _panels, _step_rule, propagate_basis
+
+
+# Panel counts double until two totals agree to ORDERED_REL_TOL; a count
+# past ORDERED_MAX_PANELS is refused before anything is allocated.
+ORDERED_REL_TOL = 1e-10
+ORDERED_MAX_PANELS = 2 ** 14
 
 
 class QuadratureError(RuntimeError):
-    """The double-integral refinement failed to converge."""
+    """The ordered integral needed more than ORDERED_MAX_PANELS panels."""
 
 
 @dataclass(frozen=True)
@@ -118,18 +125,19 @@ SOURCE_POINT_CYCLIC = TwoPhotonParams(
 FROZEN_CONVENTION = "cyclic"
 FROZEN_CALIBRATION = {
     "angular": {"perturbative": 0.009308, "tdse": 0.008153},
-    "cyclic": {"perturbative": 0.360453, "tdse": 0.000638},
+    "cyclic": {"perturbative": 0.360455, "tdse": 0.000638},
 }
 
 
 def _path_elements(rabi_coupling: float, delta: float,
                    omega_laser: Optional[float]):
-    """Matrix elements and detunings of the two intermediate paths.
+    """Hop elements and detunings of the two intermediate paths.
 
-    Returns (weights, d1, d2): per path j in (+, -), weights[j] is the
-    product of the two hop elements, d1/d2 the rotating-frame detunings of
-    the first and second hop under the laser of TwoPhotonParams.laser_frequency.
-    None of them depends on the drive strength sigma0.
+    Returns (hop1, hop2, d1, d2): per path j in (+, -), hop1[j] and hop2[j]
+    are the elements of the first and second hop, d1/d2 their
+    rotating-frame detunings under the laser of
+    TwoPhotonParams.laser_frequency.  None of them depends on the drive
+    strength sigma0.
     """
     params = _node_params(rabi_coupling, delta)
     phi0 = mixing_angle(params, 0)
@@ -138,56 +146,64 @@ def _path_elements(rabi_coupling: float, delta: float,
     r1 = float(manifold_splitting(params, 1))
     wl = _laser_frequency(rabi_coupling, delta, omega_laser)
     # hop 1: <V_j,0| s+ |g,0>; hop 2: <V+,1| s+ |V_j,0>
-    m1 = np.array([math.cos(phi0), -math.sin(phi0)])
-    m2 = np.array([math.sin(phi0) * math.cos(phi1),
-                   math.cos(phi0) * math.cos(phi1)])
+    hop1 = np.array([math.cos(phi0), -math.sin(phi0)])
+    hop2 = np.array([math.sin(phi0) * math.cos(phi1),
+                     math.cos(phi0) * math.cos(phi1)])
     e_i, e_f = -delta / 2.0, r1
     e_j = np.array([r0, -r0])
     d1 = e_j - e_i - wl
     d2 = e_f - e_j - wl
-    return m1 * m2, d1, d2
+    return hop1, hop2, d1, d2
 
 
-def _ordered_double_integral(env_t, t, dt, d_inner, d_outer, work):
-    """integral over t0<t'<t''<t1 of env(t'')e^{i d_outer t''} env(t')e^{i d_inner t'}
-    on the uniform grid t from t0 to t1 (spacing dt), with env_t = env(t).
+def _path_integrands(tau: float, detunings: np.ndarray, t_start: float,
+                     t_end: float, panels: int) -> tuple:
+    """env(t) exp(i d t) for each detuning d at the nodes of pulses'
+    one-panel rule repeated over `panels` equal panels of [t_start, t_end],
+    shape (len(detunings), panels, FILON_NODES); and the panel width.
 
-    work is three complex rows as long as t.  The arithmetic runs in place
-    there, because fresh grid-sized temporaries on every call made glibc hand
-    heap pages back and fault them in again, thousands of faults per call.
+    env is the laser envelope exp(-t^2/tau^2), zero past |t| = 3 tau.
     """
-    f_in, f_out, inner = work
-    for f, d in ((f_in, d_inner), (f_out, d_outer)):
-        np.multiply(1j * d, t, out=f)
-        np.exp(f, out=f)
-        f *= env_t
-    # cumulative trapezoid of the inner integrand, F(t_k) = int_{t0}^{t_k}
-    inner[0] = 0.0
-    np.add(f_in[1:], f_in[:-1], out=inner[1:])
-    inner[1:] *= 0.5
-    inner[1:] *= dt
-    np.cumsum(inner[1:], out=inner[1:])
-    # trapezoid of f_out * inner, the same operations as np.trapezoid
-    f_out *= inner
-    np.add(f_out[1:], f_out[:-1], out=f_in[1:])
-    f_in[1:] *= dt
-    f_in[1:] /= 2.0
-    return f_in[1:].sum()
+    if panels > ORDERED_MAX_PANELS:
+        raise QuadratureError(
+            f"{panels} panels on [{t_start:.6g}, {t_end:.6g}] would pass "
+            f"ORDERED_MAX_PANELS = {ORDERED_MAX_PANELS}")
+    h = (t_end - t_start) / panels
+    t = t_start + h * (np.arange(panels)[:, None] + _step_rule(1)[0])
+    envelope = PulseSpec(omega_drive=0.0, shape="gaussian", amplitude=1.0,
+                         width=tau).envelope(t)
+    return envelope * np.exp(1j * detunings[:, None, None] * t), h
+
+
+def _running_integral(f: np.ndarray, h: float) -> np.ndarray:
+    """The integral of f from the window's start to each node, from f at the
+    nodes of _path_integrands (panels of width h on the last two axes).
+
+    Each panel adds its part up to the node, exact for f a degree-9
+    polynomial on the panel, to the totals of the panels before it.
+    """
+    _nodes, moments, cumulative = _step_rule(1)
+    weights = moments[:, 0]
+    totals = f @ weights
+    before = np.zeros_like(totals)
+    np.cumsum(totals[..., :-1], axis=-1, out=before[..., 1:])
+    return h * ((f @ cumulative.T) / weights + before[..., None])
 
 
 @lru_cache(maxsize=32)
 def _sigma0_free_total(rabi_coupling: float, delta: float, tau: float,
                        t_final: Optional[float], omega_laser: Optional[float],
-                       direction: str, rel_tol: float, n_start: int,
-                       n_max: int) -> complex:
-    """sum_j w_j times the ordered double integral of path j, with the drive
-    strength sigma0 taken out: converged on a doubling grid until it moves
-    by less than rel_tol/3 between refinements.
+                       direction: str) -> complex:
+    """sum_j hop1_j hop2_j times the ordered double integral of path j, with
+    the drive strength sigma0 taken out.
 
-    Keyed on the operating point's sigma0-free fields rather than on a
-    TwoPhotonParams copy, whose construction would repeat its warnings.
+    Each path's integral weights the second hop's integrand by the first
+    hop's running integral on the panel rule; the panel count doubles until
+    two totals agree to ORDERED_REL_TOL.  Keyed on the operating point's
+    sigma0-free fields rather than on a TwoPhotonParams copy, whose
+    construction would repeat its warnings.
     """
-    weights, d1, d2 = _path_elements(rabi_coupling, delta, omega_laser)
+    hop1, hop2, d1, d2 = _path_elements(rabi_coupling, delta, omega_laser)
     if direction == "reverse":
         # conjugated hops in the opposite order: emission back down
         d1, d2 = -d2, -d1
@@ -195,64 +211,49 @@ def _sigma0_free_total(rabi_coupling: float, delta: float, tau: float,
     t_start = -3.0 * tau
     t_end = 3.0 * tau if t_final is None else t_final
 
-    def env(t):
-        t = np.asarray(t, dtype=float)
-        out = np.exp(-(t / tau) ** 2)
-        return np.where(np.abs(t) <= 3.0 * tau, out, 0.0)
+    def evaluate(panels):
+        f, h = _path_integrands(tau, np.concatenate((d1, d2)), t_start, t_end,
+                                panels)
+        f_in, f_out = f[:2], f[2:]
+        weights = _step_rule(1)[1][:, 0]
+        paths = h * np.sum(f_out * weights * _running_integral(f_in, h),
+                           axis=(1, 2))
+        return complex((hop1 * hop2) @ paths)
 
-    def evaluate(n):
-        # one grid, envelope and workspace for both paths
-        t = np.linspace(t_start, t_end, n + 1)
-        env_t = env(t)
-        work = np.empty((3, n + 1), dtype=complex)
-        total = 0.0 + 0.0j
-        for w, da, db in zip(weights, d1, d2):
-            total += w * _ordered_double_integral(env_t, t, (t_end - t_start) / n,
-                                                  da, db, work)
-        return total
-
-    n = n_start
-    prev = evaluate(n)
-    achieved = math.inf
+    # one panel per FILON_PANEL_RAD of the fastest path phase to start
+    panels = _panels(float(np.max(np.abs((d1, d2)))), t_end - t_start)
+    coarse = evaluate(panels)
     while True:
-        n *= 2
-        if n > n_max:
-            raise QuadratureError(
-                f"amplitude not converged at n = {n // 2} points; last relative "
-                f"change {achieved:.3g} > {rel_tol / 3:.3g}")
-        cur = evaluate(n)
-        achieved = abs(cur - prev) / max(abs(cur), 1e-300)
-        if achieved < rel_tol / 3.0:
-            return complex(cur)
-        prev = cur
+        panels *= 2
+        fine = evaluate(panels)
+        if abs(fine - coarse) <= ORDERED_REL_TOL * abs(fine):
+            return fine
+        coarse = fine
 
 
-def two_photon_amplitude(p: TwoPhotonParams, direction: str = "forward",
-                         rel_tol: float = 1e-4, n_start: int = 4096,
-                         n_max: int = 2 ** 17) -> complex:
+def two_photon_amplitude(p: TwoPhotonParams, direction: str = "forward") -> complex:
     """Second-order amplitude of the |g,0> -> |V+,1> exchange (or reverse).
 
     Time-ordered double integral over both intermediate paths on the window
-    [-3 tau, t_final], refined on a doubling grid until it moves by less
-    than rel_tol/3 between refinements.  The amplitude is exactly
-    -sigma0^2 times an integral that does not depend on sigma0, so that
-    integral is computed once per operating point (coupling, detuning,
-    window, laser and refinement settings) and cached; a call at another
-    drive strength only rescales it.
+    [-3 tau, t_final], on the Magnus step's Filon panel rule repeated over
+    the window, with panels doubled until two totals agree to
+    ORDERED_REL_TOL.  The amplitude is exactly -sigma0^2 times an integral
+    that does not depend on sigma0, so that integral is computed once per
+    operating point (coupling, detuning, window and laser) and cached; a
+    call at another drive strength only rescales it.
     """
     if direction not in ("forward", "reverse"):
         raise QStateError(f"direction must be forward or reverse, got {direction!r}")
     if p.sigma0 == 0.0:
         return 0.0 + 0.0j
     total = _sigma0_free_total(p.rabi_coupling, p.delta, p.tau, p.t_final,
-                               p.omega_laser, direction, rel_tol, n_start, n_max)
+                               p.omega_laser, direction)
     return complex(-(p.sigma0 ** 2) * total)  # (-i)^2 prefactor
 
 
-def two_photon_probability(p: TwoPhotonParams, direction: str = "forward",
-                           rel_tol: float = 1e-4) -> float:
+def two_photon_probability(p: TwoPhotonParams, direction: str = "forward") -> float:
     """|amplitude|^2; values above 1 flag perturbation-theory breakdown."""
-    prob = abs(two_photon_amplitude(p, direction=direction, rel_tol=rel_tol)) ** 2
+    prob = abs(two_photon_amplitude(p, direction=direction)) ** 2
     if prob > 1.0:
         warnings.warn(
             f"perturbative probability {prob:.4g} exceeds 1; "
@@ -260,28 +261,20 @@ def two_photon_probability(p: TwoPhotonParams, direction: str = "forward",
     return float(prob)
 
 
-def first_order_population(p: TwoPhotonParams, n_grid: int = 8192) -> float:
+def first_order_population(p: TwoPhotonParams) -> float:
     """Peak total first-order population of the intermediate pair V+-,0.
 
-    Small values justify treating the pair as virtual.
+    sum_j |sigma0 hop1_j int env(t) exp(i d1_j t) dt|^2 up to each node of
+    the panel rule, at one panel per FILON_PANEL_RAD of the first hops'
+    phase.  Small values justify treating the pair as virtual.
     """
     if p.sigma0 == 0.0:
         return 0.0
-    params = p.jc_params()
-    phi0 = mixing_angle(params, 0)
-    r0 = float(manifold_splitting(params, 0))
-    wl = p.laser_frequency
-    m1 = np.array([math.cos(phi0), -math.sin(phi0)])
-    d1 = np.array([r0, -r0]) + p.delta / 2.0 - wl
-    t = np.linspace(p.t_start, p.t_end, n_grid + 1)
-    dt = (p.t_end - p.t_start) / n_grid
-    env = np.exp(-(t / p.tau) ** 2) * (np.abs(t) <= 3.0 * p.tau)
-    total = np.zeros(n_grid + 1)
-    for w, d in zip(m1, d1):
-        f = env * np.exp(1j * d * t)
-        c = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * dt)))
-        total += np.abs(p.sigma0 * w * c) ** 2
-    return float(np.max(total))
+    hop1, _hop2, d1, _d2 = _path_elements(p.rabi_coupling, p.delta, p.omega_laser)
+    panels = _panels(float(np.max(np.abs(d1))), p.t_end - p.t_start)
+    f, h = _path_integrands(p.tau, d1, p.t_start, p.t_end, panels)
+    amplitudes = p.sigma0 * hop1[:, None, None] * _running_integral(f, h)
+    return float(np.max(np.sum(np.abs(amplitudes) ** 2, axis=0)))
 
 
 def two_photon_tdse_oracle(p: TwoPhotonParams, direction: str = "forward",

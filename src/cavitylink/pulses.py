@@ -119,9 +119,9 @@ class PulseSpec:
     def envelope(self, t):
         """Envelope p(t) in rad/s, without the carrier.
 
-        A float t gives a float (Drive.coefficient's scalar path); anything
-        else is evaluated elementwise as an array (the Magnus path's panel
-        nodes).
+        A float t gives a float (Drive.coefficient's scalar path, read only
+        by the tests' DOP853 oracle); an array is evaluated elementwise (the
+        panel nodes of the Magnus step and of the two-photon integrals).
         """
         lo, hi = self.window
         if isinstance(t, float):
@@ -182,7 +182,7 @@ class Drive:
         """Coefficient z(t) of s+ at time t."""
         half = 0.5 * self.pulse.envelope(t)
         phase = self.pulse.phase
-        # scalar cmath, not numpy: an ODE right-hand side calls this per step
+        # scalar cmath, not numpy: the tests' DOP853 oracle calls this per RHS
         if self.counter is None:
             return half * cmath.exp(-1j * (self.carrier * t + phase))
         return half * (cmath.exp(-1j * (self.carrier * t + phase))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavitylink import pulses
+from cavitylink import perturb, pulses
 from cavitylink.cli import _fmt_at_tol, main
 
 
@@ -185,18 +185,30 @@ def test_two_photon_single_convention(capsys):
     rc, out, _ = run_cli(capsys, "two-photon", "--convention", "cyclic")
     assert rc == 0
     lines = out.strip().splitlines()
-    assert lines[0] == ("convention=cyclic perturbative=0.36045274454 "
+    assert lines[0] == ("convention=cyclic perturbative=0.36045481072 "
                         "tdse=0.0006378623")
     assert lines[1] == "chosen=cyclic"
     assert lines[2] == "target=0.47 band=0.02 in_band=false"
+
+
+def test_two_photon_past_the_panel_cap_is_a_numerical_failure(capsys, monkeypatch):
+    # the angular point starts at 63 panels
+    monkeypatch.setattr(perturb, "ORDERED_MAX_PANELS", 32)
+    perturb._sigma0_free_total.cache_clear()
+    rc, out, err = run_cli(capsys, "two-photon", "--convention", "angular")
+    assert rc == 2
+    assert out == ""
+    assert "numerical failure" in err and "ORDERED_MAX_PANELS" in err
 
 
 def test_two_photon_auto_reports_both(capsys):
     rc, out, _ = run_cli(capsys, "two-photon")
     assert rc == 0
     lines = out.strip().splitlines()
-    assert lines[0].startswith("convention=angular perturbative=")
-    assert lines[1].startswith("convention=cyclic perturbative=")
+    assert lines[0] == ("convention=angular perturbative=0.00930804587645 "
+                        "tdse=0.0081528535")
+    assert lines[1] == ("convention=cyclic perturbative=0.36045481072 "
+                        "tdse=0.0006378623")
     assert lines[2] == "chosen=cyclic"
 
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from cavitylink.qstate import ATOM_E, ATOM_G, QStateError
+from cavitylink import perturb
 from cavitylink.jcmodel import dressed_pair, jc_space, manifold_splitting
 from cavitylink.perturb import (
     FROZEN_CALIBRATION, FROZEN_CONVENTION, SOURCE_POINT_ANGULAR,
-    SOURCE_POINT_CYCLIC, TwoPhotonParams, _path_elements, _sigma0_free_total,
+    SOURCE_POINT_CYCLIC, QuadratureError, TwoPhotonParams, _path_elements,
+    _sigma0_free_total,
     calibrate_convention, first_order_population, two_photon_amplitude,
     two_photon_probability, two_photon_tdse_oracle)
 
@@ -57,16 +59,14 @@ def _dressed_hops(p: TwoPhotonParams, cutoff: int = 2) -> tuple:
 def test_path_weights_are_products_of_dressed_hops():
     for p in (SOURCE_POINT_CYCLIC, TwoPhotonParams(1.0, 5.0, 3.0, 0.1)):
         hop1, hop2 = _dressed_hops(p)
-        weights, _d1, _d2 = _path_elements(p.rabi_coupling, p.delta, p.omega_laser)
-        np.testing.assert_allclose(weights, hop1 * hop2, rtol=0, atol=1e-14)
+        got1, got2, _d1, _d2 = _path_elements(p.rabi_coupling, p.delta, p.omega_laser)
+        np.testing.assert_allclose(got1, hop1, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got2, hop2, rtol=0, atol=1e-14)
     # the elements at the operating point, through V+ and V- respectively
     hop1, hop2 = _dressed_hops(SOURCE_POINT_CYCLIC)
     np.testing.assert_allclose(hop1, [0.99513333, -0.09853762], atol=1e-8)
     np.testing.assert_allclose(hop2, [0.09760325, 0.98569713], atol=1e-8)
-    cyc = SOURCE_POINT_CYCLIC
-    np.testing.assert_allclose(
-        _path_elements(cyc.rabi_coupling, cyc.delta, cyc.omega_laser)[0],
-        [0.09712825, -0.09712825], atol=1e-8)
+    np.testing.assert_allclose(hop1 * hop2, [0.09712825, -0.09712825], atol=1e-8)
 
 
 def test_zero_drive_gives_zero_amplitude():
@@ -99,6 +99,61 @@ def test_cold_and_warm_amplitudes_are_identical(point, direction):
     # and the amplitude scales as sigma0^2
     for s, amp in zip(scales, warm):
         np.testing.assert_allclose(amp, s ** 2 * base, rtol=1e-14, atol=0)
+
+
+def _trapezoid_total(p: TwoPhotonParams, direction: str, n: int) -> complex:
+    """sum_j hop1_j hop2_j times path j's ordered double integral, by a
+    cumulative trapezoid on n + 1 points of the window."""
+    hop1, hop2, d1, d2 = _path_elements(p.rabi_coupling, p.delta, p.omega_laser)
+    if direction == "reverse":
+        d1, d2 = -d2, -d1
+    t = np.linspace(p.t_start, p.t_end, n + 1)
+    dt = (p.t_end - p.t_start) / n
+    env = np.exp(-(t / p.tau) ** 2)
+    total = 0.0
+    for w, d_in, d_out in zip(hop1 * hop2, d1, d2):
+        f_in = env * np.exp(1j * d_in * t)
+        inner = np.concatenate(([0.0], np.cumsum(f_in[1:] + f_in[:-1]) * dt / 2))
+        g = env * np.exp(1j * d_out * t) * inner
+        total += w * np.sum(g[1:] + g[:-1]) * dt / 2
+    return total
+
+
+@pytest.mark.parametrize("point", [SOURCE_POINT_ANGULAR, SOURCE_POINT_CYCLIC],
+                         ids=["angular", "cyclic"])
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_ordered_integral_matches_richardson_trapezoid(point, direction):
+    # the trapezoid's error falls as h^2, so (4 T_2n - T_n) / 3 removes it
+    coarse, fine = (_trapezoid_total(point, direction, n) for n in (2 ** 15, 2 ** 16))
+    oracle = (4.0 * fine - coarse) / 3.0
+    total = _sigma0_free_total(point.rabi_coupling, point.delta, point.tau,
+                               point.t_final, point.omega_laser, direction)
+    np.testing.assert_allclose(total, oracle, rtol=1e-9, atol=0)
+
+
+def test_panel_cap_refuses_before_any_rule_is_evaluated(monkeypatch):
+    def no_rule(panels):
+        raise AssertionError("a panel rule was evaluated")
+
+    # the angular point starts at 63 panels, the cyclic one's first hops at 392
+    monkeypatch.setattr(perturb, "ORDERED_MAX_PANELS", 32)
+    monkeypatch.setattr(perturb, "_step_rule", no_rule)
+    _sigma0_free_total.cache_clear()
+    with pytest.raises(QuadratureError, match="63 panels .* would pass ORDERED_MAX_PANELS"):
+        two_photon_probability(SOURCE_POINT_ANGULAR)
+    with pytest.raises(QuadratureError, match="392 panels"):
+        first_order_population(SOURCE_POINT_CYCLIC)
+    assert _sigma0_free_total.cache_info().currsize == 0
+
+
+def test_unconverged_ordered_integral_stops_at_the_panel_cap(monkeypatch):
+    # no two totals agree to a negative tolerance: 63, 126 and 252 panels are
+    # evaluated, then 504 would pass the cap
+    monkeypatch.setattr(perturb, "ORDERED_REL_TOL", -1.0)
+    monkeypatch.setattr(perturb, "ORDERED_MAX_PANELS", 300)
+    _sigma0_free_total.cache_clear()
+    with pytest.raises(QuadratureError, match="504 panels"):
+        two_photon_probability(SOURCE_POINT_ANGULAR)
 
 
 def test_forward_reverse_symmetry():

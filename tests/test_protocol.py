@@ -391,7 +391,7 @@ def test_cold_physical_cnot_integrates_the_cnot_pulse_once():
     info = gates._cnot_engine.cache_info()
     assert info.misses == 1
     assert info.hits >= 1
-    # and the perturbative swap estimate integrates its grid once
+    # and the perturbative swap estimate computes its ordered integral once
     assert perturb._sigma0_free_total.cache_info().misses == 1
 
 
