@@ -83,7 +83,7 @@ def _choice(*options):
 
 
 GLOBAL_SCHEMA = {
-    "seed": (int, None, "random seed for sampled modes"),
+    "seed": (int, None, "seed of protocol --random inputs and the ebit-noise Monte Carlo"),
     "out": (str, None, "output file (default: stdout)"),
     "fock_cutoff": (int, 5, "maximum photon number kept per cavity"),
     "tolerance": (float, 1e-10, "integrator tolerance"),

@@ -40,7 +40,8 @@ from .qstate import (ATOM_E, ATOM_G, ATOM_I, CompositeSpace, FactorLabel,
                      Operator, QStateError, StateVector, apply_local, embed)
 from .jcmodel import (JCParams, bare_to_dressed_map, dressed_pair, jc_rotating,
                       manifold_splitting)
-from .pulses import Drive, PulseSpec, calibrate_pulse_area, propagate_basis
+from .pulses import (DEFAULT_GAUSSIAN_SUPPORT, Drive, PulseSpec,
+                     calibrate_pulse_area, propagate_basis)
 from .perturb import TwoPhotonParams, two_photon_amplitude
 
 
@@ -71,23 +72,26 @@ def fidelity_closed_form(x: float) -> float:
     return main + 0.003 * x * x
 
 
+# selective pulse width = TAU_FACTOR / (selectivity splitting); every
+# gaussian is truncated at pulses.DEFAULT_GAUSSIAN_SUPPORT widths
+TAU_FACTOR = 6.0
+
+
 @dataclass(frozen=True)
 class PhysicalGateConfig:
-    """Knobs shared by the pulsed gate implementations."""
+    """What callers of the pulsed gates set: the cavity's Fock cutoff,
+    whether the drive keeps its counter-rotating term (rwa False), and the
+    integrator tolerance."""
 
     fock_cutoff: int = 5
     rwa: bool = False
     tol: float = 1e-10
-    tau_factor: float = 6.0   # pulse width = tau_factor / (selectivity splitting)
-    support: float = 3.0      # gaussian truncation in units of the width
 
     def __post_init__(self) -> None:
         if self.fock_cutoff < 2:
             raise QStateError("fock_cutoff must be >= 2")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise QStateError(f"tol must be > 0 and finite, got {self.tol}")
-        if self.tau_factor <= 0 or self.support <= 0:
-            raise QStateError("tau_factor and support must be > 0")
 
 
 @dataclass(frozen=True)
@@ -259,22 +263,23 @@ def _logical_columns(params: JCParams, cutoff: int) -> np.ndarray:
     return cols
 
 
-def _level_phases_cnot(m: np.ndarray) -> np.ndarray:
-    # one phase per level, each solved on its own truth-table entry
-    th = np.zeros(4)
-    th[0] = -np.angle(m[0, 0])
-    th[1] = -np.angle(m[1, 1])
-    th[2] = -np.angle(m[2, 3])
-    th[3] = -np.angle(m[3, 2])
-    return th
+# the logical label [0g, 0e, 1g, 1e] each output row takes from
+_TRUTH_TABLE = {
+    GateKind.CNOT_CAVITY_TO_ATOM: (0, 1, 3, 2),
+    GateKind.NOT_ATOM: (1, 0, 3, 2),
+    GateKind.SWAP_ATOM_CAVITY: (3, 1, 2, 0),
+    GateKind.CNOT_ATOM_TO_CAVITY: (2, 1, 0, 3),
+}
 
 
-def _level_phases_not(m: np.ndarray) -> np.ndarray:
+def _truth_table_phases(m: np.ndarray, kind: GateKind) -> np.ndarray:
+    """One phase per level, each solved on its own truth-table entry of the
+    logical block m; an entry of magnitude 1e-9 or less (a swap that barely
+    exchanges) falls back to the diagonal."""
     th = np.zeros(4)
-    th[0] = -np.angle(m[0, 1])
-    th[1] = -np.angle(m[1, 0])
-    th[2] = -np.angle(m[2, 3])
-    th[3] = -np.angle(m[3, 2])
+    for row, col in enumerate(_TRUTH_TABLE[kind]):
+        entry = m[row, col] if abs(m[row, col]) > 1e-9 else m[row, row]
+        th[row] = -np.angle(entry)
     return th
 
 
@@ -291,15 +296,6 @@ def _atom_phases_hadamard(m: np.ndarray) -> tuple:
     theta = np.array([chi_g, chi_e, chi_g, chi_e])
     eta = np.array([0.0, eta_e, 0.0, eta_e])
     return theta, eta
-
-
-def _free_phases_swap(m: np.ndarray, floor: float = 1e-9) -> np.ndarray:
-    th = np.zeros(4)
-    th[1] = -np.angle(m[1, 1])
-    th[2] = -np.angle(m[2, 2])
-    th[3] = -np.angle(m[3, 0]) if abs(m[3, 0]) > floor else -np.angle(m[3, 3])
-    th[0] = -np.angle(m[0, 3]) if abs(m[0, 3]) > floor else -np.angle(m[0, 0])
-    return th
 
 
 def _corrected_action(u: np.ndarray, logical: np.ndarray, theta: np.ndarray,
@@ -366,10 +362,9 @@ def _cnot_pulse(params: JCParams, config: PhysicalGateConfig) -> tuple:
     r1 = float(manifold_splitting(params, 1))
     carrier_rot = r0 + r1                       # |V-,0> <-> |V+,1| gap
     splitting = r1 - params.delta / 2.0         # distance to the 0-photon line
-    tau = config.tau_factor / splitting
+    tau = TAU_FACTOR / splitting
     shape = PulseSpec(omega_drive=params.omega + carrier_rot, shape="gaussian",
-                      amplitude=1.0, width=tau, center=0.0,
-                      support=config.support)
+                      amplitude=1.0, width=tau, center=0.0)
     pulse = calibrate_pulse_area(shape, math.pi)
     return pulse, carrier_rot
 
@@ -384,7 +379,8 @@ def _cnot_engine(params: JCParams, config: PhysicalGateConfig):
     drive = Drive(pulse, carrier_rot,
                   None if config.rwa else 2.0 * params.omega + carrier_rot)
     u, info = propagate_basis(static, [drive], t0, t1, config.tol)
-    theta = _level_phases_cnot(logical.conj().T @ u @ logical)
+    theta = _truth_table_phases(logical.conj().T @ u @ logical,
+                                GateKind.CNOT_CAVITY_TO_ATOM)
     action = _bare_action(params, cutoff, _corrected_action(u, logical, theta))
     meta = {**_integration(info),
             "correction": {"theta": tuple(float(v) for v in theta),
@@ -424,13 +420,12 @@ def _swap_engine(p: TwoPhotonParams, config: PhysicalGateConfig):
     cutoff = config.fock_cutoff
     static = jc_rotating(params, cutoff)
     pulse = PulseSpec(omega_drive=p.laser_frequency, shape="gaussian",
-                      amplitude=2.0 * p.sigma0, width=p.tau, center=0.0,
-                      support=config.support)
+                      amplitude=2.0 * p.sigma0, width=p.tau, center=0.0)
     drives = [Drive(pulse, pulse.omega_drive)] if p.sigma0 > 0 else []
     u, info = propagate_basis(static, drives, p.t_start, p.t_end, config.tol)
     logical = _logical_columns(params, cutoff)
     m = logical.conj().T @ u @ logical
-    theta = _free_phases_swap(m)
+    theta = _truth_table_phases(m, GateKind.SWAP_ATOM_CAVITY)
     action = _bare_action(params, cutoff, _corrected_action(u, logical, theta))
     meta = {**_integration(info),
             "correction": {"theta": tuple(float(v) for v in theta)},
@@ -514,13 +509,13 @@ def averaged_step5_fidelity(p: TwoPhotonParams,
     action = _cnot_atom_to_cavity_engine(p, config)[0]
     n_ph = config.fock_cutoff + 1
     rows = _comp_rows(n_ph)
-    # ideal map on logical labels [0g, 0e, 1g, 1e]: g-atom flips the photon
-    ideal_images = {0: 2, 1: 1, 2: 0, 3: 3}
+    # the truth table is its own inverse: label k goes to row table[k]
+    table = _TRUTH_TABLE[GateKind.CNOT_ATOM_TO_CAVITY]
     per = {}
     names = ("0g", "0e", "1g", "1e")
     for k, name in enumerate(names):
         col = action[:, rows[k]]
-        per[name] = float(abs(col[rows[ideal_images[k]]]) ** 2)
+        per[name] = float(abs(col[rows[table[k]]]) ** 2)
     return float(np.mean(list(per.values()))), per
 
 
@@ -530,16 +525,16 @@ def averaged_step5_fidelity(p: TwoPhotonParams,
 
 @lru_cache(maxsize=32)
 def _bare_atom_pulse_engine(kind: GateKind, rabi: float, atom_dim: int,
-                            tol: float, support: float):
+                            tol: float):
     """Resonant rotating-wave pulse on a cavity-decoupled atom.
 
     HADAMARD_ATOM is a pi/2 pulse with post- and pre-pulse atom phases,
     NOT_ATOM a pi pulse with post-pulse phases; a third level is untouched.
     """
     hadamard = kind == GateKind.HADAMARD_ATOM
-    tau = 6.0 / rabi
+    tau = TAU_FACTOR / rabi
     shape = PulseSpec(omega_drive=0.0, shape="gaussian", amplitude=1.0,
-                      width=tau, center=0.0, support=support)
+                      width=tau, center=0.0)
     pulse = calibrate_pulse_area(shape, math.pi / 2.0 if hadamard else math.pi)
     static = Operator(CompositeSpace([FactorLabel("atom", atom_dim)]),
                       np.zeros((atom_dim, atom_dim)), hermitian=True)
@@ -583,10 +578,9 @@ def _dressed_sector_pulse_engine(kind: GateKind, params: JCParams,
     logical = _logical_columns(params, cutoff)
     if kind == GateKind.HADAMARD_ATOM:
         carrier = 0.5 * (sector0 + sector1)
-        tau = config.tau_factor / params.rabi_coupling
+        tau = TAU_FACTOR / params.rabi_coupling
         shape = PulseSpec(omega_drive=params.omega + carrier, shape="gaussian",
-                          amplitude=1.0, width=tau, center=0.0,
-                          support=config.support)
+                          amplitude=1.0, width=tau, center=0.0)
         pulse = calibrate_pulse_area(shape, math.pi / 2.0)
         drives = [Drive(pulse, carrier,
                         None if config.rwa else 2.0 * params.omega + carrier)]
@@ -594,14 +588,12 @@ def _dressed_sector_pulse_engine(kind: GateKind, params: JCParams,
         t0, t1 = pulse.window
     else:
         splitting = r1 - params.delta / 2.0
-        tau = config.tau_factor / splitting
-        half = config.support * tau
+        tau = TAU_FACTOR / splitting
+        half = DEFAULT_GAUSSIAN_SUPPORT * tau
         shape1 = PulseSpec(omega_drive=params.omega + sector1, shape="gaussian",
-                           amplitude=1.0, width=tau, center=0.0,
-                           support=config.support)
+                           amplitude=1.0, width=tau, center=0.0)
         shape0 = PulseSpec(omega_drive=params.omega + sector0, shape="gaussian",
-                           amplitude=1.0, width=tau, center=2.0 * half,
-                           support=config.support)
+                           amplitude=1.0, width=tau, center=2.0 * half)
         p1 = calibrate_pulse_area(shape1, math.pi)
         p0 = calibrate_pulse_area(shape0, math.pi)
         drives = [Drive(p, c, None if config.rwa else 2.0 * params.omega + c)
@@ -616,7 +608,7 @@ def _dressed_sector_pulse_engine(kind: GateKind, params: JCParams,
                       "eta": tuple(float(v) for v in eta),
                       "mode": "dressed-broadband"}
     else:
-        theta, eta = _level_phases_not(m), None
+        theta, eta = _truth_table_phases(m, GateKind.NOT_ATOM), None
         correction = {"theta": tuple(float(v) for v in theta),
                       "mode": "dressed-sequential"}
     action = _bare_action(params, cutoff, _corrected_action(u, logical, theta, eta))
@@ -631,7 +623,7 @@ def _atom_pulse_gate(kind: GateKind, state: StateVector, params: JCParams,
     atom_dim = state.space.factor(atom).dim
     if cavity is None or atom_dim == 3:
         engine = _bare_atom_pulse_engine(kind, params.rabi_coupling, atom_dim,
-                                         config.tol, config.support)
+                                         config.tol)
         factors = (atom,)
     else:
         if kind == GateKind.HADAMARD_ATOM:

@@ -61,20 +61,19 @@ class JCParams:
         return self.omega0 - self.omega
 
 
-def desk_params(omega_rabi: float = 1.0, x: float = 0.1,
-                omega_ratio: float = 2.0) -> JCParams:
+def desk_params(omega_rabi: float = 1.0, x: float = 0.1) -> JCParams:
     """Convenient desk-scale parameter set from the ratio x = g/delta.
 
-    x = 0 means exact resonance.  omega_ratio sets the absolute cavity
-    frequency in units of delta (or of g when x = 0); keeping it small makes
-    non-rotating-wave integrations affordable.
+    x = 0 means exact resonance.  The cavity frequency is twice delta (or
+    twice g when x = 0); keeping it small makes non-rotating-wave
+    integrations affordable.
     """
     if omega_rabi <= 0:
         raise QStateError("omega_rabi must be > 0")
     if x < 0:
         raise QStateError("x must be >= 0")
     delta = 0.0 if x == 0 else omega_rabi / x
-    omega = omega_ratio * (delta if delta > 0 else omega_rabi)
+    omega = 2.0 * (delta if delta > 0 else omega_rabi)
     return JCParams(omega0=omega + delta, omega=omega, rabi_coupling=omega_rabi)
 
 

@@ -6,6 +6,11 @@ applies only local operations and sends one measurement outcome to the
 other.  Each local operation is one entry of a step table; the runner
 applies it, refuses it if it leaves its node, and records it for the trace.
 
+A run takes one register and one ebit, the ideal Bell pair or a caller's
+pair state (e.g. one outcome of enumerate_ebit_branches), and enumerates
+every measurement branch.  The physical level runs each node gate at one
+fixed operating point, the module constants below.
+
 Logical encoding throughout: atom |g> is logical 1 and |e> is logical 0;
 a single photon is logical 1.  Flow: register preparation, entanglement
 distribution, photon-controlled flip of alpha at Alice, alpha measurement
@@ -29,7 +34,7 @@ from .qstate import (CompositeSpace, FactorLabel, QStateError, StateVector,
                      apply_local, enumerate_branches, make_rng, tensor)
 from .jcmodel import (JCParams, desk_params, resonant_rabi_evolve,
                       set_stark_detuning)
-from .perturb import SOURCE_POINT_CYCLIC, TwoPhotonParams
+from .perturb import SOURCE_POINT_CYCLIC
 from .gates import (GateKind, PhysicalGateConfig, ThreeLevelParams, ideal_block,
                     physical_cnot_atom_to_cavity, physical_cnot_cavity_to_atom,
                     physical_cqpg_local, physical_hadamard_atom,
@@ -48,6 +53,15 @@ TRUE_HADAMARD = np.array([[-1.0, 1.0], [1.0, 1.0]], dtype=complex) / math.sqrt(2
 # atom phases turning the physical pi/2 pulse into TRUE_HADAMARD:
 # diag(i, 1) . HADAMATOM . diag(i, 1) = TRUE_HADAMARD
 HADAMARD_FRAME_PHASE = (1.0j, 1.0)
+
+# physical operating points: the cnot nodes sit at the two-photon source
+# point, the cqpg nodes at coupling/detuning CQPG_X; every drive is
+# rotating-wave, and a two-level beta is Stark-switched to coupling/detuning
+# HADAMARD_X for its Hadamard
+CQPG_X = 0.1
+RWA = True
+SWAP_PARAMS = SOURCE_POINT_CYCLIC
+HADAMARD_X = 1e-3
 
 
 @dataclass(frozen=True)
@@ -178,21 +192,18 @@ class ProtocolTrace:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Operating points for the physical protocol level."""
+    """What callers of the protocol set: the cavities' Fock cutoff and the
+    physical level's integrator tolerance."""
 
-    x: float = 0.1
     fock_cutoff: int = 5
     tol: float = 1e-10
-    rwa: bool = True
-    swap_params: TwoPhotonParams = SOURCE_POINT_CYCLIC
-    hadamard_x: float = 1e-3
 
     def __post_init__(self) -> None:
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise QStateError(f"tol must be > 0 and finite, got {self.tol}")
 
     def gate_config(self) -> PhysicalGateConfig:
-        return PhysicalGateConfig(fock_cutoff=self.fock_cutoff, rwa=self.rwa,
+        return PhysicalGateConfig(fock_cutoff=self.fock_cutoff, rwa=RWA,
                                   tol=self.tol)
 
 
@@ -225,14 +236,10 @@ def _bit_of(outcome: str) -> int:
     return {"g": 1, "e": 0}[outcome]
 
 
-def _measure(state: StateVector, factor: str, basis, rng) -> list:
-    """The outcomes of nonzero probability, or one of them drawn by rng."""
-    branches = [br for br in enumerate_branches(state, factor, basis=basis)
-                if br[1] is not None]
-    if rng is None:
-        return branches
-    probs = np.array([br[2] for br in branches])
-    return [branches[int(rng.choice(len(branches), p=probs / probs.sum()))]]
+def _measure(state: StateVector, factor: str, basis) -> list:
+    """The outcomes of nonzero probability."""
+    return [br for br in enumerate_branches(state, factor, basis=basis)
+            if br[1] is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +362,8 @@ def enumerate_ebit_branches(model: PhotonGunModel) -> tuple:
         st = beam_splitter_mix(st, "p1", "p2")
         st = resonant_rabi_evolve(params, st, t_transfer, atom="alpha", cavity="p1")
         st = resonant_rabi_evolve(params, st, t_transfer, atom="beta", cavity="p2")
-        for n1, st1, pr1 in _measure(st, "p1", None, None):
-            for n2, st2, pr2 in _measure(st1, "p2", None, None):
+        for n1, st1, pr1 in _measure(st, "p1", None):
+            for n2, st2, pr2 in _measure(st1, "p2", None):
                 flagged = (n1 != "0") or (n2 != "0")
                 atoms = _reorder_sub(st2, CompositeSpace([FactorLabel("alpha", 2),
                                                           FactorLabel("beta", 2)]))
@@ -384,27 +391,6 @@ def _reorder_sub(state: StateVector, space: CompositeSpace) -> StateVector:
     if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
         raise ProtocolError("remaining factors are entangled; cannot strip")
     return StateVector(space, vec)
-
-
-def prepare_ebit(mode: str = "ideal", model: Optional[PhotonGunModel] = None,
-                 rng=None) -> tuple:
-    """Distribute the shared atom pair; returns (state on (alpha, beta), flagged).
-
-    photon_gun mode samples one emission outcome from the model (rng
-    required) and runs it through the beam splitter, transfer, and herald
-    chain; the flag marks a failed herald.
-    """
-    if mode == "ideal":
-        return _bell_atoms(), False
-    if mode != "photon_gun":
-        raise QStateError(f"unknown mode {mode!r}")
-    if model is None or rng is None:
-        raise QStateError("photon_gun mode needs a model and an rng")
-    branches = enumerate_ebit_branches(model)
-    probs = np.array([b.probability for b in branches])
-    k = int(rng.choice(len(branches), p=probs / probs.sum()))
-    chosen = branches[k]
-    return chosen.atoms_state, chosen.flagged
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +468,8 @@ def _not_beta(step, state, params, config):
 
 
 def _cnot_beta_to_photon(step, state, params, config):
-    res = physical_cnot_atom_to_cavity(state, config.swap_params,
-                                       config.gate_config(), atom="beta", cavity="B")
+    res = physical_cnot_atom_to_cavity(state, SWAP_PARAMS, config.gate_config(),
+                                       atom="beta", cavity="B")
     outcome = f"{_fidelity_text(res)} exchange={res.exchange_probability_tdse:.6f}"
     return res.output, [(step.operation, _pulse_text(res), outcome, step.support)]
 
@@ -504,7 +490,7 @@ def _hadamard_beta(step, state, params, config):
     state = apply_local(state, frame, ("beta",))
     records, cavity = [], None
     if beta_dim == 2:
-        x, cavity = config.hadamard_x, "B"
+        x, cavity = HADAMARD_X, "B"
         params = set_stark_detuning(params, params.omega + params.rabi_coupling / x)
         records.append(("stark-switch", f"delta -> coupling/{x:.6g}", "-",
                         ("beta", cavity)))
@@ -561,18 +547,15 @@ class _Gate:
     """What differs between the nonlocal CNOT and CQPG."""
 
     beta_dim: int
-    node_params: Callable       # ProtocolConfig -> JCParams
+    node_params: JCParams
     step5: _Step
     correction_on: str          # the beta outcome that sends Alice's correction
-    photon_gun: bool            # whether a photon-gun ebit is wired
     target: Callable            # cavity dim -> the nonlocal gate on (A, B)
 
 
 _GATES = {
-    "cnot": _Gate(2, lambda config: config.swap_params.jc_params(), _STEP5_CNOT,
-                  "g", True, _cnot_target),
-    "cqpg": _Gate(3, lambda config: desk_params(1.0, x=config.x), _STEP5_CQPG,
-                  "e", False, _cqpg_target),
+    "cnot": _Gate(2, SWAP_PARAMS.jc_params(), _STEP5_CNOT, "g", _cnot_target),
+    "cqpg": _Gate(3, desk_params(1.0, x=CQPG_X), _STEP5_CQPG, "e", _cqpg_target),
 }
 
 
@@ -626,48 +609,36 @@ def _run_step(records: list, level: _Level, params: JCParams,
 
 def run_nonlocal_cnot(a: complex = 1 / math.sqrt(2), b: complex = 1 / math.sqrt(2),
                       c: complex = 1 / math.sqrt(2), d: complex = 1 / math.sqrt(2),
-                      level: str = "ideal", branch_mode: str = "enumerate",
-                      seed: Optional[int] = None,
+                      level: str = "ideal",
                       input_state: Optional[StateVector] = None,
-                      ebit_mode: str = "ideal",
-                      gun_model: Optional[PhotonGunModel] = None,
                       ebit_state: Optional[StateVector] = None,
                       config: Optional[ProtocolConfig] = None) -> ProtocolTrace:
     """Nonlocal CNOT between the cavity qubits of Alice and Bob."""
-    return _run_protocol("cnot", a, b, c, d, level, branch_mode, seed,
-                         input_state, ebit_mode, gun_model, ebit_state, config)
+    return _run_protocol("cnot", a, b, c, d, level, input_state, ebit_state,
+                         config)
 
 
 def run_nonlocal_cqpg(a: complex = 1 / math.sqrt(2), b: complex = 1 / math.sqrt(2),
                       c: complex = 1 / math.sqrt(2), d: complex = 1 / math.sqrt(2),
-                      level: str = "ideal", branch_mode: str = "enumerate",
-                      seed: Optional[int] = None,
+                      level: str = "ideal",
                       input_state: Optional[StateVector] = None,
-                      ebit_mode: str = "ideal",
-                      gun_model: Optional[PhotonGunModel] = None,
                       ebit_state: Optional[StateVector] = None,
                       config: Optional[ProtocolConfig] = None) -> ProtocolTrace:
     """Nonlocal controlled-phase between the cavity qubits, local step 5."""
-    return _run_protocol("cqpg", a, b, c, d, level, branch_mode, seed,
-                         input_state, ebit_mode, gun_model, ebit_state, config)
+    return _run_protocol("cqpg", a, b, c, d, level, input_state, ebit_state,
+                         config)
 
 
-def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
-                  ebit_mode, gun_model, ebit_state, config) -> ProtocolTrace:
+def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
+                  config) -> ProtocolTrace:
     if level not in _LEVELS:
         raise QStateError(f"unknown level {level!r}")
-    if branch_mode not in ("enumerate", "sample"):
-        raise QStateError(f"unknown branch_mode {branch_mode!r}")
     if input_state is not None and level != "ideal":
         raise ProtocolError("external-ancilla inputs are supported at the ideal level")
     lvl, spec = _LEVELS[level], _GATES[gate]
     config = config or ProtocolConfig()
     dim_c = config.fock_cutoff + 1
-    rng = make_rng(seed) if seed is not None else None
-    if branch_mode == "sample" and rng is None:
-        raise QStateError("branch_mode sample needs a seed")
-    sampler = rng if branch_mode == "sample" else None
-    params = spec.node_params(config)
+    params = spec.node_params
     records: list = []
     branches: list = []
     _record(records, "*", "encoding", SOURCE, "logical-encoding", ENCODING_NOTE, "-")
@@ -693,25 +664,12 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
                 lvl.register_text, f"{node.cavity} loaded", (node.cavity, node.atom))
 
     # step 3: entanglement distribution
-    flagged = False
     if ebit_state is not None:
         atoms = ebit_state
         _record(records, "*", "ebit", SOURCE, "inject-ebit",
                 "caller-supplied pair state", "-")
-    elif ebit_mode == "photon_gun":
-        if not spec.photon_gun:
-            raise ProtocolError("photon gun distribution is wired for the cnot protocol")
-        if rng is None:
-            raise QStateError("photon_gun mode needs a seed")
-        atoms, flagged = prepare_ebit("photon_gun", gun_model or PhotonGunModel(),
-                                      rng=rng)
-        _record(records, "*", "ebit", SOURCE, "photon-gun+beam-splitter",
-                "theta=pi/4 phase=-pi/2", f"herald_failed={flagged}", ("p1", "p2"))
-        for node in (ALICE, BOB):
-            _record(records, "*", "ebit", node, "port-transfer", "resonant quarter cycle",
-                    f"{node.port} -> {node.atom}", (node.atom, node.port))
     else:
-        atoms, _ = prepare_ebit("ideal")
+        atoms = _bell_atoms()
         _record(records, "*", "ebit", SOURCE, "distribute-bell-pair",
                 "(|eg>+|ge>)/sqrt2", "-")
         _record(records, "*", "ebit", SOURCE, "handoff",
@@ -730,7 +688,7 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
 
     # alpha measured: one bit to Bob, his NOT on e, then steps 5 and 6
     beta_basis = _basis_ge(spec.beta_dim)
-    for alpha_out, s, p_alpha in _measure(state, "alpha", _basis_ge(2), sampler):
+    for alpha_out, s, p_alpha in _measure(state, "alpha", _basis_ge(2)):
         tag_a = alpha_out + "?"
         _record(records, tag_a, "measure-alpha", ALICE, "projective-measurement",
                 "basis g/e", f"outcome={alpha_out} p={p_alpha:.6f}", ("alpha",))
@@ -744,7 +702,7 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
         s = _run_step(records, lvl, params, config, tag_a, _STEP6, s)
 
         # beta measured: one bit to Alice, her photon phase on the trigger
-        for beta_out, sf, p_beta in _measure(s, "beta", beta_basis, sampler):
+        for beta_out, sf, p_beta in _measure(s, "beta", beta_basis):
             tag = alpha_out + beta_out
             _record(records, tag, "measure-beta", BOB, "projective-measurement",
                     f"basis {'/'.join(n for n, _ in beta_basis)}",
@@ -767,16 +725,14 @@ def _run_protocol(gate, a, b, c, d, level, branch_mode, seed, input_state,
                 sf = _run_step(records, lvl, params, config, tag, _PHOTON_PHASE, sf)
 
             target = _branch_target(target_initial, alpha_final, beta_out)
-            fid = 0.0 if flagged else float(
-                abs(np.vdot(target.amplitudes, sf.amplitudes)) ** 2)
+            fid = float(abs(np.vdot(target.amplitudes, sf.amplitudes)) ** 2)
             branches.append(BranchResult(
                 alpha_out, beta_out, float(p_alpha * p_beta), fid, sf,
                 tuple(to_bob.log + to_alice.log)))
 
-    if branch_mode == "enumerate" and not flagged:
-        total = sum(br.probability for br in branches)
-        if abs(total - 1.0) > 1e-10:
-            raise ProtocolError(f"branch probabilities sum to {total}")
+    total = sum(br.probability for br in branches)
+    if abs(total - 1.0) > 1e-10:
+        raise ProtocolError(f"branch probabilities sum to {total}")
     for br in branches:
         if len(br.bits) != 2 and br.beta != "i":
             raise ProtocolError(f"branch {br.label} used {len(br.bits)} bits")

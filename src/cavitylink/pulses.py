@@ -145,8 +145,7 @@ class PulseSpec:
         return self.amplitude * self.width * math.sqrt(math.pi) * math.erf(self.support)
 
 
-def calibrate_pulse_area(envelope: PulseSpec, target_area: float,
-                         max_amplitude: Optional[float] = None) -> PulseSpec:
+def calibrate_pulse_area(envelope: PulseSpec, target_area: float) -> PulseSpec:
     """Rescale the envelope amplitude so its area matches target_area.
 
     Rectangular pulses solve exactly; gaussian pulses divide by the unit
@@ -156,9 +155,6 @@ def calibrate_pulse_area(envelope: PulseSpec, target_area: float,
     if target_area <= 0:
         raise QStateError(f"target_area must be > 0, got {target_area}")
     amp = target_area / replace(envelope, amplitude=1.0).envelope_area()
-    if max_amplitude is not None and amp > max_amplitude:
-        raise QStateError(
-            f"area {target_area} unreachable: needs amplitude {amp} > bound {max_amplitude}")
     return replace(envelope, amplitude=amp)
 
 

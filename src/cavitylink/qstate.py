@@ -305,31 +305,6 @@ def enumerate_branches(state: StateVector, factor: str, basis=None) -> list:
     return out
 
 
-def measure_factor(state: StateVector, factor: str, basis=None,
-                   rng: Optional[np.random.Generator] = None,
-                   rng_seed: Optional[int] = None):
-    """Born-rule measurement of one factor.
-
-    Returns (outcome label, collapsed state, probability).  With a seed (or
-    an explicit generator) the outcome sequence is deterministic; without
-    either, the most probable branch is chosen deterministically, which keeps
-    unseeded library use reproducible.  Protocol code enumerates branches
-    instead of sampling unless explicitly seeded.
-    """
-    branches = enumerate_branches(state, factor, basis)
-    if rng is None and rng_seed is not None:
-        rng = make_rng(rng_seed)
-    if rng is None:
-        k = int(np.argmax([p for _, _, p in branches]))
-    else:
-        probs = np.array([p for _, _, p in branches])
-        k = int(rng.choice(len(branches), p=probs / probs.sum()))
-    label, collapsed, prob = branches[k]
-    if collapsed is None:
-        raise QStateError("sampled a zero-probability branch")
-    return label, collapsed, prob
-
-
 def state_fidelity(x: StateVector, y: StateVector) -> float:
     """|<x|y>|^2; insensitive to global phase by construction."""
     return float(abs(x.overlap(y)) ** 2)

@@ -174,8 +174,6 @@ def test_config_and_params_validation():
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(QStateError, match="tol must be > 0"):
             PhysicalGateConfig(tol=bad)
-    with pytest.raises(QStateError, match="tau_factor and support must be > 0"):
-        PhysicalGateConfig(tau_factor=-1.0)
     with pytest.raises(QStateError, match="rabi_coupling must be > 0"):
         ThreeLevelParams(rabi_coupling=0.0)
     with pytest.raises(QStateError, match="use None to suppress"):

@@ -24,7 +24,6 @@ from cavitylink import (
     locality_violations,
     make_rng,
     monte_carlo_gun_fidelity,
-    prepare_ebit,
     prepare_register,
     resonant_rabi_evolve,
     run_nonlocal_cnot,
@@ -117,18 +116,6 @@ def test_ancilla_entangled_input():
     assert min(br.fidelity_vs_ideal for br in tr.branches) >= 1.0 - 1e-10
 
 
-def test_sampled_branch_is_deterministic():
-    tr1 = run_nonlocal_cnot(0.6, 0.8, 0.6, 0.8, level="ideal",
-                            branch_mode="sample", seed=42)
-    tr2 = run_nonlocal_cnot(0.6, 0.8, 0.6, 0.8, level="ideal",
-                            branch_mode="sample", seed=42)
-    assert len(tr1.branches) == 1
-    assert tr1.branches[0].label == tr2.branches[0].label
-    with pytest.raises(QStateError, match="sample needs a seed"):
-        run_nonlocal_cnot(0.6, 0.8, 0.6, 0.8, level="ideal",
-                          branch_mode="sample")
-
-
 # ---------------------------------------------------------------------------
 # register preparation and the entangled pair
 
@@ -147,12 +134,20 @@ def test_prepare_register_enforces_pair_norms():
 
 
 def test_ideal_ebit_is_shared_bell_pair():
-    st, flagged = prepare_ebit("ideal")
-    assert flagged is False
+    st = protocol._bell_atoms()
     np.testing.assert_allclose(st.amplitude({"alpha": 0, "beta": 1}),
                                1 / math.sqrt(2), atol=1e-12)
     np.testing.assert_allclose(st.amplitude({"alpha": 1, "beta": 0}),
                                1 / math.sqrt(2), atol=1e-12)
+    # it is the pair the runner distributes: injecting it changes no branch
+    own = run_nonlocal_cnot(0.6, 0.8, 0.6, 0.8)
+    injected = run_nonlocal_cnot(0.6, 0.8, 0.6, 0.8, ebit_state=st)
+    assert [r.operation for r in own.records if r.step == "ebit"] == \
+        ["distribute-bell-pair", "handoff"]
+    assert [br.label for br in own.branches] == [br.label for br in injected.branches]
+    for mine, theirs in zip(own.branches, injected.branches):
+        np.testing.assert_array_equal(mine.final_state.amplitudes,
+                                      theirs.final_state.amplitudes)
 
 
 def test_beam_splitter_balances_a_single_photon():
@@ -218,6 +213,31 @@ def test_monte_carlo_gun_means_decrease_with_imperfection():
     np.testing.assert_allclose(means[0], 1.0, atol=1e-12)
     np.testing.assert_allclose(means[1], 0.960812, atol=1e-6)
     assert all(m1 >= m2 - 1e-12 for m1, m2 in zip(means, means[1:]))
+
+
+def test_gun_pairs_enter_the_runner_as_ebit_states():
+    # every unflagged photon-gun outcome runs through the one ebit entry,
+    # and the outcome-weighted means are the Monte Carlo's per-outcome scores
+    model = PhotonGunModel(p_empty=0.1, p_double=0.05, p_single=0.85)
+    weights = model.weights
+    score = {outcome: 0.0 for outcome in weights}
+    for br in enumerate_ebit_branches(model):
+        if br.flagged:
+            continue
+        tr = run_nonlocal_cnot(0.6, 0.8, 0.6, 0.8, ebit_state=br.atoms_state)
+        assert [r.operation for r in tr.records if r.step == "ebit"] == ["inject-ebit"]
+        np.testing.assert_allclose(tr.total_probability(), 1.0, atol=1e-12)
+        assert all(len(b.bits) == 2 for b in tr.branches)
+        if br.label == "single:00":
+            np.testing.assert_allclose(tr.mean_fidelity(), 1.0, atol=1e-12)
+        outcome = br.label.split(":")[0]
+        score[outcome] += br.probability / weights[outcome] * tr.mean_fidelity()
+    expected = monte_carlo_gun_fidelity(model, n_runs=10, a=0.6, b=0.8, c=0.6,
+                                        d=0.8)["per_outcome_score"]
+    for outcome in weights:
+        np.testing.assert_allclose(score[outcome], expected[outcome], rtol=1e-12)
+    np.testing.assert_allclose([score["single"], score["empty"], score["double"]],
+                               [1.0, 0.49692672, 0.24846336], atol=1e-8)
 
 
 def test_monte_carlo_is_seed_deterministic():
@@ -448,19 +468,11 @@ def test_warm_physical_and_ideal_ancilla_runs_build_no_dense_operators(monkeypat
 def test_run_protocol_argument_errors():
     with pytest.raises(QStateError, match="unknown level"):
         run_nonlocal_cnot(level="perfect")
-    with pytest.raises(QStateError, match="unknown branch_mode"):
-        run_nonlocal_cnot(branch_mode="all")
     with pytest.raises(ProtocolError, match="supported at the ideal level"):
         sp = CompositeSpace([FactorLabel("A", 6), FactorLabel("B", 6)])
         v = np.zeros(36, dtype=complex)
         v[0] = 1.0
         run_nonlocal_cnot(input_state=StateVector(sp, v), level="physical")
-    with pytest.raises(QStateError, match="needs a seed"):
-        run_nonlocal_cnot(ebit_mode="photon_gun",
-                          gun_model=PhotonGunModel(p_single=1.0))
-    with pytest.raises(ProtocolError, match="wired for the cnot protocol"):
-        run_nonlocal_cqpg(ebit_mode="photon_gun", seed=1,
-                          gun_model=PhotonGunModel(p_single=1.0))
 
 
 def test_input_state_factor_checks():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies
 from cavitylink.qstate import (
     TOLERANCES, CompositeSpace, FactorLabel, Operator, QStateError,
     StateVector, apply_local, embed, enumerate_branches, make_rng,
-    measure_factor, state_fidelity, tensor)
+    state_fidelity, tensor)
 
 
 def two_qubits():
@@ -238,25 +238,14 @@ def test_enumerate_branches_rejects_bad_basis():
         enumerate_branches(st, "a", basis=[("0", [1.0, 0.0]), ("1", [1.0, 1.0])])
 
 
-def test_measure_factor_seeded_reproducibility():
-    space = two_qubits()
-    st = StateVector(space, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
-    runs = [measure_factor(st, "a", rng_seed=5)[0] for _ in range(4)]
-    assert len(set(runs)) == 1
-    outcome, collapsed, prob = measure_factor(st, "a", rng_seed=5)
-    np.testing.assert_allclose(prob, 0.5, atol=1e-12)
-    # collapse keeps the measured factor in a definite level
-    keep = {"0": 0, "1": 1}[outcome]
-    np.testing.assert_allclose(
-        abs(collapsed.amplitude({"a": keep, "b": keep})), 1.0, atol=1e-12)
-
-
 def test_measurement_statistics_match_born_rule():
-    rng = make_rng(2)
     space = CompositeSpace([FactorLabel("a", 2)])
     st = StateVector(space, np.array([0.6, 0.8]))
-    hits = sum(measure_factor(st, "a", rng=rng)[0] == "1" for _ in range(2000))
-    assert abs(hits / 2000 - 0.64) < 0.04
+    (l0, c0, p0), (l1, c1, p1) = enumerate_branches(st, "a")
+    assert (l0, l1) == ("0", "1")
+    np.testing.assert_allclose([p0, p1], [0.36, 0.64], rtol=1e-14)
+    np.testing.assert_allclose(c0.amplitudes, [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(c1.amplitudes, [0.0, 1.0], atol=1e-15)
 
 
 def test_state_fidelity_and_global_phase():
