@@ -313,10 +313,9 @@ def cmd_two_photon(ns) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             pert = two_photon_probability(point)
-            oracle_tol = max(ns.tolerance, 1e-10)
-            exact = two_photon_tdse_oracle(point, tol=oracle_tol)
+            exact = two_photon_tdse_oracle(point, tol=ns.tolerance)
         lines.append(f"convention={ns.convention} perturbative={_fmt(pert)} "
-                     f"tdse={_fmt_at_tol(exact, oracle_tol)}")
+                     f"tdse={_fmt_at_tol(exact, ns.tolerance)}")
         chosen = ns.convention
         in_band = abs(pert - band_center) <= band_width
     lines.append(f"chosen={chosen}")

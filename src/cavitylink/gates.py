@@ -5,7 +5,7 @@ Physical single-node gates share one pipeline:
 1. encode: the computational labels {|g,0>, |e,0>, |g,1>, |e,1>} are carried
    into the dressed frame by the adiabatic detuning-ramp map (bare photon
    states become |g,0>, |V+,0>, |V-,0>, |V+,1>);
-2. drive: a shaped pulse is integrated in the cavity-rotating frame as one
+2. drive: a gaussian pulse is integrated in the cavity-rotating frame as one
    pulses.Drive on the atom's raising operator: its carrier is the offset
    from the cavity frequency, and its counter-rotating term at 2 omega plus
    that offset is kept unless the config sets rwa.  Either drive takes
@@ -40,8 +40,8 @@ from .qstate import (ATOM_E, ATOM_G, ATOM_I, CompositeSpace, FactorLabel,
                      Operator, QStateError, StateVector, apply_local, embed)
 from .jcmodel import (JCParams, bare_to_dressed_map, dressed_pair, jc_rotating,
                       manifold_splitting)
-from .pulses import (DEFAULT_GAUSSIAN_SUPPORT, Drive, PulseSpec,
-                     calibrate_pulse_area, propagate_basis)
+from .pulses import (GAUSSIAN_SUPPORT, Drive, PulseSpec, calibrate_pulse_area,
+                     propagate_basis)
 from .perturb import TwoPhotonParams, two_photon_amplitude
 
 
@@ -73,7 +73,7 @@ def fidelity_closed_form(x: float) -> float:
 
 
 # selective pulse width = TAU_FACTOR / (selectivity splitting); every
-# gaussian is truncated at pulses.DEFAULT_GAUSSIAN_SUPPORT widths
+# gaussian is truncated at pulses.GAUSSIAN_SUPPORT widths
 TAU_FACTOR = 6.0
 
 
@@ -145,41 +145,41 @@ class GateResult:
 # ideal oracles
 
 
-def _ideal_pair_matrix(kind: GateKind, atom_dim: int, n_ph: int,
-                       phi: float) -> np.ndarray:
-    dim = atom_dim * n_ph
-    u = np.eye(dim, dtype=complex)
+# computational labels in logical order [0g, 0e, 1g, 1e] as (atom, photon)
+_LOGICAL = ((ATOM_G, 0), (ATOM_E, 0), (ATOM_G, 1), (ATOM_E, 1))
 
-    def idx(a, n):
-        return a * n_ph + n
 
-    if kind == GateKind.CNOT_CAVITY_TO_ATOM:
-        # photon 1 flips the atom between g and e
-        u[idx(ATOM_G, 1), idx(ATOM_G, 1)] = 0.0
-        u[idx(ATOM_E, 1), idx(ATOM_E, 1)] = 0.0
-        u[idx(ATOM_E, 1), idx(ATOM_G, 1)] = 1.0
-        u[idx(ATOM_G, 1), idx(ATOM_E, 1)] = 1.0
-    elif kind == GateKind.CNOT_ATOM_TO_CAVITY:
-        # atom in g (logical 1) flips the photon between 0 and 1
-        u[idx(ATOM_G, 0), idx(ATOM_G, 0)] = 0.0
-        u[idx(ATOM_G, 1), idx(ATOM_G, 1)] = 0.0
-        u[idx(ATOM_G, 1), idx(ATOM_G, 0)] = 1.0
-        u[idx(ATOM_G, 0), idx(ATOM_G, 1)] = 1.0
-    elif kind == GateKind.SWAP_ATOM_CAVITY:
-        # qubit swap in the logical encoding g=1, e=0: |g,0> <-> |e,1>
-        u[idx(ATOM_G, 0), idx(ATOM_G, 0)] = 0.0
-        u[idx(ATOM_E, 1), idx(ATOM_E, 1)] = 0.0
-        u[idx(ATOM_E, 1), idx(ATOM_G, 0)] = 1.0
-        u[idx(ATOM_G, 0), idx(ATOM_E, 1)] = 1.0
-    elif kind == GateKind.CQPG_LOCAL:
-        u[idx(ATOM_E, 1), idx(ATOM_E, 1)] = np.exp(1j * phi)
-    else:
-        raise QStateError(f"{kind} is not a two-factor gate")
+def _comp_rows(n_ph: int) -> list:
+    return [a * n_ph + n for a, n in _LOGICAL]
+
+
+# the logical label [0g, 0e, 1g, 1e] each output row takes from
+_TRUTH_TABLE = {
+    GateKind.CNOT_CAVITY_TO_ATOM: (0, 1, 3, 2),
+    GateKind.NOT_ATOM: (1, 0, 3, 2),
+    GateKind.SWAP_ATOM_CAVITY: (3, 1, 2, 0),
+    GateKind.CNOT_ATOM_TO_CAVITY: (2, 1, 0, 3),
+}
+
+
+def _ideal_pair_matrix(kind: GateKind, atom_dim: int, n_ph: int) -> np.ndarray:
+    """Identity outside the computational labels; on them, the truth table
+    of a CNOT or the SWAP, or the controlled phase's -1 on |e,1>."""
+    u = np.eye(atom_dim * n_ph, dtype=complex)
+    rows = _comp_rows(n_ph)
+    if kind == GateKind.CQPG_LOCAL:
+        u[rows[3], rows[3]] = np.exp(1j * math.pi)
+        return u
+    # scalar writes to the moved rows only: fancy indexing would triple the
+    # cost of this block, which every warm gate call builds
+    for row, label in zip(rows, _TRUTH_TABLE[kind]):
+        if rows[label] != row:
+            u[row, row], u[row, rows[label]] = 0.0, 1.0
     return u
 
 
 def ideal_block(kind: GateKind, space: CompositeSpace, atom: Optional[str] = None,
-                cavity: Optional[str] = None, phi: float = math.pi) -> tuple:
+                cavity: Optional[str] = None) -> tuple:
     """The ideal gate as (matrix, factors): its block on the factors it acts on.
 
     Apply it with qstate.apply_local; ideal_gate embeds the same block into
@@ -196,7 +196,7 @@ def ideal_block(kind: GateKind, space: CompositeSpace, atom: Optional[str] = Non
             raise QStateError(f"atom factor {atom!r} must have dim 2 or 3")
         if n_ph < 2:
             raise QStateError(f"cavity factor {cavity!r} must hold photon 0 and 1")
-        return _ideal_pair_matrix(kind, a_dim, n_ph, phi), (atom, cavity)
+        return _ideal_pair_matrix(kind, a_dim, n_ph), (atom, cavity)
 
     if kind in (GateKind.HADAMARD_ATOM, GateKind.NOT_ATOM):
         if atom is None:
@@ -225,28 +225,21 @@ def ideal_block(kind: GateKind, space: CompositeSpace, atom: Optional[str] = Non
 
 
 def ideal_gate(kind: GateKind, space: CompositeSpace, atom: Optional[str] = None,
-               cavity: Optional[str] = None, phi: float = math.pi) -> Operator:
+               cavity: Optional[str] = None) -> Operator:
     """Exact unitary oracle of a gate, identity outside its truth table.
 
-    Two-factor kinds (both CNOTs, SWAP, CQPG) need atom and cavity labels;
-    HADAMARD_ATOM and NOT_ATOM act on the atom alone; SIGMA_Z takes exactly
-    one factor and puts -1 on its logical |1> (|g> for an atom, one photon
-    for a cavity).
+    Two-factor kinds (both CNOTs, SWAP, and CQPG with its phase pi on
+    |e,1>) need atom and cavity labels; HADAMARD_ATOM and NOT_ATOM act on
+    the atom alone; SIGMA_Z takes exactly one factor and puts -1 on its
+    logical |1> (|g> for an atom, one photon for a cavity).
     """
-    mat, factors = ideal_block(kind, space, atom, cavity, phi)
+    mat, factors = ideal_block(kind, space, atom, cavity)
     sub = CompositeSpace([space.factor(name) for name in factors])
     return embed(Operator(sub, mat, unitary=True), space)
 
 
 # ---------------------------------------------------------------------------
 # shared physical-gate machinery
-
-# computational labels in logical order [0g, 0e, 1g, 1e] as (atom, photon)
-_LOGICAL = ((ATOM_G, 0), (ATOM_E, 0), (ATOM_G, 1), (ATOM_E, 1))
-
-
-def _comp_rows(n_ph: int) -> list:
-    return [a * n_ph + n for a, n in _LOGICAL]
 
 
 def _logical_columns(params: JCParams, cutoff: int) -> np.ndarray:
@@ -261,15 +254,6 @@ def _logical_columns(params: JCParams, cutoff: int) -> np.ndarray:
     cols[:, 2] = p0.v_minus
     cols[:, 3] = p1.v_plus
     return cols
-
-
-# the logical label [0g, 0e, 1g, 1e] each output row takes from
-_TRUTH_TABLE = {
-    GateKind.CNOT_CAVITY_TO_ATOM: (0, 1, 3, 2),
-    GateKind.NOT_ATOM: (1, 0, 3, 2),
-    GateKind.SWAP_ATOM_CAVITY: (3, 1, 2, 0),
-    GateKind.CNOT_ATOM_TO_CAVITY: (2, 1, 0, 3),
-}
 
 
 def _truth_table_phases(m: np.ndarray, kind: GateKind) -> np.ndarray:
@@ -357,14 +341,14 @@ def _integration(info: dict) -> dict:
 # CNOT, cavity controls atom
 
 
-def _cnot_pulse(params: JCParams, config: PhysicalGateConfig) -> tuple:
+def _cnot_pulse(params: JCParams) -> tuple:
     r0 = float(manifold_splitting(params, 0))
     r1 = float(manifold_splitting(params, 1))
     carrier_rot = r0 + r1                       # |V-,0> <-> |V+,1| gap
     splitting = r1 - params.delta / 2.0         # distance to the 0-photon line
     tau = TAU_FACTOR / splitting
-    shape = PulseSpec(omega_drive=params.omega + carrier_rot, shape="gaussian",
-                      amplitude=1.0, width=tau, center=0.0)
+    shape = PulseSpec(omega_drive=params.omega + carrier_rot, amplitude=1.0,
+                      width=tau)
     pulse = calibrate_pulse_area(shape, math.pi)
     return pulse, carrier_rot
 
@@ -372,7 +356,7 @@ def _cnot_pulse(params: JCParams, config: PhysicalGateConfig) -> tuple:
 @lru_cache(maxsize=32)
 def _cnot_engine(params: JCParams, config: PhysicalGateConfig):
     cutoff = config.fock_cutoff
-    pulse, carrier_rot = _cnot_pulse(params, config)
+    pulse, carrier_rot = _cnot_pulse(params)
     static = jc_rotating(params, cutoff)
     logical = _logical_columns(params, cutoff)
     t0, t1 = pulse.window
@@ -419,8 +403,8 @@ def _swap_engine(p: TwoPhotonParams, config: PhysicalGateConfig):
     params = p.jc_params()
     cutoff = config.fock_cutoff
     static = jc_rotating(params, cutoff)
-    pulse = PulseSpec(omega_drive=p.laser_frequency, shape="gaussian",
-                      amplitude=2.0 * p.sigma0, width=p.tau, center=0.0)
+    pulse = PulseSpec(omega_drive=p.laser_frequency, amplitude=2.0 * p.sigma0,
+                      width=p.tau)
     drives = [Drive(pulse, pulse.omega_drive)] if p.sigma0 > 0 else []
     u, info = propagate_basis(static, drives, p.t_start, p.t_end, config.tol)
     logical = _logical_columns(params, cutoff)
@@ -533,8 +517,7 @@ def _bare_atom_pulse_engine(kind: GateKind, rabi: float, atom_dim: int,
     """
     hadamard = kind == GateKind.HADAMARD_ATOM
     tau = TAU_FACTOR / rabi
-    shape = PulseSpec(omega_drive=0.0, shape="gaussian", amplitude=1.0,
-                      width=tau, center=0.0)
+    shape = PulseSpec(omega_drive=0.0, amplitude=1.0, width=tau)
     pulse = calibrate_pulse_area(shape, math.pi / 2.0 if hadamard else math.pi)
     static = Operator(CompositeSpace([FactorLabel("atom", atom_dim)]),
                       np.zeros((atom_dim, atom_dim)), hermitian=True)
@@ -579,8 +562,8 @@ def _dressed_sector_pulse_engine(kind: GateKind, params: JCParams,
     if kind == GateKind.HADAMARD_ATOM:
         carrier = 0.5 * (sector0 + sector1)
         tau = TAU_FACTOR / params.rabi_coupling
-        shape = PulseSpec(omega_drive=params.omega + carrier, shape="gaussian",
-                          amplitude=1.0, width=tau, center=0.0)
+        shape = PulseSpec(omega_drive=params.omega + carrier, amplitude=1.0,
+                          width=tau)
         pulse = calibrate_pulse_area(shape, math.pi / 2.0)
         drives = [Drive(pulse, carrier,
                         None if config.rwa else 2.0 * params.omega + carrier)]
@@ -589,11 +572,11 @@ def _dressed_sector_pulse_engine(kind: GateKind, params: JCParams,
     else:
         splitting = r1 - params.delta / 2.0
         tau = TAU_FACTOR / splitting
-        half = DEFAULT_GAUSSIAN_SUPPORT * tau
-        shape1 = PulseSpec(omega_drive=params.omega + sector1, shape="gaussian",
-                           amplitude=1.0, width=tau, center=0.0)
-        shape0 = PulseSpec(omega_drive=params.omega + sector0, shape="gaussian",
-                           amplitude=1.0, width=tau, center=2.0 * half)
+        half = GAUSSIAN_SUPPORT * tau
+        shape1 = PulseSpec(omega_drive=params.omega + sector1, amplitude=1.0,
+                           width=tau)
+        shape0 = PulseSpec(omega_drive=params.omega + sector0, amplitude=1.0,
+                           width=tau, center=2.0 * half)
         p1 = calibrate_pulse_area(shape1, math.pi)
         p0 = calibrate_pulse_area(shape0, math.pi)
         drives = [Drive(p, c, None if config.rwa else 2.0 * params.omega + c)
@@ -670,9 +653,7 @@ def physical_not_atom(state: StateVector, params: JCParams,
 # local controlled phase via the third atomic level
 
 
-def three_level_hamiltonian(tp: ThreeLevelParams, fock_cutoff: int,
-                            atom: str = "atom",
-                            cavity: str = "cavity") -> Operator:
+def three_level_hamiltonian(tp: ThreeLevelParams, fock_cutoff: int) -> Operator:
     """Rotating-frame ladder Hamiltonian: cavity resonant on e <-> i.
 
     |g,n> sits at delta_ge when the residual g <-> e coupling is modeled;
@@ -700,7 +681,7 @@ def three_level_hamiltonian(tp: ThreeLevelParams, fock_cutoff: int,
             root = math.sqrt(n + 1)
             h[idx(ATOM_E, n), idx(ATOM_G, n + 1)] = gge * root
             h[idx(ATOM_G, n + 1), idx(ATOM_E, n)] = gge * root
-    space = CompositeSpace([FactorLabel(atom, 3), FactorLabel(cavity, n_ph)])
+    space = CompositeSpace([FactorLabel("atom", 3), FactorLabel("cavity", n_ph)])
     return Operator(space, h, hermitian=True)
 
 

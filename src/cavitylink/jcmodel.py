@@ -85,12 +85,11 @@ def set_stark_detuning(params: JCParams, new_omega0: float) -> JCParams:
     return dataclasses.replace(params, omega0=new_omega0)
 
 
-def jc_space(fock_cutoff: int, atom: str = "atom",
-             cavity: str = "cavity") -> CompositeSpace:
+def jc_space(fock_cutoff: int) -> CompositeSpace:
     """Atom (dim 2) tensor cavity (photon numbers 0..fock_cutoff)."""
     if fock_cutoff < 2:
         raise QStateError(f"fock_cutoff must be >= 2, got {fock_cutoff}")
-    return CompositeSpace([FactorLabel(atom, 2), FactorLabel(cavity, fock_cutoff + 1)])
+    return CompositeSpace([FactorLabel("atom", 2), FactorLabel("cavity", fock_cutoff + 1)])
 
 
 def _jc_matrix(params: JCParams, fock_cutoff: int, rotating: bool) -> np.ndarray:

@@ -20,13 +20,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
 from .qstate import ATOM_G, QStateError
-from .jcmodel import (JCParams, dressed_pair, jc_rotating, jc_space,
-                      manifold_splitting, mixing_angle)
+from .jcmodel import (JCParams, dressed_pair, jc_rotating, manifold_splitting,
+                      mixing_angle)
 from .pulses import Drive, PulseSpec, _panels, _step_rule, propagate_basis
 
 
@@ -34,6 +33,9 @@ from .pulses import Drive, PulseSpec, _panels, _step_rule, propagate_basis
 # past ORDERED_MAX_PANELS is refused before anything is allocated.
 ORDERED_REL_TOL = 1e-10
 ORDERED_MAX_PANELS = 2 ** 14
+# The TDSE oracle truncates the node at this photon number, enough to
+# isolate the three levels |g,0>, V+-,0 and |V+,1>.
+ORACLE_FOCK_CUTOFF = 4
 
 
 class QuadratureError(RuntimeError):
@@ -49,17 +51,15 @@ class TwoPhotonParams:
     tau: gaussian 1/e half-width of the laser envelope (s)
     sigma0: peak atom-laser coupling (rad/s); the rotating-wave drive
         element is sigma0 * exp(-t^2/tau^2) in full
-    t_final: end of the integration window (s); it starts at -3 tau
-    omega_laser: laser frequency in the cavity-rotating frame; None picks
-        half the |g,0> -> |V+,1> gap, (R_1 + delta/2) / 2
+
+    The laser fires over the envelope's window [-3 tau, 3 tau] at half the
+    |g,0> -> |V+,1> gap, (R_1 + delta/2) / 2, in the cavity-rotating frame.
     """
 
     rabi_coupling: float
     delta: float
     tau: float
     sigma0: float
-    t_final: Optional[float] = None
-    omega_laser: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.rabi_coupling <= 0:
@@ -81,7 +81,7 @@ class TwoPhotonParams:
 
     @property
     def t_end(self) -> float:
-        return 3.0 * self.tau if self.t_final is None else self.t_final
+        return 3.0 * self.tau
 
     @property
     def t_start(self) -> float:
@@ -89,7 +89,7 @@ class TwoPhotonParams:
 
     @property
     def laser_frequency(self) -> float:
-        return _laser_frequency(self.rabi_coupling, self.delta, self.omega_laser)
+        return _laser_frequency(self.rabi_coupling, self.delta)
 
     def jc_params(self) -> JCParams:
         return _node_params(self.rabi_coupling, self.delta)
@@ -105,10 +105,7 @@ def _node_params(rabi_coupling: float, delta: float) -> JCParams:
                     rabi_coupling=rabi_coupling)
 
 
-def _laser_frequency(rabi_coupling: float, delta: float,
-                     omega_laser: Optional[float]) -> float:
-    if omega_laser is not None:
-        return omega_laser
+def _laser_frequency(rabi_coupling: float, delta: float) -> float:
     r1 = float(manifold_splitting(_node_params(rabi_coupling, delta), 1))
     return (r1 + delta / 2.0) / 2.0
 
@@ -129,8 +126,7 @@ FROZEN_CALIBRATION = {
 }
 
 
-def _path_elements(rabi_coupling: float, delta: float,
-                   omega_laser: Optional[float]):
+def _path_elements(rabi_coupling: float, delta: float):
     """Hop elements and detunings of the two intermediate paths.
 
     Returns (hop1, hop2, d1, d2): per path j in (+, -), hop1[j] and hop2[j]
@@ -144,7 +140,7 @@ def _path_elements(rabi_coupling: float, delta: float,
     phi1 = mixing_angle(params, 1)
     r0 = float(manifold_splitting(params, 0))
     r1 = float(manifold_splitting(params, 1))
-    wl = _laser_frequency(rabi_coupling, delta, omega_laser)
+    wl = _laser_frequency(rabi_coupling, delta)
     # hop 1: <V_j,0| s+ |g,0>; hop 2: <V+,1| s+ |V_j,0>
     hop1 = np.array([math.cos(phi0), -math.sin(phi0)])
     hop2 = np.array([math.sin(phi0) * math.cos(phi1),
@@ -170,8 +166,7 @@ def _path_integrands(tau: float, detunings: np.ndarray, t_start: float,
             f"ORDERED_MAX_PANELS = {ORDERED_MAX_PANELS}")
     h = (t_end - t_start) / panels
     t = t_start + h * (np.arange(panels)[:, None] + _step_rule(1)[0])
-    envelope = PulseSpec(omega_drive=0.0, shape="gaussian", amplitude=1.0,
-                         width=tau).envelope(t)
+    envelope = PulseSpec(omega_drive=0.0, amplitude=1.0, width=tau).envelope(t)
     return envelope * np.exp(1j * detunings[:, None, None] * t), h
 
 
@@ -192,7 +187,6 @@ def _running_integral(f: np.ndarray, h: float) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _sigma0_free_total(rabi_coupling: float, delta: float, tau: float,
-                       t_final: Optional[float], omega_laser: Optional[float],
                        direction: str) -> complex:
     """sum_j hop1_j hop2_j times the ordered double integral of path j, with
     the drive strength sigma0 taken out.
@@ -203,13 +197,12 @@ def _sigma0_free_total(rabi_coupling: float, delta: float, tau: float,
     sigma0-free fields rather than on a TwoPhotonParams copy, whose
     construction would repeat its warnings.
     """
-    hop1, hop2, d1, d2 = _path_elements(rabi_coupling, delta, omega_laser)
+    hop1, hop2, d1, d2 = _path_elements(rabi_coupling, delta)
     if direction == "reverse":
         # conjugated hops in the opposite order: emission back down
         d1, d2 = -d2, -d1
     # the window of TwoPhotonParams.t_start and t_end
-    t_start = -3.0 * tau
-    t_end = 3.0 * tau if t_final is None else t_final
+    t_start, t_end = -3.0 * tau, 3.0 * tau
 
     def evaluate(panels):
         f, h = _path_integrands(tau, np.concatenate((d1, d2)), t_start, t_end,
@@ -235,19 +228,18 @@ def two_photon_amplitude(p: TwoPhotonParams, direction: str = "forward") -> comp
     """Second-order amplitude of the |g,0> -> |V+,1> exchange (or reverse).
 
     Time-ordered double integral over both intermediate paths on the window
-    [-3 tau, t_final], on the Magnus step's Filon panel rule repeated over
+    [-3 tau, 3 tau], on the Magnus step's Filon panel rule repeated over
     the window, with panels doubled until two totals agree to
     ORDERED_REL_TOL.  The amplitude is exactly -sigma0^2 times an integral
     that does not depend on sigma0, so that integral is computed once per
-    operating point (coupling, detuning, window and laser) and cached; a
-    call at another drive strength only rescales it.
+    operating point (coupling, detuning and tau) and cached; a call at
+    another drive strength only rescales it.
     """
     if direction not in ("forward", "reverse"):
         raise QStateError(f"direction must be forward or reverse, got {direction!r}")
     if p.sigma0 == 0.0:
         return 0.0 + 0.0j
-    total = _sigma0_free_total(p.rabi_coupling, p.delta, p.tau, p.t_final,
-                               p.omega_laser, direction)
+    total = _sigma0_free_total(p.rabi_coupling, p.delta, p.tau, direction)
     return complex(-(p.sigma0 ** 2) * total)  # (-i)^2 prefactor
 
 
@@ -270,7 +262,7 @@ def first_order_population(p: TwoPhotonParams) -> float:
     """
     if p.sigma0 == 0.0:
         return 0.0
-    hop1, _hop2, d1, _d2 = _path_elements(p.rabi_coupling, p.delta, p.omega_laser)
+    hop1, _hop2, d1, _d2 = _path_elements(p.rabi_coupling, p.delta)
     panels = _panels(float(np.max(np.abs(d1))), p.t_end - p.t_start)
     f, h = _path_integrands(p.tau, d1, p.t_start, p.t_end, panels)
     amplitudes = p.sigma0 * hop1[:, None, None] * _running_integral(f, h)
@@ -278,24 +270,23 @@ def first_order_population(p: TwoPhotonParams) -> float:
 
 
 def two_photon_tdse_oracle(p: TwoPhotonParams, direction: str = "forward",
-                           fock_cutoff: int = 4, tol: float = 1e-10) -> float:
+                           tol: float = 1e-10) -> float:
     """Exact transition probability from integrating the driven node.
 
-    Full rotating-frame Hamiltonian on the truncated node plus the
-    rotating-wave laser drive; measures |<V+,1|psi>|^2 starting from |g,0>
-    (or the reverse).  Independent of the perturbative machinery.
+    Full rotating-frame Hamiltonian on the node truncated at
+    ORACLE_FOCK_CUTOFF photons plus the rotating-wave laser drive; measures
+    |<V+,1|psi>|^2 starting from |g,0> (or the reverse).  Independent of
+    the perturbative machinery.
     """
     if direction not in ("forward", "reverse"):
         raise QStateError(f"direction must be forward or reverse, got {direction!r}")
-    if fock_cutoff < 4:
-        raise QStateError("fock_cutoff must be >= 4 to isolate the three levels")
     params = p.jc_params()
-    static = jc_rotating(params, fock_cutoff)
-    space = jc_space(fock_cutoff)
+    static = jc_rotating(params, ORACLE_FOCK_CUTOFF)
+    space = static.space
     # full-sigma0 rotating-wave element needs pulse amplitude 2 sigma0
-    pulse = PulseSpec(omega_drive=p.laser_frequency, shape="gaussian",
-                      amplitude=2.0 * p.sigma0, width=p.tau, center=0.0)
-    pair1 = dressed_pair(params, 1, fock_cutoff)
+    pulse = PulseSpec(omega_drive=p.laser_frequency, amplitude=2.0 * p.sigma0,
+                      width=p.tau)
+    pair1 = dressed_pair(params, 1, ORACLE_FOCK_CUTOFF)
     g0 = np.zeros(space.dim, dtype=complex)
     g0[space.index({"atom": ATOM_G, "cavity": 0})] = 1.0
     start, target = (g0, pair1.v_plus) if direction == "forward" else (pair1.v_plus, g0)

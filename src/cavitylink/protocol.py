@@ -7,9 +7,10 @@ other.  Each local operation is one entry of a step table; the runner
 applies it, refuses it if it leaves its node, and records it for the trace.
 
 A run takes one register and one ebit, the ideal Bell pair or a caller's
-pair state (e.g. one outcome of enumerate_ebit_branches), and enumerates
-every measurement branch.  The physical level runs each node gate at one
-fixed operating point, the module constants below.
+pair state on alpha and beta in either order (e.g. one outcome of
+enumerate_ebit_branches), and enumerates every measurement branch.  The
+physical level runs each node gate at one fixed operating point, the
+module constants below.
 
 Logical encoding throughout: atom |g> is logical 1 and |e> is logical 0;
 a single photon is logical 1.  Flow: register preparation, entanglement
@@ -30,8 +31,9 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .qstate import (CompositeSpace, FactorLabel, QStateError, StateVector,
-                     apply_local, enumerate_branches, make_rng, tensor)
+from .qstate import (ATOM_LEVEL_NAMES, CompositeSpace, FactorLabel, QStateError,
+                     StateVector, apply_local, enumerate_branches, make_rng,
+                     state_fidelity, tensor)
 from .jcmodel import (JCParams, desk_params, resonant_rabi_evolve,
                       set_stark_detuning)
 from .perturb import SOURCE_POINT_CYCLIC
@@ -222,24 +224,15 @@ def locality_violations(records) -> list:
     return [r for r in records if not _is_local(r.node, r.support)]
 
 
-def _basis_ge(dim: int) -> list:
-    names = ("g", "e", "i")[:dim]
-    basis = []
-    for k, name in enumerate(names):
-        v = np.zeros(dim, dtype=complex)
-        v[k] = 1.0
-        basis.append((name, v))
-    return basis
-
-
 def _bit_of(outcome: str) -> int:
     return {"g": 1, "e": 0}[outcome]
 
 
-def _measure(state: StateVector, factor: str, basis) -> list:
-    """The outcomes of nonzero probability."""
-    return [br for br in enumerate_branches(state, factor, basis=basis)
-            if br[1] is not None]
+def _measure(state: StateVector, factor: str) -> list:
+    """The outcomes of nonzero probability as (level, collapsed, probability)."""
+    return [(int(level), collapsed, prob)
+            for level, collapsed, prob in enumerate_branches(state, factor)
+            if collapsed is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -265,31 +258,23 @@ def _atom_level(label: str, dim: int, level: int) -> StateVector:
 
 
 def prepare_register(a: complex, b: complex, c: complex, d: complex,
-                     mode: str = "ideal", fock_cutoff: int = 5,
-                     params_a: Optional[JCParams] = None,
-                     params_b: Optional[JCParams] = None) -> StateVector:
-    """Cavity qubits (a|1> + b|0>) on A and (c|1> + d|0>) on B, atoms in g.
+                     fock_cutoff: int = 5,
+                     params: Optional[JCParams] = None) -> StateVector:
+    """Cavity qubits (a|1> + b|0>) on A and (c|1> + d|0>) on B, atoms in g,
+    as both nodes load them at params (default desk_params(1.0, x=0.1)).
 
-    Physical mode prepares each atom in the matching superposition (with a
+    Each node prepares its atom in the matching superposition (with a
     pre-compensated drive phase) and transfers it to the cavity by a
     resonant quarter-cycle exchange; the transfer phase -i on |e,0> ->
     |g,1> is what the pre-compensation cancels.
     """
-    if mode not in ("ideal", "physical"):
-        raise QStateError(f"unknown mode {mode!r}")
     _check_pair(a, b, "ab")
     _check_pair(c, d, "cd")
     dim_c = fock_cutoff + 1
-    if mode == "ideal":
-        return tensor([
-            _cavity_qubit("A", dim_c, a, b), _atom_level("alpha", 2, 0),
-            _cavity_qubit("B", dim_c, c, d), _atom_level("beta", 2, 0),
-        ])
-    params_a = params_a or desk_params(1.0, x=0.1)
-    params_b = params_b or desk_params(1.0, x=0.1)
+    params = params or desk_params(1.0, x=0.1)
+    resonant = set_stark_detuning(params, params.omega)
     parts = []
-    for label_c, label_a, one, zero, params in (
-            ("A", "alpha", a, b, params_a), ("B", "beta", c, d, params_b)):
+    for label_c, label_a, one, zero in (("A", "alpha", a, b), ("B", "beta", c, d)):
         atom = np.array([zero, 1.0j * one], dtype=complex)  # drive-phase precompensation
         cav = np.zeros(dim_c, dtype=complex)
         cav[0] = 1.0
@@ -297,7 +282,6 @@ def prepare_register(a: complex, b: complex, c: complex, d: complex,
             StateVector(CompositeSpace([FactorLabel(label_a, 2)]), atom),
             StateVector(CompositeSpace([FactorLabel(label_c, dim_c)]), cav),
         ])
-        resonant = set_stark_detuning(params, params.omega)
         node = resonant_rabi_evolve(resonant, node,
                                     math.pi / (2.0 * params.rabi_coupling),
                                     atom=label_a, cavity=label_c)
@@ -308,13 +292,10 @@ def prepare_register(a: complex, b: complex, c: complex, d: complex,
     return _reorder_sub(full, CompositeSpace(order))
 
 
-def beam_splitter_mix(state: StateVector, mode_a: str, mode_b: str,
-                      theta: float = math.pi / 4.0,
-                      phase: float = -math.pi / 2.0) -> StateVector:
-    """50/50 mixing U = exp(-i theta (e^{i phase} a+b + h.c.)) of two modes.
+def beam_splitter_mix(state: StateVector, mode_a: str, mode_b: str) -> StateVector:
+    """Balanced mixing U = exp(-i (pi/4) (-i a+b + i a b+)) of two modes.
 
-    The default angles send |1,0> to (|0,1> + |1,0>)/sqrt2 with no relative
-    phase.
+    It sends |1,0> to (|0,1> + |1,0>)/sqrt2 with no relative phase.
     """
     da = state.space.factor(mode_a).dim
     db = state.space.factor(mode_b).dim
@@ -323,8 +304,8 @@ def beam_splitter_mix(state: StateVector, mode_a: str, mode_b: str,
     low = np.diag(np.sqrt(np.arange(1, da)), k=1)   # annihilation
     a_op = np.kron(low, np.eye(db))
     b_op = np.kron(np.eye(da), low)
-    gen = theta * (np.exp(1j * phase) * a_op.conj().T @ b_op
-                   + np.exp(-1j * phase) * a_op @ b_op.conj().T)
+    gen = (math.pi / 4.0) * (np.exp(-0.5j * math.pi) * a_op.conj().T @ b_op
+                             + np.exp(0.5j * math.pi) * a_op @ b_op.conj().T)
     return apply_local(state, scipy.linalg.expm(-1j * gen), (mode_a, mode_b))
 
 
@@ -362,9 +343,9 @@ def enumerate_ebit_branches(model: PhotonGunModel) -> tuple:
         st = beam_splitter_mix(st, "p1", "p2")
         st = resonant_rabi_evolve(params, st, t_transfer, atom="alpha", cavity="p1")
         st = resonant_rabi_evolve(params, st, t_transfer, atom="beta", cavity="p2")
-        for n1, st1, pr1 in _measure(st, "p1", None):
-            for n2, st2, pr2 in _measure(st1, "p2", None):
-                flagged = (n1 != "0") or (n2 != "0")
+        for n1, st1, pr1 in _measure(st, "p1"):
+            for n2, st2, pr2 in _measure(st1, "p2"):
+                flagged = (n1 != 0) or (n2 != 0)
                 atoms = _reorder_sub(st2, CompositeSpace([FactorLabel("alpha", 2),
                                                           FactorLabel("beta", 2)]))
                 # transfer phases: |1> -> -i|e> on each side, global for the pair
@@ -560,9 +541,8 @@ _GATES = {
 
 
 def _load_physical(ref_cav, amplitudes, config, params) -> StateVector:
-    reg = prepare_register(*amplitudes, mode="physical",
-                           fock_cutoff=config.fock_cutoff,
-                           params_a=params, params_b=params)
+    reg = prepare_register(*amplitudes, fock_cutoff=config.fock_cutoff,
+                           params=params)
     return _reorder_sub(reg, ref_cav.space)
 
 
@@ -674,9 +654,7 @@ def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
                 "(|eg>+|ge>)/sqrt2", "-")
         _record(records, "*", "ebit", SOURCE, "handoff",
                 "alpha to Alice, beta to Bob", "-")
-    if atoms.space.factor("beta").dim != spec.beta_dim:
-        atoms = _widen_beta(atoms, spec.beta_dim)
-    state = tensor([cav_state, atoms])
+    state = tensor([cav_state, _ebit_pair(atoms, spec.beta_dim)])
 
     # ideal reference for fidelity targets: the nonlocal gate on the input
     ref_atoms = tensor([_atom_level("alpha", 2, 0),
@@ -687,8 +665,8 @@ def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
     state = _run_step(records, lvl, params, config, "*", _STEP4, state)
 
     # alpha measured: one bit to Bob, his NOT on e, then steps 5 and 6
-    beta_basis = _basis_ge(spec.beta_dim)
-    for alpha_out, s, p_alpha in _measure(state, "alpha", _basis_ge(2)):
+    for alpha_level, s, p_alpha in _measure(state, "alpha"):
+        alpha_out = ATOM_LEVEL_NAMES[alpha_level]
         tag_a = alpha_out + "?"
         _record(records, tag_a, "measure-alpha", ALICE, "projective-measurement",
                 "basis g/e", f"outcome={alpha_out} p={p_alpha:.6f}", ("alpha",))
@@ -702,10 +680,11 @@ def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
         s = _run_step(records, lvl, params, config, tag_a, _STEP6, s)
 
         # beta measured: one bit to Alice, her photon phase on the trigger
-        for beta_out, sf, p_beta in _measure(s, "beta", beta_basis):
+        for beta_level, sf, p_beta in _measure(s, "beta"):
+            beta_out = ATOM_LEVEL_NAMES[beta_level]
             tag = alpha_out + beta_out
             _record(records, tag, "measure-beta", BOB, "projective-measurement",
-                    f"basis {'/'.join(n for n, _ in beta_basis)}",
+                    "basis " + "/".join(ATOM_LEVEL_NAMES[:spec.beta_dim]),
                     f"outcome={beta_out} p={p_beta:.6f}", ("beta",))
             if beta_out == "i":
                 branches.append(BranchResult(
@@ -725,9 +704,9 @@ def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
                 sf = _run_step(records, lvl, params, config, tag, _PHOTON_PHASE, sf)
 
             target = _branch_target(target_initial, alpha_final, beta_out)
-            fid = float(abs(np.vdot(target.amplitudes, sf.amplitudes)) ** 2)
             branches.append(BranchResult(
-                alpha_out, beta_out, float(p_alpha * p_beta), fid, sf,
+                alpha_out, beta_out, float(p_alpha * p_beta),
+                state_fidelity(target, sf), sf,
                 tuple(to_bob.log + to_alice.log)))
 
     total = sum(br.probability for br in branches)
@@ -741,8 +720,17 @@ def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
                          records=tuple(records), branches=tuple(branches))
 
 
-def _widen_beta(atoms: StateVector, beta_dim: int) -> StateVector:
-    """The pair on (alpha, beta) with the added beta levels empty."""
+def _ebit_pair(atoms: StateVector, beta_dim: int) -> StateVector:
+    """An ebit on (alpha, beta) in that order, beta widened to the gate's
+    beta_dim levels with the added levels empty.
+
+    Refuses any factor besides a two-level alpha and a beta of at most
+    beta_dim levels.
+    """
+    dims = dict(zip(atoms.space.names, atoms.space.dims))
+    if sorted(dims) != ["alpha", "beta"] or dims["alpha"] != 2 or dims["beta"] > beta_dim:
+        raise QStateError(f"an ebit needs factors alpha (dim 2) and beta (dim <= "
+                          f"{beta_dim}), got {atoms.space}")
     old = atoms.tensor_view().transpose(atoms.space.axis("alpha"),
                                         atoms.space.axis("beta"))
     out = np.zeros((2, beta_dim), dtype=complex)
@@ -752,10 +740,8 @@ def _widen_beta(atoms: StateVector, beta_dim: int) -> StateVector:
 
 
 def _pulse_text(result) -> str:
-    parts = []
-    for p in result.pulse_log:
-        parts.append(f"{p.shape}(carrier={p.omega_drive:.9g}, width={p.width:.6g})")
-    return " ".join(parts) if parts else "-"
+    return " ".join(f"gaussian(carrier={p.omega_drive:.9g}, width={p.width:.6g})"
+                    for p in result.pulse_log) or "-"
 
 
 def _branch_target(target_initial: StateVector, alpha_final: str,

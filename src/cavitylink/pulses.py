@@ -1,10 +1,10 @@
 """Classical drive pulses on an atom and time-dependent Schrodinger evolution.
 
-Every drive is one Drive record: an envelope p(t) times a carrier, acting on
-the g<->e raising operator of the atom that leads the node's space.  Its
-coefficient z(t) multiplies s+ and conj(z(t)) multiplies s-, which keeps the
-generator Hermitian by construction.  propagate_basis picks its method from
-the drives it is given:
+Every drive is one Drive record: a gaussian envelope p(t) times a carrier,
+acting on the g<->e raising operator of the atom that leads the node's
+space.  Its coefficient z(t) multiplies s+ and conj(z(t)) multiplies s-,
+which keeps the generator Hermitian by construction.  propagate_basis
+picks its method from the drives it is given:
 
 - no drive: free evolution, exact through one eigendecomposition of H0;
 - any drive: a 6th-order Magnus propagator in the frame rotating at each
@@ -12,8 +12,8 @@ the drives it is given:
   plus the cavity's photon number).  H0 conserves N and s+ raises it by
   one, so the generator there is K + z(t) X + conj(z(t)) Y with constant K,
   X and Y: only the scalar z depends on time.  A rotating-wave drive has
-  z = (p(t)/2) exp(-i phase); the full drive adds its counter-rotating
-  term, which oscillates at W, the carrier plus the counter frequency.
+  z = p(t)/2; the full drive adds its counter-rotating term, which
+  oscillates at W, the carrier plus the counter frequency.
   Each step reads z through three moments, integrated on a fixed
   Gauss-Legendre rule with one panel per radian of W, and adds the double
   integral of z times its conjugate that no polynomial through the
@@ -40,10 +40,8 @@ import numpy as np
 from .qstate import (ATOM_E, ATOM_G, CompositeSpace, Operator, QStateError,
                      StateVector)
 
-PULSE_SHAPES = ("rectangular", "gaussian")
-
-# Gaussian envelopes are truncated at +/- support * width.
-DEFAULT_GAUSSIAN_SUPPORT = 3.0
+# Every envelope is a gaussian truncated at +/- GAUSSIAN_SUPPORT widths.
+GAUSSIAN_SUPPORT = 3.0
 
 
 # Each Magnus step takes its scalar moments on a fixed Gauss-Legendre rule of
@@ -81,39 +79,31 @@ class StiffnessError(RuntimeError):
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """One classical pulse: carrier plus named envelope.
+    """One classical pulse: carrier plus gaussian envelope.
 
-    amplitude is the peak Rabi rate of the envelope (rad/s); width is the
-    rectangular duration or the gaussian 1/e half-width tau (s); the lab
-    carrier is cos(omega_drive * t + phase), and a Drive states the frame
-    the pulse is integrated in.  Gaussian envelopes are identically zero
-    outside center +/- support * width.
+    amplitude is the peak Rabi rate of the envelope (rad/s) and width its
+    1/e half-width tau (s); the lab carrier is cos(omega_drive * t), and a
+    Drive states the frame the pulse is integrated in.  The envelope is
+    identically zero outside center +/- GAUSSIAN_SUPPORT * width.
     """
 
     omega_drive: float
-    shape: str
     amplitude: float
     width: float
     center: float = 0.0
-    phase: float = 0.0
-    support: float = DEFAULT_GAUSSIAN_SUPPORT
 
     def __post_init__(self) -> None:
-        if self.shape not in PULSE_SHAPES:
-            raise QStateError(f"unknown pulse shape {self.shape!r}; use one of {PULSE_SHAPES}")
         if self.amplitude < 0:
             raise QStateError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.width <= 0:
             raise QStateError(f"width must be > 0, got {self.width}")
-        if self.support <= 0:
-            raise QStateError(f"support must be > 0, got {self.support}")
         if not math.isfinite(self.omega_drive):
             raise QStateError("omega_drive must be finite")
 
     @property
     def window(self) -> tuple:
         """(start, end) outside which the envelope is exactly zero."""
-        half = self.width / 2.0 if self.shape == "rectangular" else self.support * self.width
+        half = GAUSSIAN_SUPPORT * self.width
         return (self.center - half, self.center + half)
 
     def envelope(self, t):
@@ -127,30 +117,24 @@ class PulseSpec:
         if isinstance(t, float):
             if not lo <= t <= hi:
                 return 0.0
-            if self.shape == "rectangular":
-                return self.amplitude
             arg = (t - self.center) / self.width
             return self.amplitude * math.exp(-arg * arg)
         t = np.asarray(t, dtype=float)
         inside = (t >= lo) & (t <= hi)
-        if self.shape == "rectangular":
-            return np.where(inside, self.amplitude, 0.0)
         arg = (t - self.center) / self.width
         return np.where(inside, self.amplitude * np.exp(-arg * arg), 0.0)
 
     def envelope_area(self) -> float:
         """Integral of the envelope over its window, analytic."""
-        if self.shape == "rectangular":
-            return self.amplitude * self.width
-        return self.amplitude * self.width * math.sqrt(math.pi) * math.erf(self.support)
+        return (self.amplitude * self.width * math.sqrt(math.pi)
+                * math.erf(GAUSSIAN_SUPPORT))
 
 
 def calibrate_pulse_area(envelope: PulseSpec, target_area: float) -> PulseSpec:
     """Rescale the envelope amplitude so its area matches target_area.
 
-    Rectangular pulses solve exactly; gaussian pulses divide by the unit
-    envelope's quadrature over the finite window, e.g. a pi area needs
-    amplitude pi / (tau sqrt(pi) erf(support)).
+    Divides by the unit envelope's area over the finite window, e.g. a pi
+    area needs amplitude pi / (tau sqrt(pi) erf(GAUSSIAN_SUPPORT)).
     """
     if target_area <= 0:
         raise QStateError(f"target_area must be > 0, got {target_area}")
@@ -162,12 +146,12 @@ def calibrate_pulse_area(envelope: PulseSpec, target_area: float) -> PulseSpec:
 class Drive:
     """One classical pulse on the atom's g->e raising operator s+.
 
-    The s+ coefficient is (p(t)/2) exp(-i(carrier t + phase)), plus
-    (p(t)/2) exp(+i(counter t + phase)) unless counter is None (the
-    rotating-wave approximation); s- carries the conjugate.  A bare drive
-    has carrier = counter = pulse.omega_drive, i.e. <e|H|g> =
-    p(t) cos(omega_drive t + phase); in the cavity-rotating frame the
-    carrier is the offset from the cavity and counter = 2 omega + carrier.
+    The s+ coefficient is (p(t)/2) exp(-i carrier t), plus (p(t)/2)
+    exp(+i counter t) unless counter is None (the rotating-wave
+    approximation); s- carries the conjugate.  A bare drive has carrier =
+    counter = pulse.omega_drive, i.e. <e|H|g> = p(t) cos(omega_drive t); in
+    the cavity-rotating frame the carrier is the offset from the cavity and
+    counter = 2 omega + carrier.
     """
 
     pulse: PulseSpec
@@ -177,12 +161,11 @@ class Drive:
     def coefficient(self, t: float) -> complex:
         """Coefficient z(t) of s+ at time t."""
         half = 0.5 * self.pulse.envelope(t)
-        phase = self.pulse.phase
         # scalar cmath, not numpy: the tests' DOP853 oracle calls this per RHS
         if self.counter is None:
-            return half * cmath.exp(-1j * (self.carrier * t + phase))
-        return half * (cmath.exp(-1j * (self.carrier * t + phase))
-                       + cmath.exp(1j * (self.counter * t + phase)))
+            return half * cmath.exp(-1j * (self.carrier * t))
+        return half * (cmath.exp(-1j * (self.carrier * t))
+                       + cmath.exp(1j * (self.counter * t)))
 
 
 def _atom_raise(space: CompositeSpace) -> np.ndarray:
@@ -376,11 +359,11 @@ def _magnus_window(h0: np.ndarray, n_exc: np.ndarray, raise_op: np.ndarray,
 
     With V = exp(i c N t) the generator becomes K + z(t) X + conj(z(t)) Y,
     where K = -i (H0 - c N), X = -i s+, Y = -i s- and
-    z(t) = (p(t)/2) (exp(-i phase) + exp(i (W t + phase))), W = carrier +
-    counter; a rotating-wave drive keeps only the first term.  The step
-    count doubles until the gap to the previous count, over 2^6 - 1, is
-    below tol.  Returns (U, steps, error estimate, coefficient evaluations
-    over every pass).
+    z(t) = (p(t)/2) (1 + exp(i W t)), W = carrier + counter; a
+    rotating-wave drive keeps only the first term.  The step count doubles
+    until the gap to the previous count, over 2^6 - 1, is below tol.
+    Returns (U, steps, error estimate, coefficient evaluations over every
+    pass).
     """
     c, pulse = drive.carrier, drive.pulse
     h_frame = h0 - c * np.diag(n_exc)
@@ -391,18 +374,16 @@ def _magnus_window(h0: np.ndarray, n_exc: np.ndarray, raise_op: np.ndarray,
                           -1j * raise_op)
     # z is written out in this frame rather than taken as coefficient(t)
     # exp(i c t), whose large opposite phases would cancel only to rounding
-    slow = 0.5 * cmath.exp(-1j * pulse.phase)
     if drive.counter is None:
         w = 0.0
 
         def coefficient(t):
-            return slow * pulse.envelope(t)
+            return (0.5 + 0.0j) * pulse.envelope(t)
     else:
         w = c + drive.counter
-        fast = 0.5 * cmath.exp(1j * pulse.phase)
 
         def coefficient(t):
-            return pulse.envelope(t) * (slow + fast * np.exp(1j * w * t))
+            return pulse.envelope(t) * (0.5 + 0.5 * np.exp(1j * w * t))
     evaluations = 0
 
     def integrate(count):

@@ -27,7 +27,8 @@ class Tolerances:
 
 TOLERANCES = Tolerances()
 
-# Atom level indices used throughout (basis ordering decision).
+# Atom level indices used throughout (basis ordering decision), and the
+# names measured atom levels are reported by.
 ATOM_G = 0
 ATOM_E = 1
 ATOM_I = 2
@@ -258,47 +259,32 @@ def embed(op: Operator, space: CompositeSpace) -> Operator:
                     unitary=op.unitary or None)
 
 
-def _computational_basis(factor: FactorLabel) -> list:
-    return [(str(k), np.eye(factor.dim)[:, k].astype(complex)) for k in range(factor.dim)]
-
-
-def _validate_basis(factor: FactorLabel, basis) -> list:
-    basis = [(str(label), np.asarray(vec, dtype=complex).reshape(-1)) for label, vec in basis]
-    if len(basis) != factor.dim:
-        raise QStateError(f"basis size {len(basis)} != factor dim {factor.dim}")
-    mat = np.array([vec for _, vec in basis])
-    gram = mat.conj() @ mat.T
-    if np.max(np.abs(gram - np.eye(factor.dim))) > 1e-10:
-        raise QStateError("basis is not orthonormal")
-    return basis
-
-
-def _project_factor(state: StateVector, axis: int, vec: np.ndarray):
-    """Return (projected un-normalized amplitudes, probability)."""
+def _project_factor(state: StateVector, axis: int, level: int):
+    """Return (amplitudes projected on one level of a factor, un-normalized;
+    probability)."""
     dims = state.space.dims
     psi = state.amplitudes.reshape(int(np.prod(dims[:axis])), dims[axis], -1)
-    coeff = vec.conj() @ psi  # amplitude per (left, right) rest-index
-    prob = float(np.sum(np.abs(coeff) ** 2))
-    proj = vec[:, None] * coeff[:, None, :]
-    return proj.reshape(-1), prob
+    proj = np.zeros_like(psi)
+    proj[:, level] = psi[:, level]
+    return proj.reshape(-1), float(np.sum(np.abs(psi[:, level]) ** 2))
 
 
-def enumerate_branches(state: StateVector, factor: str, basis=None) -> list:
-    """All measurement branches of one factor: (outcome, collapsed, probability).
+def enumerate_branches(state: StateVector, factor: str) -> list:
+    """All outcomes of measuring one factor in its level basis:
+    (level as a string, collapsed state, probability).
 
     Zero-probability branches are listed with collapsed state None.
     Probabilities sum to 1 within 1e-10.
     """
     f = state.space.factor(factor)
-    basis = _validate_basis(f, basis) if basis is not None else _computational_basis(f)
     axis = state.space.axis(factor)
     out = []
-    for label, vec in basis:
-        proj, prob = _project_factor(state, axis, vec)
+    for level in range(f.dim):
+        proj, prob = _project_factor(state, axis, level)
         if prob < 1e-30:
-            out.append((label, None, 0.0))
+            out.append((str(level), None, 0.0))
         else:
-            out.append((label, StateVector(state.space, proj / np.sqrt(prob)), prob))
+            out.append((str(level), StateVector(state.space, proj / np.sqrt(prob)), prob))
     total = sum(p for _, _, p in out)
     if abs(total - 1.0) > 1e-10:
         raise QStateError(f"branch probabilities sum to {total}, not 1")

@@ -191,6 +191,19 @@ def test_two_photon_single_convention(capsys):
     assert lines[2] == "target=0.47 band=0.02 in_band=false"
 
 
+def test_two_photon_single_convention_honours_the_tolerance(capsys):
+    # one convention runs the oracle at --tolerance, as auto does
+    rc, out, _ = run_cli(capsys, "two-photon", "--convention", "cyclic",
+                         "--tolerance", "1e-12")
+    assert rc == 0
+    single = out.strip().splitlines()[0]
+    assert single == ("convention=cyclic perturbative=0.36045481072 "
+                      "tdse=0.000637862258")
+    rc, out, _ = run_cli(capsys, "two-photon", "--tolerance", "1e-12")
+    assert rc == 0
+    assert out.strip().splitlines()[1] == single
+
+
 def test_two_photon_past_the_panel_cap_is_a_numerical_failure(capsys, monkeypatch):
     # the angular point starts at 63 panels
     monkeypatch.setattr(perturb, "ORDERED_MAX_PANELS", 32)

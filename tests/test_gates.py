@@ -125,10 +125,6 @@ def test_ideal_swap_and_cqpg():
     v = ideal_gate(GateKind.CQPG_LOCAL, space, "atom", "cavity").matrix
     assert v[idx(1, 1), idx(1, 1)] == pytest.approx(-1.0)
     assert v[idx(0, 0), idx(0, 0)] == 1.0
-    # custom phase
-    w = ideal_gate(GateKind.CQPG_LOCAL, space, "atom", "cavity",
-                   phi=math.pi / 2).matrix
-    assert w[idx(1, 1), idx(1, 1)] == pytest.approx(1j)
 
 
 def test_ideal_single_atom_gates():

@@ -43,8 +43,8 @@ def test_set_stark_detuning_roundtrip():
 def test_jc_space_cutoff_floor():
     with pytest.raises(QStateError, match="fock_cutoff"):
         jc_space(1)
-    sp = jc_space(4, atom="alpha", cavity="A")
-    assert sp.names == ("alpha", "A") and sp.dims == (2, 5)
+    sp = jc_space(4)
+    assert sp.names == ("atom", "cavity") and sp.dims == (2, 5)
 
 
 def test_mixing_angle_resonance_and_limits():
@@ -161,9 +161,9 @@ def test_resonant_unitary_consistent_with_matrix_exp():
 def test_embedded_evolution_leaves_spectators_alone():
     p = desk_params(1.0, x=0.0)
     rng = make_rng(4)
-    space = jc_space(2, atom="alpha", cavity="A")
     import cavitylink.qstate as qs
-    big = qs.CompositeSpace(list(space.factors) + [qs.FactorLabel("spec", 2)])
+    big = qs.CompositeSpace([qs.FactorLabel("alpha", 2), qs.FactorLabel("A", 3),
+                             qs.FactorLabel("spec", 2)])
     v = rng.normal(size=big.dim) + 1j * rng.normal(size=big.dim)
     st = StateVector(big, v / np.linalg.norm(v))
     out = resonant_rabi_evolve(p, st, 2.0, atom="alpha", cavity="A")

@@ -35,9 +35,6 @@ def test_laser_frequency_is_half_the_gap():
     params = p.jc_params()
     r1 = float(manifold_splitting(params, 1))
     np.testing.assert_allclose(p.laser_frequency, (r1 + p.delta / 2.0) / 2.0)
-    override = TwoPhotonParams(rabi_coupling=1.0, delta=10.0, tau=8.0,
-                               sigma0=0.02, omega_laser=3.3)
-    assert override.laser_frequency == 3.3
 
 
 def _dressed_hops(p: TwoPhotonParams, cutoff: int = 2) -> tuple:
@@ -59,7 +56,7 @@ def _dressed_hops(p: TwoPhotonParams, cutoff: int = 2) -> tuple:
 def test_path_weights_are_products_of_dressed_hops():
     for p in (SOURCE_POINT_CYCLIC, TwoPhotonParams(1.0, 5.0, 3.0, 0.1)):
         hop1, hop2 = _dressed_hops(p)
-        got1, got2, _d1, _d2 = _path_elements(p.rabi_coupling, p.delta, p.omega_laser)
+        got1, got2, _d1, _d2 = _path_elements(p.rabi_coupling, p.delta)
         np.testing.assert_allclose(got1, hop1, rtol=0, atol=1e-14)
         np.testing.assert_allclose(got2, hop2, rtol=0, atol=1e-14)
     # the elements at the operating point, through V+ and V- respectively
@@ -104,7 +101,7 @@ def test_cold_and_warm_amplitudes_are_identical(point, direction):
 def _trapezoid_total(p: TwoPhotonParams, direction: str, n: int) -> complex:
     """sum_j hop1_j hop2_j times path j's ordered double integral, by a
     cumulative trapezoid on n + 1 points of the window."""
-    hop1, hop2, d1, d2 = _path_elements(p.rabi_coupling, p.delta, p.omega_laser)
+    hop1, hop2, d1, d2 = _path_elements(p.rabi_coupling, p.delta)
     if direction == "reverse":
         d1, d2 = -d2, -d1
     t = np.linspace(p.t_start, p.t_end, n + 1)
@@ -127,7 +124,7 @@ def test_ordered_integral_matches_richardson_trapezoid(point, direction):
     coarse, fine = (_trapezoid_total(point, direction, n) for n in (2 ** 15, 2 ** 16))
     oracle = (4.0 * fine - coarse) / 3.0
     total = _sigma0_free_total(point.rabi_coupling, point.delta, point.tau,
-                               point.t_final, point.omega_laser, direction)
+                               direction)
     np.testing.assert_allclose(total, oracle, rtol=1e-9, atol=0)
 
 
@@ -225,8 +222,3 @@ def test_source_points_have_expected_ratios():
     np.testing.assert_allclose(
         SOURCE_POINT_CYCLIC.rabi_coupling / SOURCE_POINT_ANGULAR.rabi_coupling,
         2.0 * math.pi)
-
-
-def test_oracle_requires_room_for_three_levels():
-    with pytest.raises(QStateError, match="fock_cutoff"):
-        two_photon_tdse_oracle(small_point(), fock_cutoff=3)

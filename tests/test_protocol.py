@@ -122,15 +122,20 @@ def test_ancilla_entangled_input():
 
 def test_prepare_register_physical_matches_ideal():
     amps = (0.6, 0.8j, 1 / math.sqrt(2), -1 / math.sqrt(2))
-    reg_i = prepare_register(*amps, mode="ideal")
-    reg_p = prepare_register(*amps, mode="physical")
+    a, b, c, d = amps
+    reg_i = qstate.tensor([protocol._cavity_qubit("A", 6, a, b),
+                           protocol._atom_level("alpha", 2, 0),
+                           protocol._cavity_qubit("B", 6, c, d),
+                           protocol._atom_level("beta", 2, 0)])
+    reg_p = prepare_register(*amps)
+    assert reg_p.space == reg_i.space
     ov = abs(np.vdot(reg_i.amplitudes, reg_p.amplitudes)) ** 2
     np.testing.assert_allclose(ov, 1.0, atol=1e-9)
 
 
 def test_prepare_register_enforces_pair_norms():
     with pytest.raises(QStateError, match="expected 1"):
-        prepare_register(1.0, 1.0, 1.0, 0.0, mode="ideal")
+        prepare_register(1.0, 1.0, 1.0, 0.0)
 
 
 def test_ideal_ebit_is_shared_bell_pair():
@@ -148,6 +153,44 @@ def test_ideal_ebit_is_shared_bell_pair():
     for mine, theirs in zip(own.branches, injected.branches):
         np.testing.assert_array_equal(mine.final_state.amplitudes,
                                       theirs.final_state.amplitudes)
+
+
+@pytest.mark.parametrize("runner", [run_nonlocal_cnot, run_nonlocal_cqpg],
+                         ids=["cnot", "cqpg"])
+def test_ebit_in_either_factor_order_gives_the_same_branches(runner):
+    bell = protocol._bell_atoms()
+    swapped_space = CompositeSpace([FactorLabel("beta", 2), FactorLabel("alpha", 2)])
+    swapped = StateVector(swapped_space, bell.tensor_view().T.reshape(-1))
+    assert swapped.amplitude({"alpha": 0, "beta": 1}) == bell.amplitude(
+        {"alpha": 0, "beta": 1})
+    own = runner(0.6, 0.8, 0.6, 0.8)
+    injected = runner(0.6, 0.8, 0.6, 0.8, ebit_state=swapped)
+    assert [br.label for br in injected.branches] == [br.label for br in own.branches]
+    for mine, theirs in zip(own.branches, injected.branches):
+        assert theirs.probability == mine.probability
+        assert theirs.fidelity_vs_ideal == mine.fidelity_vs_ideal == 1.0
+        assert theirs.final_state.space == mine.final_state.space
+        np.testing.assert_array_equal(theirs.final_state.amplitudes,
+                                      mine.final_state.amplitudes)
+
+
+def test_ebit_on_other_factors_or_dims_is_refused():
+    three = CompositeSpace([FactorLabel("alpha", 2), FactorLabel("beta", 3)])
+    v = np.zeros(6, dtype=complex)
+    v[three.index({"alpha": 1, "beta": 0})] = v[three.index({"alpha": 0, "beta": 1})] \
+        = 1 / math.sqrt(2)
+    no_alpha = CompositeSpace([FactorLabel("atom", 2), FactorLabel("beta", 2)])
+    wide_alpha = CompositeSpace([FactorLabel("alpha", 3), FactorLabel("beta", 2)])
+    bell = protocol._bell_atoms().amplitudes
+    with pytest.raises(QStateError, match=r"beta \(dim <= 2\), got .*beta:3"):
+        run_nonlocal_cnot(0.6, 0.8, 0.6, 0.8, ebit_state=StateVector(three, v))
+    with pytest.raises(QStateError, match="an ebit needs factors alpha"):
+        run_nonlocal_cnot(ebit_state=StateVector(no_alpha, bell))
+    with pytest.raises(QStateError, match="alpha:3"):
+        run_nonlocal_cqpg(ebit_state=StateVector(wide_alpha, v))
+    # a 3-level beta is the controlled-phase gate's own
+    trace = run_nonlocal_cqpg(0.6, 0.8, 0.6, 0.8, ebit_state=StateVector(three, v))
+    assert min(br.fidelity_vs_ideal for br in trace.branches) == 1.0
 
 
 def test_beam_splitter_balances_a_single_photon():

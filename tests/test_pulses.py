@@ -20,35 +20,32 @@ from cavitylink.pulses import (Drive, PulseSpec, StiffnessError, _atom_raise,
 
 
 def test_pulse_spec_validation():
-    with pytest.raises(QStateError, match="shape"):
-        PulseSpec(omega_drive=1.0, shape="triangle", amplitude=1.0, width=1.0)
     with pytest.raises(QStateError, match="width"):
-        PulseSpec(omega_drive=1.0, shape="gaussian", amplitude=1.0, width=0.0)
+        PulseSpec(omega_drive=1.0, amplitude=1.0, width=0.0)
     with pytest.raises(QStateError, match="amplitude"):
-        PulseSpec(omega_drive=1.0, shape="gaussian", amplitude=-1.0, width=1.0)
+        PulseSpec(omega_drive=1.0, amplitude=-1.0, width=1.0)
 
 
 def test_envelope_windows_and_values():
-    rect = PulseSpec(omega_drive=0.0, shape="rectangular", amplitude=2.0, width=4.0,
-                     center=1.0)
-    assert rect.window == (-1.0, 3.0)
-    np.testing.assert_allclose(rect.envelope([-1.5, 0.0, 2.9, 3.1]),
-                               [0.0, 2.0, 2.0, 0.0])
-    gauss = PulseSpec(omega_drive=0.0, shape="gaussian", amplitude=1.0, width=2.0)
+    shifted = PulseSpec(omega_drive=0.0, amplitude=2.0, width=0.5, center=1.0)
+    assert shifted.window == (-0.5, 2.5)
+    np.testing.assert_allclose(shifted.envelope([-0.6, 1.0, 1.5, 2.6]),
+                               [0.0, 2.0, 2.0 * math.exp(-1.0), 0.0])
+    gauss = PulseSpec(omega_drive=0.0, amplitude=1.0, width=2.0)
     assert gauss.window == (-6.0, 6.0)
     np.testing.assert_allclose(gauss.envelope(2.0), math.exp(-1.0))
     assert gauss.envelope(6.5) == 0.0
 
 
 def test_envelope_area_vs_quadrature():
-    gauss = PulseSpec(omega_drive=0.0, shape="gaussian", amplitude=1.3, width=0.7)
+    gauss = PulseSpec(omega_drive=0.0, amplitude=1.3, width=0.7)
     ts = np.linspace(*gauss.window, 200001)
     numeric = np.trapezoid(gauss.envelope(ts), ts)
     np.testing.assert_allclose(gauss.envelope_area(), numeric, rtol=1e-9)
 
 
 def test_calibrate_pulse_area():
-    base = PulseSpec(omega_drive=5.0, shape="gaussian", amplitude=1.0, width=2.0)
+    base = PulseSpec(omega_drive=5.0, amplitude=1.0, width=2.0)
     cal = calibrate_pulse_area(base, math.pi)
     np.testing.assert_allclose(cal.envelope_area(), math.pi, rtol=1e-14)
     np.testing.assert_allclose(
@@ -56,7 +53,7 @@ def test_calibrate_pulse_area():
 
 
 def test_drive_hamiltonian_is_hermitian():
-    pulse = PulseSpec(omega_drive=3.0, shape="gaussian", amplitude=0.5, width=1.0)
+    pulse = PulseSpec(omega_drive=3.0, amplitude=0.5, width=1.0)
     raise_op = _atom_raise(CompositeSpace([FactorLabel("atom", 2)]))
     np.testing.assert_array_equal(raise_op, [[0.0, 0.0], [1.0, 0.0]])
     for rwa in (False, True):
@@ -77,8 +74,8 @@ def test_cavity_frame_drive_coefficient():
     # into a slow term at -c plus a counter-rotating term at 2 omega + c
     p = desk_params(1.0, x=0.1)
     carrier = 0.37
-    pulse = PulseSpec(omega_drive=p.omega + carrier, shape="gaussian",
-                      amplitude=0.8, width=2.0, center=0.5)
+    pulse = PulseSpec(omega_drive=p.omega + carrier, amplitude=0.8, width=2.0,
+                      center=0.5)
     full = Drive(pulse, carrier, 2.0 * p.omega + carrier)
     rwa = Drive(pulse, carrier)
     for t in np.linspace(-6.0, 7.0, 23):
@@ -92,7 +89,7 @@ def test_cavity_frame_drive_coefficient():
 
 
 def test_drive_needs_leading_atom_factor():
-    pulse = PulseSpec(omega_drive=1.0, shape="gaussian", amplitude=0.3, width=1.0)
+    pulse = PulseSpec(omega_drive=1.0, amplitude=0.3, width=1.0)
     drive = Drive(pulse, pulse.omega_drive)
     spaces = ([FactorLabel("cavity", 3), FactorLabel("atom", 2)],
               [FactorLabel("qubit", 2)],
@@ -131,12 +128,11 @@ def test_zero_drive_matches_resonant_oracle():
 
 
 def test_resonant_pi_pulse_inverts_atom():
-    # rectangular resonant pulse of area pi flips a decoupled atom
+    # resonant pulse of area pi flips a decoupled atom
     space = CompositeSpace([FactorLabel("atom", 2)])
     static = Operator(space, np.zeros((2, 2)), hermitian=True)
     pulse = calibrate_pulse_area(
-        PulseSpec(omega_drive=0.0, shape="rectangular", amplitude=1.0, width=3.0,
-                  center=1.5), math.pi)
+        PulseSpec(omega_drive=0.0, amplitude=1.0, width=0.5, center=1.5), math.pi)
     start = space.basis_state({"atom": 0})
     out = evolve_tdse(start, static, [Drive(pulse, pulse.omega_drive)], 0.0, 3.0,
                       1e-10)
@@ -149,8 +145,7 @@ def test_rwa_matches_full_model_for_slow_pulse():
     space = CompositeSpace([FactorLabel("atom", 2)])
     omega0 = 60.0
     static = Operator(space, np.diag([0.0, omega0]), hermitian=True)
-    envelope = PulseSpec(omega_drive=omega0, shape="gaussian", amplitude=1.0,
-                         width=8.0)
+    envelope = PulseSpec(omega_drive=omega0, amplitude=1.0, width=8.0)
     pulse = calibrate_pulse_area(envelope, math.pi / 2)
     start = space.basis_state({"atom": 0})
     outs = {}
@@ -176,8 +171,7 @@ def test_dressed_inversion_via_jc_drive():
     width = 40.0 / float(manifold_splitting(p, 0))
     area = math.pi / math.cos(pair0.phi)           # transfer element scales by cos(phi)
     pulse = calibrate_pulse_area(
-        PulseSpec(omega_drive=carrier, shape="gaussian", amplitude=1.0,
-                  width=width), area)
+        PulseSpec(omega_drive=carrier, amplitude=1.0, width=width), area)
     drive = Drive(pulse, carrier)
     start = space.basis_state({"atom": 0, "cavity": 0})
     t0, t1 = pulse.window
@@ -190,7 +184,7 @@ def test_dressed_inversion_via_jc_drive():
 def test_propagate_basis_norm_drift_reported():
     p = desk_params(1.0, x=0.1)
     static = jc_rotating(p, 2)
-    pulse = PulseSpec(omega_drive=5.0, shape="gaussian", amplitude=0.3, width=2.0)
+    pulse = PulseSpec(omega_drive=5.0, amplitude=0.3, width=2.0)
     # with and without the rotating-wave approximation the drive must stay
     # Hermitian, or the propagator would not be unitary
     for rwa in (True, False):
@@ -236,8 +230,8 @@ def _frame_generator(carrier, counter):
     static = jc_rotating(p, 2)
     k = -1j * (static.matrix - carrier * np.diag(pulses._excitations(static.space)))
     basis = pulses._magnus_basis(k, -1j * _atom_raise(static.space))
-    pulse = calibrate_pulse_area(PulseSpec(omega_drive=carrier, shape="gaussian",
-                                           amplitude=1.0, width=4.0), math.pi)
+    pulse = calibrate_pulse_area(PulseSpec(omega_drive=carrier, amplitude=1.0,
+                                           width=4.0), math.pi)
     if counter is None:
         w = 0.0
 
@@ -328,7 +322,7 @@ def test_taylor_exponential_matches_eigh():
 def test_magnus_info_and_frame_checks():
     p = desk_params(1.0, x=0.1)
     static = jc_rotating(p, 2)
-    first = PulseSpec(omega_drive=0.4, shape="gaussian", amplitude=0.3, width=1.0)
+    first = PulseSpec(omega_drive=0.4, amplitude=0.3, width=1.0)
     for counter in (None, 40.0):
         u, info = propagate_basis(static, [Drive(first, 0.4, counter)], -3.0, 5.0, 1e-10)
         assert info["method"] == "magnus6"
@@ -346,8 +340,7 @@ def test_magnus_info_and_frame_checks():
         if counter is None:
             assert info["nfev"] == 10 * (2 * info["steps"] - start)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(static.space.dim), atol=1e-12)
-    overlapping = PulseSpec(omega_drive=0.2, shape="gaussian", amplitude=0.3,
-                            width=1.0, center=1.0)
+    overlapping = PulseSpec(omega_drive=0.2, amplitude=0.3, width=1.0, center=1.0)
     with pytest.raises(QStateError, match="overlap"):
         propagate_basis(static, [Drive(first, 0.4), Drive(overlapping, 0.2)],
                         -3.0, 5.0, 1e-10)
@@ -393,8 +386,8 @@ def _slow_bare_full_drive():
     # a slow pi/2 pulse on a bare atom, counter-rotating term kept
     space = CompositeSpace([FactorLabel("atom", 2)])
     static = Operator(space, np.diag([0.0, 60.0]), hermitian=True)
-    pulse = calibrate_pulse_area(PulseSpec(omega_drive=60.0, shape="gaussian",
-                                           amplitude=1.0, width=8.0), math.pi / 2)
+    pulse = calibrate_pulse_area(PulseSpec(omega_drive=60.0, amplitude=1.0,
+                                           width=8.0), math.pi / 2)
     return pulses.propagate_basis(static, [Drive(pulse, 60.0, 60.0)], *pulse.window,
                                   1e-10)
 
@@ -503,7 +496,7 @@ def test_rising_estimate_above_the_rounding_onset_keeps_doubling(monkeypatch):
 
     monkeypatch.setattr(pulses, "_magnus_steps", spy)
     static = jc_rotating(desk_params(1.0, x=0.1), 2)
-    strong = PulseSpec(omega_drive=0.4, shape="gaussian", amplitude=1600.0, width=1.0)
+    strong = PulseSpec(omega_drive=0.4, amplitude=1600.0, width=1.0)
     _u, info = propagate_basis(static, [Drive(strong, 0.4)], -3.0, 3.0, 1e-10)
     estimates = [np.max(np.abs(b - a)) / 63.0 for a, b in zip(passes, passes[1:])]
     assert pulses.MAGNUS_ROUNDING_ONSET < estimates[0] < estimates[1]

@@ -170,24 +170,21 @@ def test_apply_local_matches_dense_embed_on_random_spaces(case):
 @_PROPERTY
 @given(_factors_and_subset())
 def test_enumerate_branches_matches_dense_projectors(case):
-    # every axis, in the computational basis and in a random one
+    # every axis, in its level basis
     dims, _picked, seed = case
     space = _numbered_space(dims)
     st = _random_state(space, seed)
     for f in space.factors:
-        rotated = _random_unitary(f.dim, seed + f.dim)
-        for basis in (None, [(f"b{j}", rotated[:, j]) for j in range(f.dim)]):
-            vecs = np.eye(f.dim) if basis is None else rotated
-            for j, (label, collapsed, prob) in enumerate(
-                    enumerate_branches(st, f.name, basis)):
-                proj = np.outer(vecs[:, j], vecs[:, j].conj())
-                dense = embed(Operator(CompositeSpace([f]), proj), space)
-                amps = dense.matrix @ st.amplitudes
-                p_ref = float(np.vdot(amps, amps).real)
-                assert label == (str(j) if basis is None else f"b{j}")
-                np.testing.assert_allclose(prob, p_ref, rtol=0, atol=1e-14)
-                np.testing.assert_allclose(collapsed.amplitudes,
-                                           amps / np.sqrt(p_ref), rtol=0, atol=1e-13)
+        for j, (label, collapsed, prob) in enumerate(enumerate_branches(st, f.name)):
+            proj = np.zeros((f.dim, f.dim))
+            proj[j, j] = 1.0
+            dense = embed(Operator(CompositeSpace([f]), proj), space)
+            amps = dense.matrix @ st.amplitudes
+            p_ref = float(np.vdot(amps, amps).real)
+            assert label == str(j)
+            np.testing.assert_allclose(prob, p_ref, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(collapsed.amplitudes,
+                                       amps / np.sqrt(p_ref), rtol=0, atol=1e-13)
 
 
 def test_apply_local_rejects_bad_labels_and_shapes():
@@ -218,24 +215,6 @@ def test_enumerate_branches_completeness():
         for _, collapsed, p in branches:
             if collapsed is not None:
                 assert abs(collapsed.norm() - 1.0) < 1e-9
-
-
-def test_enumerate_branches_custom_basis():
-    space = CompositeSpace([FactorLabel("a", 2)])
-    plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    minus = np.array([1.0, -1.0]) / np.sqrt(2)
-    st = StateVector(space, plus)
-    branches = enumerate_branches(st, "a", basis=[("+", plus), ("-", minus)])
-    assert branches[0][0] == "+"
-    np.testing.assert_allclose(branches[0][2], 1.0, atol=1e-12)
-    assert branches[1][1] is None and branches[1][2] == 0.0
-
-
-def test_enumerate_branches_rejects_bad_basis():
-    space = CompositeSpace([FactorLabel("a", 2)])
-    st = space.basis_state({"a": 0})
-    with pytest.raises(QStateError, match="orthonormal"):
-        enumerate_branches(st, "a", basis=[("0", [1.0, 0.0]), ("1", [1.0, 1.0])])
 
 
 def test_measurement_statistics_match_born_rule():
