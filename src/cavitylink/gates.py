@@ -2,28 +2,29 @@
 
 Physical single-node gates share one pipeline:
 
-1. encode: the computational labels {|g,0>, |e,0>, |g,1>, |e,1>} are carried
-   into the dressed frame by the adiabatic detuning-ramp map (bare photon
-   states become |g,0>, |V+,0>, |V-,0>, |V+,1>);
-2. drive: a gaussian pulse is integrated in the cavity-rotating frame as one
+1. drive: a gaussian pulse is integrated in the cavity-rotating frame as one
    pulses.Drive on the atom's raising operator: its carrier is the offset
    from the cavity frequency, and its counter-rotating term at 2 omega plus
    that offset is kept unless the config sets rwa.  Either drive takes
    pulses' 6th-order Magnus path in the carrier's frame, to an error
    estimate below tol that the GateResult carries with its step count;
-3. correct: residual deterministic phases are removed by a diagonal
-   correction solved from the simulated propagator itself, restricted to
-   locally implementable phases (atom frame phases, photon-conditioned
-   dispersive phases) -- magnitudes are never touched, and the
-   controlled-phase gate's defining sign is never adjusted;
-4. decode: back through the ramp map, so callers always see bare-basis
-   states in and out.
+2. encode: the adiabatic detuning-ramp map W carries the computational
+   labels {|g,0>, |e,0>, |g,1>, |e,1>} onto the dressed states |g,0>,
+   |V+,0>, |V-,0>, |V+,1>, so W' u W is the propagator on the bare labels
+   (engines on a cavity-decoupled atom or the three-level ladder are
+   already bare);
+3. fix phases: residual deterministic phases are removed on the
+   computational rows (and, for a pi/2 pulse, columns) by one diagonal
+   solved from that propagator itself, restricted to locally
+   implementable phases (atom frame phases, photon-conditioned dispersive
+   phases) -- magnitudes are never touched, and the controlled-phase
+   gate's defining sign is never adjusted;
+4. cache: the fixed action is kept read-only per (params, config).
 
-Each engine integrates the full node once per (params, config) and caches
-the corrected bare-basis action; every gate call applies that one small
-matrix to its node factors with qstate.apply_local, whatever the rest of
-the register holds.  Fidelity is always reported against the ideal oracle
-(the same small block, applied the same way) on the caller's state.
+Every gate call applies that one small matrix to its node factors with
+qstate.apply_local, whatever the rest of the register holds.  Fidelity is
+always reported against the ideal oracle (the same small block, applied
+the same way) on the caller's state.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .qstate import (ATOM_E, ATOM_G, ATOM_I, CompositeSpace, FactorLabel,
                      Operator, QStateError, StateVector, apply_local, embed)
-from .jcmodel import (JCParams, bare_to_dressed_map, dressed_pair, jc_rotating,
+from .jcmodel import (JCParams, bare_to_dressed_map, jc_rotating,
                       manifold_splitting)
 from .pulses import (GAUSSIAN_SUPPORT, Drive, PulseSpec, calibrate_pulse_area,
                      propagate_basis)
@@ -242,68 +243,62 @@ def ideal_gate(kind: GateKind, space: CompositeSpace, atom: Optional[str] = None
 # shared physical-gate machinery
 
 
-def _logical_columns(params: JCParams, cutoff: int) -> np.ndarray:
-    """Dressed images of the computational labels, column per logical state."""
-    n_ph = cutoff + 1
-    dim = 2 * n_ph
-    cols = np.zeros((dim, 4), dtype=complex)
-    cols[ATOM_G * n_ph + 0, 0] = 1.0
-    p0 = dressed_pair(params, 0, cutoff)
-    p1 = dressed_pair(params, 1, cutoff)
-    cols[:, 1] = p0.v_plus
-    cols[:, 2] = p0.v_minus
-    cols[:, 3] = p1.v_plus
-    return cols
+def _encoded(u: np.ndarray, params: JCParams, cutoff: int) -> tuple:
+    """A dressed-frame propagator on the bare labels, with its computational
+    rows: the ramp map W sends the labels onto the dressed columns, so the
+    propagator there is W' u W."""
+    w = bare_to_dressed_map(params, cutoff).matrix
+    return w.conj().T @ u @ w, _comp_rows(cutoff + 1)
 
 
 def _truth_table_phases(m: np.ndarray, kind: GateKind) -> np.ndarray:
-    """One phase per level, each solved on its own truth-table entry of the
-    logical block m; an entry of magnitude 1e-9 or less (a swap that barely
+    """One phase per row of the logical block m (a bare atom's 2x2 block
+    reads the table's first two rows), each solved on its own truth-table
+    entry; an entry of magnitude 1e-9 or less (a swap that barely
     exchanges) falls back to the diagonal."""
-    th = np.zeros(4)
-    for row, col in enumerate(_TRUTH_TABLE[kind]):
+    th = np.zeros(len(m))
+    for row, col in enumerate(_TRUTH_TABLE[kind][:len(m)]):
         entry = m[row, col] if abs(m[row, col]) > 1e-9 else m[row, row]
         th[row] = -np.angle(entry)
     return th
 
 
-def _atom_phases_hadamard(m: np.ndarray) -> tuple:
-    """Post- and pre-pulse atom phases for the pi/2 target.
+def _atom_phases(m: np.ndarray, kind: GateKind) -> tuple:
+    """(post, pre) atom phases on the logical block m, pre None for the NOT.
 
-    Row phases cannot fix both columns here (two entries per column), so
-    the e level also gets a deterministic phase before the pulse; both are
-    plain atom-frame phases.
+    For the pi/2 target, row phases cannot fix both columns (two entries
+    per column), so the e level also gets a deterministic phase before the
+    pulse; both are plain atom-frame phases, repeated per photon sector.
     """
+    if kind == GateKind.NOT_ATOM:
+        return _truth_table_phases(m, kind), None
     chi_g = -np.angle(m[0, 0])
     chi_e = -0.5 * math.pi - np.angle(m[1, 0])   # steer 0e<-0g onto -i
     eta_e = -0.5 * math.pi - np.angle(m[0, 1]) - chi_g  # and 0g<-0e onto -i
-    theta = np.array([chi_g, chi_e, chi_g, chi_e])
-    eta = np.array([0.0, eta_e, 0.0, eta_e])
-    return theta, eta
+    sectors = len(m) // 2
+    return np.tile([chi_g, chi_e], sectors), np.tile([0.0, eta_e], sectors)
 
 
-def _corrected_action(u: np.ndarray, logical: np.ndarray, theta: np.ndarray,
-                      eta: Optional[np.ndarray] = None) -> np.ndarray:
-    """Apply exp(i theta_j) on the logical components of each output column.
+def _phase_fixed(a: np.ndarray, rows: list, theta: np.ndarray,
+                 eta: Optional[np.ndarray] = None, **labels) -> tuple:
+    """The one phase fix of every engine, on a bare-label propagator a.
 
-    eta adds pre-pulse phases on the logical inputs: the propagator is
-    right-multiplied by the extended diagonal.
+    Row rows[j] takes exp(i theta_j) and, when eta is given, column rows[j]
+    takes exp(i eta_j) before the pulse; every other entry is untouched.
+    Returns the read-only action and its correction record: theta, eta if
+    given, then labels in order.
     """
-    overlaps = logical.conj().T @ u
-    post = u + logical @ ((np.exp(1j * theta) - 1.0)[:, None] * overlaps)
-    if eta is None:
-        return post
-    inner = post @ logical
-    return post + (inner * (np.exp(1j * eta) - 1.0)[None, :]) @ logical.conj().T
-
-
-def _bare_action(params: JCParams, cutoff: int, corrected: np.ndarray) -> np.ndarray:
-    """Decode a dressed-frame action: the ramp map sends the computational
-    labels onto the dressed columns, so the bare-basis action is W' C W."""
-    w = bare_to_dressed_map(params, cutoff).matrix
-    action = w.conj().T @ corrected @ w
+    post = np.ones(len(a), dtype=complex)
+    post[rows] = np.exp(1j * theta)
+    action = post[:, None] * a
+    correction = {"theta": tuple(float(v) for v in theta)}
+    if eta is not None:
+        pre = np.ones(len(a), dtype=complex)
+        pre[rows] = np.exp(1j * eta)
+        action = action * pre[None, :]
+        correction["eta"] = tuple(float(v) for v in eta)
     action.setflags(write=False)
-    return action
+    return action, {**correction, **labels}
 
 
 def _check_cavity(state: StateVector, cavity: str,
@@ -358,18 +353,16 @@ def _cnot_engine(params: JCParams, config: PhysicalGateConfig):
     cutoff = config.fock_cutoff
     pulse, carrier_rot = _cnot_pulse(params)
     static = jc_rotating(params, cutoff)
-    logical = _logical_columns(params, cutoff)
     t0, t1 = pulse.window
     drive = Drive(pulse, carrier_rot,
                   None if config.rwa else 2.0 * params.omega + carrier_rot)
     u, info = propagate_basis(static, [drive], t0, t1, config.tol)
-    theta = _truth_table_phases(logical.conj().T @ u @ logical,
-                                GateKind.CNOT_CAVITY_TO_ATOM)
-    action = _bare_action(params, cutoff, _corrected_action(u, logical, theta))
-    meta = {**_integration(info),
-            "correction": {"theta": tuple(float(v) for v in theta),
-                           "ramp": "adiabatic detuning ramp on computational labels"}}
-    return action, (pulse,), (t1 - t0), meta
+    a, rows = _encoded(u, params, cutoff)
+    theta = _truth_table_phases(a[np.ix_(rows, rows)], GateKind.CNOT_CAVITY_TO_ATOM)
+    action, correction = _phase_fixed(
+        a, rows, theta, ramp="adiabatic detuning ramp on computational labels")
+    return action, (pulse,), (t1 - t0), {**_integration(info),
+                                         "correction": correction}
 
 
 def physical_cnot_cavity_to_atom(state: StateVector, params: JCParams,
@@ -380,7 +373,7 @@ def physical_cnot_cavity_to_atom(state: StateVector, params: JCParams,
 
     A pi-area gaussian pulse resonant with the one-photon dressed doublet
     flips |1,g> <-> |1,e> while the zero-photon line sits one splitting
-    away; see the module pipeline notes for encode/correct/decode.
+    away; see the module pipeline notes for the encoding and phase fix.
     """
     config = config or PhysicalGateConfig()
     if params.delta <= 0:
@@ -402,17 +395,18 @@ def physical_cnot_cavity_to_atom(state: StateVector, params: JCParams,
 def _swap_engine(p: TwoPhotonParams, config: PhysicalGateConfig):
     params = p.jc_params()
     cutoff = config.fock_cutoff
+    if cutoff < 4:
+        raise QStateError("fock_cutoff must be >= 4 for the two-photon ladder")
     static = jc_rotating(params, cutoff)
     pulse = PulseSpec(omega_drive=p.laser_frequency, amplitude=2.0 * p.sigma0,
                       width=p.tau)
     drives = [Drive(pulse, pulse.omega_drive)] if p.sigma0 > 0 else []
     u, info = propagate_basis(static, drives, p.t_start, p.t_end, config.tol)
-    logical = _logical_columns(params, cutoff)
-    m = logical.conj().T @ u @ logical
-    theta = _truth_table_phases(m, GateKind.SWAP_ATOM_CAVITY)
-    action = _bare_action(params, cutoff, _corrected_action(u, logical, theta))
-    meta = {**_integration(info),
-            "correction": {"theta": tuple(float(v) for v in theta)},
+    a, rows = _encoded(u, params, cutoff)
+    m = a[np.ix_(rows, rows)]
+    action, correction = _phase_fixed(
+        a, rows, _truth_table_phases(m, GateKind.SWAP_ATOM_CAVITY))
+    meta = {**_integration(info), "correction": correction,
             "exchange_forward": float(abs(m[3, 0]) ** 2)}
     return action, (pulse,), (p.t_end - p.t_start), meta
 
@@ -430,8 +424,6 @@ def physical_swap_two_photon(state: StateVector, p: TwoPhotonParams,
     reflects that honestly.
     """
     config = config or PhysicalGateConfig()
-    if config.fock_cutoff < 4:
-        raise QStateError("fock_cutoff must be >= 4 for the two-photon ladder")
     _check_cavity(state, cavity, config)
     engine = _swap_engine(p, config)
     return _gate_result(state, engine, (atom, cavity),
@@ -515,29 +507,17 @@ def _bare_atom_pulse_engine(kind: GateKind, rabi: float, atom_dim: int,
     HADAMARD_ATOM is a pi/2 pulse with post- and pre-pulse atom phases,
     NOT_ATOM a pi pulse with post-pulse phases; a third level is untouched.
     """
-    hadamard = kind == GateKind.HADAMARD_ATOM
     tau = TAU_FACTOR / rabi
     shape = PulseSpec(omega_drive=0.0, amplitude=1.0, width=tau)
-    pulse = calibrate_pulse_area(shape, math.pi / 2.0 if hadamard else math.pi)
+    pulse = calibrate_pulse_area(
+        shape, math.pi / 2.0 if kind == GateKind.HADAMARD_ATOM else math.pi)
     static = Operator(CompositeSpace([FactorLabel("atom", atom_dim)]),
                       np.zeros((atom_dim, atom_dim)), hermitian=True)
     t0, t1 = pulse.window
     u, info = propagate_basis(static, [Drive(pulse, pulse.omega_drive)], t0, t1, tol)
-    if hadamard:
-        theta, eta = _atom_phases_hadamard(u)   # (g, e) lead the 4-level pattern
-        theta, eta = theta[:2], eta[:2]
-    else:
-        theta = -np.angle(np.array([u[ATOM_G, ATOM_E], u[ATOM_E, ATOM_G]]))
-        eta = np.zeros(2)
-    post = np.ones(atom_dim, dtype=complex)
-    pre = np.ones(atom_dim, dtype=complex)
-    post[:2], pre[:2] = np.exp(1j * theta), np.exp(1j * eta)
-    action = (post[:, None] * u) * pre[None, :]
-    action.setflags(write=False)
-    correction = {"theta": tuple(float(v) for v in theta)}
-    if hadamard:
-        correction["eta"] = tuple(float(v) for v in eta)
-    correction["mode"] = "decoupled"
+    rows = [ATOM_G, ATOM_E]
+    theta, eta = _atom_phases(u[np.ix_(rows, rows)], kind)
+    action, correction = _phase_fixed(u, rows, theta, eta, mode="decoupled")
     return action, (pulse,), (t1 - t0), {**_integration(info),
                                          "correction": correction}
 
@@ -558,7 +538,6 @@ def _dressed_sector_pulse_engine(kind: GateKind, params: JCParams,
     sector0 = r0 + params.delta / 2.0   # |g,0> <-> |V+,0>
     sector1 = r0 + r1                   # |V-,0> <-> |V+,1>
     static = jc_rotating(params, cutoff)
-    logical = _logical_columns(params, cutoff)
     if kind == GateKind.HADAMARD_ATOM:
         carrier = 0.5 * (sector0 + sector1)
         tau = TAU_FACTOR / params.rabi_coupling
@@ -584,17 +563,10 @@ def _dressed_sector_pulse_engine(kind: GateKind, params: JCParams,
         pulses = (p1, p0)
         t0, t1 = -half, 3.0 * half
     u, info = propagate_basis(static, drives, t0, t1, config.tol)
-    m = logical.conj().T @ u @ logical
-    if kind == GateKind.HADAMARD_ATOM:
-        theta, eta = _atom_phases_hadamard(m)
-        correction = {"theta": tuple(float(v) for v in theta),
-                      "eta": tuple(float(v) for v in eta),
-                      "mode": "dressed-broadband"}
-    else:
-        theta, eta = _truth_table_phases(m, GateKind.NOT_ATOM), None
-        correction = {"theta": tuple(float(v) for v in theta),
-                      "mode": "dressed-sequential"}
-    action = _bare_action(params, cutoff, _corrected_action(u, logical, theta, eta))
+    a, rows = _encoded(u, params, cutoff)
+    mode = "dressed-broadband" if kind == GateKind.HADAMARD_ATOM else "dressed-sequential"
+    theta, eta = _atom_phases(a[np.ix_(rows, rows)], kind)
+    action, correction = _phase_fixed(a, rows, theta, eta, mode=mode)
     return action, pulses, (t1 - t0), {**_integration(info),
                                        "correction": correction}
 
@@ -696,13 +668,8 @@ def _cqpg_engine(tp: ThreeLevelParams, config: PhysicalGateConfig):
     th = np.zeros(4)
     th[:3] = [-np.angle(u[r, r]) for r in rows[:3]]
     th[3] = th[2] + th[1] - th[0]   # forced: the -1 must appear physically
-    action = u.copy()
-    action[rows, :] *= np.exp(1j * th)[:, None]
-    action.setflags(write=False)
-    meta = {**_integration(info),
-            "correction": {"theta": tuple(float(v) for v in th),
-                           "mode": "resonant e-i cycle"}}
-    return action, (), t_full, meta
+    action, correction = _phase_fixed(u, rows, th, mode="resonant e-i cycle")
+    return action, (), t_full, {**_integration(info), "correction": correction}
 
 
 def physical_cqpg_local(state: StateVector, tp: ThreeLevelParams,

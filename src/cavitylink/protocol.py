@@ -778,17 +778,11 @@ def monte_carlo_gun_fidelity(model: PhotonGunModel, n_runs: int = 10000,
     branches = enumerate_ebit_branches(model)
     weights = model.weights
 
-    score_cache: dict = {}
-
     def conditional_score(br: EbitBranch) -> float:
         if br.flagged:
             return 0.0
-        key = tuple(np.round(br.atoms_state.amplitudes, 12))
-        if key not in score_cache:
-            trace = run_nonlocal_cnot(a, b, c, d, level="ideal",
-                                      ebit_state=br.atoms_state)
-            score_cache[key] = trace.mean_fidelity()
-        return score_cache[key]
+        return run_nonlocal_cnot(a, b, c, d, level="ideal",
+                                 ebit_state=br.atoms_state).mean_fidelity()
 
     outcome_score = {}
     for outcome in ("single", "empty", "double"):

@@ -29,7 +29,6 @@ No path renormalizes; the norm drift of the result is reported as a check.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -106,19 +105,12 @@ class PulseSpec:
         half = GAUSSIAN_SUPPORT * self.width
         return (self.center - half, self.center + half)
 
-    def envelope(self, t):
-        """Envelope p(t) in rad/s, without the carrier.
-
-        A float t gives a float (Drive.coefficient's scalar path, read only
-        by the tests' DOP853 oracle); an array is evaluated elementwise (the
-        panel nodes of the Magnus step and of the two-photon integrals).
+    def envelope(self, t) -> np.ndarray:
+        """Envelope p(t) in rad/s, without the carrier, elementwise over the
+        times t (the panel nodes of the Magnus step and of the two-photon
+        integrals).
         """
         lo, hi = self.window
-        if isinstance(t, float):
-            if not lo <= t <= hi:
-                return 0.0
-            arg = (t - self.center) / self.width
-            return self.amplitude * math.exp(-arg * arg)
         t = np.asarray(t, dtype=float)
         inside = (t >= lo) & (t <= hi)
         arg = (t - self.center) / self.width
@@ -157,15 +149,6 @@ class Drive:
     pulse: PulseSpec
     carrier: float
     counter: Optional[float] = None
-
-    def coefficient(self, t: float) -> complex:
-        """Coefficient z(t) of s+ at time t."""
-        half = 0.5 * self.pulse.envelope(t)
-        # scalar cmath, not numpy: the tests' DOP853 oracle calls this per RHS
-        if self.counter is None:
-            return half * cmath.exp(-1j * (self.carrier * t))
-        return half * (cmath.exp(-1j * (self.carrier * t))
-                       + cmath.exp(1j * (self.counter * t)))
 
 
 def _atom_raise(space: CompositeSpace) -> np.ndarray:
@@ -372,8 +355,9 @@ def _magnus_window(h0: np.ndarray, n_exc: np.ndarray, raise_op: np.ndarray,
     shift = float(np.trace(h_frame).real) / len(h_frame)
     basis = _magnus_basis(-1j * (h_frame - shift * np.eye(len(h_frame))),
                           -1j * raise_op)
-    # z is written out in this frame rather than taken as coefficient(t)
-    # exp(i c t), whose large opposite phases would cancel only to rounding
+    # z is written out in this frame rather than as the lab-frame s+
+    # coefficient times exp(i c t), whose large opposite phases would
+    # cancel only to rounding
     if drive.counter is None:
         w = 0.0
 

@@ -296,6 +296,20 @@ def test_protocol_physical_level_runs(capsys):
             assert -Decimal(field).as_tuple().exponent <= 10, ln
 
 
+@pytest.mark.parametrize("cutoff", ["2", "3"])
+def test_protocol_physical_cnot_refuses_a_short_ladder(capsys, cutoff):
+    # the composite CNOT runs the two-photon swap, which needs photon
+    # number 4; the CQPG protocol has no swap and runs at cutoff 3
+    rc, out, err = run_cli(capsys, "protocol", "--gate", "cnot", "--level",
+                           "physical", "--fock-cutoff", cutoff)
+    assert rc == 1 and out == ""
+    assert "fock_cutoff must be >= 4 for the two-photon ladder" in err
+    if cutoff == "3":
+        rc, out, _ = run_cli(capsys, "protocol", "--gate", "cqpg", "--level",
+                             "physical", "--fock-cutoff", cutoff)
+        assert rc == 0 and len(out.strip().splitlines()) == 5
+
+
 # ---------------------------------------------------------------------------
 # ebit-noise
 

@@ -26,10 +26,11 @@ from cavitylink import (
     physical_swap_two_photon,
     state_fidelity,
 )
-from cavitylink.gates import HADAMATOM, GateResult
+from cavitylink.gates import HADAMATOM, GateResult, _comp_rows, _phase_fixed
+from cavitylink.jcmodel import bare_to_dressed_map, dressed_pair
 from cavitylink.perturb import (SOURCE_POINT_ANGULAR, SOURCE_POINT_CYCLIC,
                                 _sigma0_free_total, two_photon_probability)
-from cavitylink.qstate import CompositeSpace, FactorLabel
+from cavitylink.qstate import CompositeSpace, FactorLabel, make_rng
 
 
 def _node_state(amps, atom_dim=2, n_ph=6, atom="atom", cavity="cavity"):
@@ -307,10 +308,14 @@ def test_swap_perturbative_estimate_is_the_two_photon_probability(point, expecte
 
 
 def test_swap_needs_deep_ladder():
-    st = _node_state({(0, 0): 1.0}, n_ph=4)
-    with pytest.raises(QStateError, match="fock_cutoff must be >= 4"):
-        physical_swap_two_photon(st, SOURCE_POINT_CYCLIC,
-                                 PhysicalGateConfig(fock_cutoff=3))
+    # the rule sits in the swap engine, so the composite CNOT that runs the
+    # same swap refuses too
+    for cutoff in (2, 3):
+        st = _node_state({(0, 0): 1.0}, n_ph=cutoff + 1)
+        config = PhysicalGateConfig(fock_cutoff=cutoff)
+        for gate in (physical_swap_two_photon, physical_cnot_atom_to_cavity):
+            with pytest.raises(QStateError, match="fock_cutoff must be >= 4"):
+                gate(st, SOURCE_POINT_CYCLIC, config)
 
 
 def test_averaged_step5_fidelity_frozen():
@@ -496,3 +501,38 @@ def test_every_physical_gate_reports_an_estimate_below_tol(rwa):
         assert 0.0 <= res.error_estimate < config.tol, (name, res.error_estimate)
         # the controlled phase is free evolution, exact without steps
         assert (res.steps == 0) == (name == "cqpg"), (name, res.steps)
+
+
+def test_phase_fix_on_bare_labels_matches_the_dressed_frame_formula():
+    # the phase fix once made in the dressed frame, written out: exp(i
+    # theta) on the logical components of each output column of u, then
+    # exp(i eta) on the logical inputs, decoded through the ramp map W
+    params, cutoff = desk_params(1.0, x=0.1), 5
+    rng = make_rng(15)
+    z = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    q, r = np.linalg.qr(z)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    theta, eta = rng.uniform(-math.pi, math.pi, size=(2, 4))
+    pair0, pair1 = dressed_pair(params, 0, cutoff), dressed_pair(params, 1, cutoff)
+    logical = np.zeros((12, 4), dtype=complex)
+    logical[0, 0] = 1.0   # |g,0>
+    logical[:, 1], logical[:, 2], logical[:, 3] = (pair0.v_plus, pair0.v_minus,
+                                                   pair1.v_plus)
+    post = u + logical @ ((np.exp(1j * theta) - 1.0)[:, None]
+                          * (logical.conj().T @ u))
+    both = post + ((post @ logical) * (np.exp(1j * eta) - 1.0)[None, :]) \
+        @ logical.conj().T
+    w = bare_to_dressed_map(params, cutoff).matrix
+    rows = _comp_rows(cutoff + 1)
+    np.testing.assert_allclose(w[:, rows], logical, rtol=0, atol=1e-15)
+    a = w.conj().T @ u @ w
+    for eta_in, corrected in ((None, post), (eta, both)):
+        action, correction = _phase_fixed(a, rows, theta, eta_in, mode="test")
+        np.testing.assert_allclose(action, w.conj().T @ corrected @ w,
+                                   rtol=0, atol=1e-14)
+        assert not action.flags.writeable
+        with pytest.raises(ValueError):
+            action[0, 0] = 0.0
+        keys = ["theta", "mode"] if eta_in is None else ["theta", "eta", "mode"]
+        assert list(correction) == keys
+        assert correction["theta"] == tuple(theta)

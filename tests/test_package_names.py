@@ -45,3 +45,37 @@ def test_unused_import_check_sees_plain_and_from_imports():
                      "from math import pi, tau\nfrom x import y as z\n"
                      "__all__ = ['z']\nprint(np.zeros(1), pi)\n")
     assert _unused_imports(tree) == [(1, "os"), (3, "tau")]
+
+
+def _unreferenced_helpers(modules: dict) -> list:
+    """(module, name) of each module-level _-prefixed function that no code
+    in modules (name -> parsed tree) names outside its own def, as a plain
+    name or an attribute; names match across modules."""
+    defs = [(mod, node) for mod, tree in modules.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__")]
+    unreferenced = []
+    for mod, fn in defs:
+        own = {id(node) for node in ast.walk(fn)}
+        if not any(id(node) not in own
+                   and fn.name in (getattr(node, "id", None), getattr(node, "attr", None))
+                   for tree in modules.values() for node in ast.walk(tree)):
+            unreferenced.append((mod, fn.name))
+    return sorted(unreferenced)
+
+
+def test_every_private_helper_has_a_caller():
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unreferenced_helpers(modules) == []
+
+
+def test_helper_check_flags_an_unreferenced_helper():
+    modules = {
+        "a.py": ast.parse("def _used():\n    return 1\n\n"
+                          "def _orphan():\n    return _orphan()\n\n"
+                          "def _by_attribute():\n    return 2\n\n"
+                          "def public():\n    return _used()\n"),
+        "b.py": ast.parse("import a\nvalue = a._by_attribute()\n"),
+    }
+    assert _unreferenced_helpers(modules) == [("a.py", "_orphan")]

@@ -1,3 +1,4 @@
+import cmath
 import math
 import time
 
@@ -14,7 +15,8 @@ from cavitylink.jcmodel import (desk_params, dressed_pair, jc_rotating,
 from cavitylink.gates import GateKind, PhysicalGateConfig
 from cavitylink.perturb import (SOURCE_POINT_ANGULAR, SOURCE_POINT_CYCLIC,
                                 two_photon_tdse_oracle)
-from cavitylink.pulses import (Drive, PulseSpec, StiffnessError, _atom_raise,
+from cavitylink.pulses import (GAUSSIAN_SUPPORT, Drive, PulseSpec,
+                               StiffnessError, _atom_raise,
                                calibrate_pulse_area, evolve_tdse,
                                propagate_basis)
 
@@ -52,6 +54,26 @@ def test_calibrate_pulse_area():
         cal.amplitude, math.pi / (2.0 * math.sqrt(math.pi) * math.erf(3.0)), rtol=1e-14)
 
 
+def _coefficient(drive, t):
+    """z(t) on s+ as Drive documents it, (p(t)/2)(exp(-i carrier t) +
+    exp(+i counter t)), the second term only with a counter frequency.
+
+    p is written out here, the amplitude times exp(-((t - center)/width)^2)
+    and zero past GAUSSIAN_SUPPORT widths, so the DOP853 oracle shares no
+    envelope code with the Magnus path it checks.
+    """
+    pulse = drive.pulse
+    reach = GAUSSIAN_SUPPORT * pulse.width
+    if not pulse.center - reach <= t <= pulse.center + reach:
+        return 0.0
+    arg = (t - pulse.center) / pulse.width
+    half = 0.5 * pulse.amplitude * math.exp(-arg * arg)
+    z = half * cmath.exp(-1j * (drive.carrier * t))
+    if drive.counter is not None:
+        z += half * cmath.exp(1j * (drive.counter * t))
+    return z
+
+
 def test_drive_hamiltonian_is_hermitian():
     pulse = PulseSpec(omega_drive=3.0, amplitude=0.5, width=1.0)
     raise_op = _atom_raise(CompositeSpace([FactorLabel("atom", 2)]))
@@ -59,8 +81,9 @@ def test_drive_hamiltonian_is_hermitian():
     for rwa in (False, True):
         drive = Drive(pulse, 3.0, None if rwa else 3.0)
         for t in np.linspace(-3, 3, 17):
-            # H(t) = z(t) s+ + h.c., as the generator is documented
-            h = drive.coefficient(t) * raise_op
+            # H(t) = z(t) s+ + h.c., as the generator is documented; the
+            # element checks hold the oracle's gaussian to PulseSpec.envelope
+            h = _coefficient(drive, t) * raise_op
             h = h + h.conj().T
             np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
             env = float(pulse.envelope(t))
@@ -71,21 +94,25 @@ def test_drive_hamiltonian_is_hermitian():
 
 def test_cavity_frame_drive_coefficient():
     # rotating at the cavity frequency omega turns a lab carrier omega + c
-    # into a slow term at -c plus a counter-rotating term at 2 omega + c
+    # into a slow term at -c plus a counter-rotating term at 2 omega + c:
+    # the s+ coefficient of the lab drive picks up exp(i omega t)
     p = desk_params(1.0, x=0.1)
     carrier = 0.37
     pulse = PulseSpec(omega_drive=p.omega + carrier, amplitude=0.8, width=2.0,
                       center=0.5)
+    lab = Drive(pulse, pulse.omega_drive, pulse.omega_drive)
     full = Drive(pulse, carrier, 2.0 * p.omega + carrier)
     rwa = Drive(pulse, carrier)
     for t in np.linspace(-6.0, 7.0, 23):
         half = 0.5 * float(pulse.envelope(t))
         slow = half * np.exp(-1j * carrier * t)
         fast = half * np.exp(1j * (2.0 * p.omega + carrier) * t)
-        np.testing.assert_allclose(rwa.coefficient(t), slow, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(full.coefficient(t), slow + fast, rtol=1e-13,
+        np.testing.assert_allclose(_coefficient(rwa, t), slow, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(_coefficient(full, t), slow + fast, rtol=1e-13,
                                    atol=1e-15)
-    assert full.coefficient(7.0) == 0.0   # outside the envelope window
+        np.testing.assert_allclose(_coefficient(lab, t) * np.exp(1j * p.omega * t),
+                                   _coefficient(full, t), rtol=1e-12, atol=1e-15)
+    assert _coefficient(full, 7.0) == 0.0   # outside the envelope window
 
 
 def test_drive_needs_leading_atom_factor():
@@ -367,7 +394,7 @@ def _dop853(static, drives, t0, t1, tol, columns=None):
 
     def rhs(t, y):
         ph = np.exp(1j * evals * t)[:, None]
-        z = sum(d.coefficient(t) for d in drives)
+        z = sum(_coefficient(d, t) for d in drives)
         h = z * m_e + np.conj(z) * m_h
         return (ph * (h @ (ph.conj() * y.reshape(dim, n_cols)))).ravel()
 
