@@ -163,19 +163,18 @@ _TRUTH_TABLE = {
 }
 
 
+@lru_cache(maxsize=None)
 def _ideal_pair_matrix(kind: GateKind, atom_dim: int, n_ph: int) -> np.ndarray:
     """Identity outside the computational labels; on them, the truth table
-    of a CNOT or the SWAP, or the controlled phase's -1 on |e,1>."""
+    of a CNOT or the SWAP, or the controlled phase's -1 on |e,1>.  Shared
+    between calls, so read-only."""
     u = np.eye(atom_dim * n_ph, dtype=complex)
     rows = _comp_rows(n_ph)
     if kind == GateKind.CQPG_LOCAL:
         u[rows[3], rows[3]] = np.exp(1j * math.pi)
-        return u
-    # scalar writes to the moved rows only: fancy indexing would triple the
-    # cost of this block, which every warm gate call builds
-    for row, label in zip(rows, _TRUTH_TABLE[kind]):
-        if rows[label] != row:
-            u[row, row], u[row, rows[label]] = 0.0, 1.0
+    else:
+        u[rows] = u[[rows[label] for label in _TRUTH_TABLE[kind]]]
+    u.setflags(write=False)
     return u
 
 

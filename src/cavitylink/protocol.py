@@ -29,7 +29,7 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .qstate import (ATOM_LEVEL_NAMES, CompositeSpace, FactorLabel, QStateError,
                      StateVector, apply_local, enumerate_branches, make_rng,

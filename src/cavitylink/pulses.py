@@ -35,6 +35,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .qstate import (ATOM_E, ATOM_G, CompositeSpace, Operator, QStateError,
                      StateVector)
@@ -246,11 +247,10 @@ def _step_rule(panels: int) -> tuple:
     the weighted cumulative matrix whose row i gives w_i times the integral
     of z from 0 to u_i, exact for z a degree-9 polynomial on each panel.
     """
-    leg = np.polynomial.legendre
-    x, wx = leg.leggauss(FILON_NODES)
+    x, wx = legendre.leggauss(FILON_NODES)
     # integral from -1 to x_i of the Lagrange polynomial through x_k
-    lagrange = np.linalg.inv(leg.legvander(x, FILON_NODES - 1))
-    inside = leg.legvander(x, FILON_NODES) @ leg.legint(lagrange, lbnd=-1.0)
+    lagrange = np.linalg.inv(legendre.legvander(x, FILON_NODES - 1))
+    inside = legendre.legvander(x, FILON_NODES) @ legendre.legint(lagrange, lbnd=-1.0)
     nodes = ((np.arange(panels)[:, None] + (x + 1.0) / 2.0) / panels).ravel()
     weights = np.tile(wx / (2.0 * panels), panels)
     # every earlier panel whole, then this one up to the node

@@ -26,7 +26,7 @@ from cavitylink import (
     physical_swap_two_photon,
     state_fidelity,
 )
-from cavitylink.gates import HADAMATOM, GateResult, _comp_rows, _phase_fixed
+from cavitylink.gates import HADAMATOM, GateResult, _comp_rows, _phase_fixed, ideal_block
 from cavitylink.jcmodel import bare_to_dressed_map, dressed_pair
 from cavitylink.perturb import (SOURCE_POINT_ANGULAR, SOURCE_POINT_CYCLIC,
                                 _sigma0_free_total, two_photon_probability)
@@ -126,6 +126,29 @@ def test_ideal_swap_and_cqpg():
     v = ideal_gate(GateKind.CQPG_LOCAL, space, "atom", "cavity").matrix
     assert v[idx(1, 1), idx(1, 1)] == pytest.approx(-1.0)
     assert v[idx(0, 0), idx(0, 0)] == 1.0
+
+
+@pytest.mark.parametrize("n_ph", [2, 6])
+@pytest.mark.parametrize("atom_dim", [2, 3])
+def test_ideal_pair_block_is_built_once_and_read_only(atom_dim, n_ph):
+    # the (atom, photon) labels each kind exchanges; CQPG puts -1 on |e,1>
+    moves = {GateKind.CNOT_CAVITY_TO_ATOM: ((0, 1), (1, 1)),
+             GateKind.CNOT_ATOM_TO_CAVITY: ((0, 0), (0, 1)),
+             GateKind.SWAP_ATOM_CAVITY: ((0, 0), (1, 1)),
+             GateKind.CQPG_LOCAL: None}
+    space = CompositeSpace([FactorLabel("atom", atom_dim), FactorLabel("cavity", n_ph)])
+    for kind, pair in moves.items():
+        fresh = np.eye(atom_dim * n_ph, dtype=complex)
+        if pair is None:
+            fresh[n_ph + 1, n_ph + 1] = -1.0
+        else:
+            i, j = (a * n_ph + n for a, n in pair)
+            fresh[[i, j]] = fresh[[j, i]]
+        block, factors = ideal_block(kind, space, "atom", "cavity")
+        assert factors == ("atom", "cavity")
+        np.testing.assert_allclose(block, fresh, rtol=0, atol=1e-15)
+        assert not block.flags.writeable
+        assert ideal_block(kind, space, "atom", "cavity")[0] is block
 
 
 def test_ideal_single_atom_gates():

@@ -47,6 +47,43 @@ def test_unused_import_check_sees_plain_and_from_imports():
     assert _unused_imports(tree) == [(1, "os"), (3, "tau")]
 
 
+def _eager_scipy_submodules(tree: ast.Module) -> list:
+    """(line, module) of each scipy submodule imported outside a function
+    body, so loaded with the module; a bare `import scipy` loads a
+    submodule only when code first reads it as an attribute."""
+    found = []
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [(node.lineno, f"scipy.{a.name}" if node.module == "scipy"
+                       else node.module) for a in node.names]
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return sorted((line, name) for line, name in found if name.startswith("scipy."))
+
+
+def test_no_module_loads_a_scipy_submodule_at_import():
+    eager = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = _eager_scipy_submodules(ast.parse(path.read_text(encoding="utf-8")))
+        if found:
+            eager[path.name] = found
+    assert eager == {}
+
+
+def test_scipy_submodule_check_flags_module_level_imports_only():
+    tree = ast.parse("import scipy\nimport scipy.linalg\n"
+                     "from scipy.integrate import DOP853\nfrom scipy import special\n"
+                     "try:\n    import scipy.sparse as sp\nexcept ImportError:\n    pass\n"
+                     "def f():\n    import scipy.optimize\n    return scipy.fft\n")
+    assert _eager_scipy_submodules(tree) == [
+        (2, "scipy.linalg"), (3, "scipy.integrate"), (4, "scipy.special"),
+        (6, "scipy.sparse")]
+
+
 def _unreferenced_helpers(modules: dict) -> list:
     """(module, name) of each module-level _-prefixed function that no code
     in modules (name -> parsed tree) names outside its own def, as a plain

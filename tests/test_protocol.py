@@ -460,12 +460,19 @@ def test_cold_physical_cnot_integrates_the_cnot_pulse_once():
 
 def test_import_and_physical_protocol_load_no_ode_integrator():
     # every drive takes the Magnus path, so a fresh interpreter never loads
-    # scipy's ODE integrators; scipy itself stays (protocol uses scipy.linalg)
-    code = ("import sys, cavitylink\n"
-            "from cavitylink.protocol import run_nonlocal_cqpg\n"
+    # scipy's ODE integrators; scipy itself is imported, and the beam
+    # splitter loads scipy.linalg on its first use
+    code = ("import math, sys, cavitylink\n"
+            "from cavitylink.protocol import (PhotonGunModel, enumerate_ebit_branches,\n"
+            "                                 run_nonlocal_cqpg)\n"
             "run_nonlocal_cqpg(level='physical')\n"
             "assert 'scipy' in sys.modules\n"
-            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate loaded'\n")
+            "for name in ('scipy.integrate', 'scipy.linalg', 'numpy.testing'):\n"
+            "    assert name not in sys.modules, name + ' loaded'\n"
+            "model = PhotonGunModel(p_empty=0.1, p_double=0.05, p_single=0.85)\n"
+            "total = math.fsum(b.probability for b in enumerate_ebit_branches(model))\n"
+            "assert 'scipy.linalg' in sys.modules, 'beam splitter ran without scipy.linalg'\n"
+            "assert abs(total - 1.0) <= 1e-12, total\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.dirname(os.path.dirname(cavitylink.__file__)),
          os.environ.get("PYTHONPATH", "")])}
