@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -252,6 +252,7 @@ def _cavity_qubit(label: str, dim: int, one: complex, zero: complex) -> StateVec
 
 
 def _atom_level(label: str, dim: int, level: int) -> StateVector:
+    """The basis state |level> of one factor: an atom level, or a photon number."""
     v = np.zeros(dim, dtype=complex)
     v[level] = 1.0
     return StateVector(CompositeSpace([FactorLabel(label, dim)]), v)
@@ -276,12 +277,8 @@ def prepare_register(a: complex, b: complex, c: complex, d: complex,
     parts = []
     for label_c, label_a, one, zero in (("A", "alpha", a, b), ("B", "beta", c, d)):
         atom = np.array([zero, 1.0j * one], dtype=complex)  # drive-phase precompensation
-        cav = np.zeros(dim_c, dtype=complex)
-        cav[0] = 1.0
-        node = tensor([
-            StateVector(CompositeSpace([FactorLabel(label_a, 2)]), atom),
-            StateVector(CompositeSpace([FactorLabel(label_c, dim_c)]), cav),
-        ])
+        node = tensor([StateVector(CompositeSpace([FactorLabel(label_a, 2)]), atom),
+                       _atom_level(label_c, dim_c, 0)])   # the cavity empty
         node = resonant_rabi_evolve(resonant, node,
                                     math.pi / (2.0 * params.rabi_coupling),
                                     atom=label_a, cavity=label_c)
@@ -553,17 +550,16 @@ def _apply_ideal(step, state, params, config):
 
 @dataclass(frozen=True)
 class _Level:
-    """How one level loads the register and applies a step."""
+    """How one level traces the register and applies a step."""
 
     register_text: str
-    load: Callable              # (ref_cav, amplitudes, config, params) -> state
     apply: Callable             # (step, state, params, config) -> (state, records)
     resets_alpha: bool          # whether e branches reset alpha before the phase
 
 
 _LEVELS = {
-    "ideal": _Level("ideal", lambda ref_cav, *_: ref_cav, _apply_ideal, False),
-    "physical": _Level("resonant quarter-cycle transfer", _load_physical,
+    "ideal": _Level("ideal", _apply_ideal, False),
+    "physical": _Level("resonant quarter-cycle transfer",
                        lambda step, *args: step.physical(step, *args), True),
 }
 
@@ -615,13 +611,9 @@ def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
         raise QStateError(f"unknown level {level!r}")
     if input_state is not None and level != "ideal":
         raise ProtocolError("external-ancilla inputs are supported at the ideal level")
-    lvl, spec = _LEVELS[level], _GATES[gate]
+    spec = _GATES[gate]
     config = config or ProtocolConfig()
     dim_c = config.fock_cutoff + 1
-    params = spec.node_params
-    records: list = []
-    branches: list = []
-    _record(records, "*", "encoding", SOURCE, "logical-encoding", ENCODING_NOTE, "-")
 
     # step 1-2: register
     if input_state is not None:
@@ -630,7 +622,7 @@ def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
                 raise QStateError(f"input_state must contain factor {need!r}")
             if input_state.space.factor(need).dim != dim_c:
                 raise QStateError(f"input_state factor {need!r} must have dim {dim_c}")
-        cav_state = ref_cav = input_state
+        ref_cav = input_state
         amplitudes = None
     else:
         _check_pair(a, b, "ab")
@@ -638,29 +630,76 @@ def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
         ref_cav = tensor([_cavity_qubit("A", dim_c, a, b),
                           _cavity_qubit("B", dim_c, c, d)])
         amplitudes = (complex(a), complex(b), complex(c), complex(d))
-        cav_state = lvl.load(ref_cav, amplitudes, config, params)
+
+    # step 3: the ebit, the ideal Bell pair unless the caller brings one
+    supplied = ebit_state is not None
+    atoms = (_ebit_pair(ebit_state, spec.beta_dim) if supplied
+             else _bell_pair(spec.beta_dim))
+
+    if level == "ideal":
+        records, branches = _apply_maps(spec, ref_cav, atoms, supplied, dim_c)
+    else:
+        cav_state = _load_physical(ref_cav, amplitudes, config, spec.node_params)
+        records, leaves = _run_steps(spec, _LEVELS[level], config, cav_state,
+                                     ref_cav, atoms, supplied)
+        branches = [_branch_result(leaf) for leaf in leaves]
+
+    total = sum(br.probability for br in branches)
+    if abs(total - 1.0) > 1e-10:
+        raise ProtocolError(f"branch probabilities sum to {total}")
+    for br in branches:
+        if len(br.bits) != 2 and br.beta != "i":
+            raise ProtocolError(f"branch {br.label} used {len(br.bits)} bits")
+
+    return ProtocolTrace(gate=gate, level=level, amplitudes=amplitudes,
+                         records=tuple(records), branches=tuple(branches))
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    """One measurement branch of the step loop, before it is scored."""
+
+    alpha: str
+    beta: str
+    p_alpha: float
+    p_beta: float               # conditional on alpha
+    state: StateVector
+    target: Optional[StateVector]   # None on a beta outcome i
+    bits: tuple
+
+
+def _measured(level: str, p: float) -> str:
+    return f"outcome={level} p={p:.6f}"
+
+
+def _run_steps(spec: _Gate, lvl: _Level, config: ProtocolConfig,
+               cav_state: StateVector, ref_cav: StateVector,
+               atoms: StateVector, supplied: bool) -> tuple:
+    """The step table on one loaded register and ebit: (records, leaves).
+
+    ref_cav is the register the ideal target is taken on; every record is
+    refused as it is made if it leaves its node.
+    """
+    params = spec.node_params
+    records: list = []
+    leaves: list = []
+    _record(records, "*", "encoding", SOURCE, "logical-encoding", ENCODING_NOTE, "-")
     for node in (ALICE, BOB):
         _record(records, "*", "register", node, "prepare-cavity",
                 lvl.register_text, f"{node.cavity} loaded", (node.cavity, node.atom))
-
-    # step 3: entanglement distribution
-    if ebit_state is not None:
-        atoms = ebit_state
+    if supplied:
         _record(records, "*", "ebit", SOURCE, "inject-ebit",
                 "caller-supplied pair state", "-")
     else:
-        atoms = _bell_atoms()
         _record(records, "*", "ebit", SOURCE, "distribute-bell-pair",
                 "(|eg>+|ge>)/sqrt2", "-")
         _record(records, "*", "ebit", SOURCE, "handoff",
                 "alpha to Alice, beta to Bob", "-")
-    state = tensor([cav_state, _ebit_pair(atoms, spec.beta_dim)])
+    state = tensor([cav_state, atoms])
 
     # ideal reference for fidelity targets: the nonlocal gate on the input
-    ref_atoms = tensor([_atom_level("alpha", 2, 0),
-                        _atom_level("beta", spec.beta_dim, 0)])
-    target_initial = apply_local(tensor([ref_cav, ref_atoms]),
-                                 spec.target(dim_c), ("A", "B"))
+    gated = apply_local(ref_cav, spec.target(ref_cav.space.factor("A").dim),
+                        ("A", "B"))
 
     state = _run_step(records, lvl, params, config, "*", _STEP4, state)
 
@@ -669,7 +708,7 @@ def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
         alpha_out = ATOM_LEVEL_NAMES[alpha_level]
         tag_a = alpha_out + "?"
         _record(records, tag_a, "measure-alpha", ALICE, "projective-measurement",
-                "basis g/e", f"outcome={alpha_out} p={p_alpha:.6f}", ("alpha",))
+                "basis g/e", _measured(alpha_out, p_alpha), ("alpha",))
         to_bob = ClassicalChannel()
         to_bob.send("Alice", "Bob", _bit_of(alpha_out), "alpha-measurement")
         _record(records, tag_a, "classical", ALICE, "send-bit",
@@ -685,11 +724,10 @@ def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
             tag = alpha_out + beta_out
             _record(records, tag, "measure-beta", BOB, "projective-measurement",
                     "basis " + "/".join(ATOM_LEVEL_NAMES[:spec.beta_dim]),
-                    f"outcome={beta_out} p={p_beta:.6f}", ("beta",))
+                    _measured(beta_out, p_beta), ("beta",))
             if beta_out == "i":
-                branches.append(BranchResult(
-                    alpha_out, beta_out, float(p_alpha * p_beta), 0.0, sf,
-                    tuple(to_bob.log)))
+                leaves.append(_Leaf(alpha_out, beta_out, p_alpha, p_beta, sf, None,
+                                    tuple(to_bob.log)))
                 continue
             to_alice = ClassicalChannel()
             to_alice.send("Bob", "Alice", _bit_of(beta_out), "beta-measurement")
@@ -703,21 +741,161 @@ def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
                     alpha_final = "g"
                 sf = _run_step(records, lvl, params, config, tag, _PHOTON_PHASE, sf)
 
-            target = _branch_target(target_initial, alpha_final, beta_out)
+            leaves.append(_Leaf(alpha_out, beta_out, p_alpha, p_beta, sf,
+                                _branch_target(gated, sf.space, alpha_final, beta_out),
+                                tuple(to_bob.log + to_alice.log)))
+    return records, leaves
+
+
+def _branch_result(leaf: _Leaf) -> BranchResult:
+    fidelity = 0.0 if leaf.target is None else state_fidelity(leaf.target, leaf.state)
+    return BranchResult(leaf.alpha, leaf.beta, float(leaf.p_alpha * leaf.p_beta),
+                        fidelity, leaf.state, leaf.bits)
+
+
+# ---------------------------------------------------------------------------
+# the ideal level as one linear map per measurement branch
+
+# built maps kept: a few gates, cutoffs, ebits and occupied levels at a time
+_MAPS_CACHED = 16
+
+
+@dataclass(frozen=True)
+class _Maps:
+    """The ideal protocol on the cavity levels <= m of one key.
+
+    kraus[j] and targets[j] take the input's (A, B) amplitudes on those
+    levels, A-major, to branch j's unnormalized output and its ideal target
+    on (A, B, alpha, beta); targets[j] is zero on a beta outcome i, which so
+    scores 0.  prefix holds the records before alpha is measured; alphas
+    holds, per alpha outcome, its records and its branches as (j, beta,
+    records, bits).  The first record of each group is its measurement,
+    whose p= is the input's.
+    """
+
+    side: int
+    prefix: tuple
+    alphas: tuple
+    kraus: np.ndarray
+    targets: np.ndarray
+
+
+@lru_cache(maxsize=_MAPS_CACHED)
+def _ideal_maps(table: tuple, dim_c: int, m: int, ebit: bytes,
+                supplied: bool) -> _Maps:
+    """Run the step table once on a Choi state of the levels <= m.
+
+    table is (gate, and the step entries the loop reads), so that a changed
+    entry builds anew; ebit holds the (alpha, beta) amplitudes.  The state
+    is sum_k |k>_AB |k>_choi / side over the side^2 levels k, so branch j
+    ends in (K_j x 1)|choi> / sqrt(p_j), whose k-th column times side and
+    sqrt(p_j) is K_j|k>.  A branch the loop drops is zero on every input of
+    those levels.  The maps must be complete there: sum_j K_j^dag K_j = 1.
+    """
+    spec = table[0]
+    side = m + 1
+    n = side * side
+    v = np.zeros((dim_c, dim_c, n), dtype=complex)
+    v[:side, :side] = np.eye(n).reshape(side, side, n) / side
+    choi = StateVector(CompositeSpace([FactorLabel("A", dim_c), FactorLabel("B", dim_c),
+                                       FactorLabel("choi", n)]), v)
+    atoms = StateVector(CompositeSpace([FactorLabel("alpha", 2),
+                                        FactorLabel("beta", spec.beta_dim)]),
+                        np.frombuffer(ebit, dtype=complex))
+    records, leaves = _run_steps(spec, _LEVELS["ideal"],
+                                 ProtocolConfig(fock_cutoff=dim_c - 1), choi, choi,
+                                 atoms, supplied)
+
+    def maps_of(amplitudes: list, scales: list) -> np.ndarray:
+        # branch j's column k: its amplitudes at choi level k, scaled
+        amps = np.array(amplitudes).reshape(len(leaves), dim_c, dim_c, n, 2,
+                                            spec.beta_dim)
+        amps = amps.transpose(0, 1, 2, 4, 5, 3).reshape(len(leaves), -1, n)
+        return amps * np.array(scales)[:, None, None]
+
+    kraus = maps_of([leaf.state.amplitudes for leaf in leaves],
+                    [side * math.sqrt(leaf.p_alpha * leaf.p_beta) for leaf in leaves])
+    targets = maps_of([np.zeros_like(leaf.state.amplitudes) if leaf.target is None
+                       else leaf.target.amplitudes for leaf in leaves],
+                      [side] * len(leaves))
+    stacked = kraus.reshape(-1, n)
+    err = float(np.linalg.norm(stacked.conj().T @ stacked - np.eye(n)))
+    if err > 1e-10:
+        raise ProtocolError(f"branch maps are incomplete on cavity levels <= {m}: "
+                            f"sum K^dag K is off the identity by {err:.3g}")
+    kraus.setflags(write=False)
+    targets.setflags(write=False)
+
+    groups: dict = {}
+    for rec in records:
+        groups.setdefault(rec.branch, []).append(rec)
+    alphas: dict = {}
+    for j, leaf in enumerate(leaves):
+        alphas.setdefault(leaf.alpha, []).append(
+            (j, leaf.beta, tuple(groups[leaf.alpha + leaf.beta]), leaf.bits))
+    return _Maps(side, tuple(groups["*"]),
+                 tuple((alpha, tuple(groups[alpha + "?"]), tuple(betas))
+                       for alpha, betas in alphas.items()),
+                 kraus, targets)
+
+
+def _remeasured(record: TraceRecord, level: str, p: float) -> TraceRecord:
+    return TraceRecord(record.branch, record.step, record.node, record.operation,
+                       record.params_text, _measured(level, p), record.support)
+
+
+def _apply_maps(spec: _Gate, ref_cav: StateVector, atoms: StateVector,
+                supplied: bool, dim_c: int) -> tuple:
+    """The ideal protocol on one register: (records, branches) from the maps
+    of its occupied cavity levels, with the step loop's drop rule and order."""
+    space = ref_cav.space
+    taken = sorted({"alpha", "beta"}.intersection(space.names))
+    if taken:
+        raise QStateError(f"label collision on {taken}")
+    axes = [space.axis("A"), space.axis("B")]
+    rest = [k for k in range(len(space.dims)) if k not in axes]
+    psi = ref_cav.tensor_view().transpose(axes + rest).reshape(dim_c, dim_c, -1)
+    # the highest level any amplitude of A or B occupies, exactly; at least 1
+    m = dim_c - 1
+    while m > 1 and not (np.count_nonzero(psi[m]) or np.count_nonzero(psi[:, m])):
+        m -= 1
+    maps = _ideal_maps((spec, _STEP4, _CONDITIONAL_NOT, _STEP6, _PHOTON_PHASE),
+                       dim_c, m, atoms.amplitudes.tobytes(), supplied)
+    psi = psi[:maps.side, :maps.side].reshape(maps.side * maps.side, -1)
+    n_branches = len(maps.kraus)
+    outs = (maps.kraus.reshape(-1, psi.shape[0]) @ psi).reshape(n_branches, -1)
+    probs = [float(np.vdot(out, out).real) for out in outs]
+    total = sum(probs)
+    if abs(total - 1.0) > 1e-10:   # as the alpha measurement refuses it
+        raise QStateError(f"branch probabilities sum to {total}, not 1")
+    targets = (maps.targets.reshape(-1, psi.shape[0]) @ psi).reshape(n_branches, -1)
+
+    out_space = CompositeSpace(space.factors + (FactorLabel("alpha", 2),
+                                                FactorLabel("beta", spec.beta_dim)))
+    # (A, B, alpha, beta, rest) back to the input's factors, then alpha, beta
+    shape = (dim_c, dim_c, 2, spec.beta_dim) + tuple(space.dims[k] for k in rest)
+    order = [axes.index(k) if k in axes else 4 + rest.index(k)
+             for k in range(len(space.dims))] + [2, 3]
+    records = list(maps.prefix)
+    branches = []
+    for alpha, alpha_records, betas in maps.alphas:
+        p_alpha = sum(probs[j] for j, *_ in betas)
+        if p_alpha < 1e-30:
+            continue
+        records.append(_remeasured(alpha_records[0], alpha, p_alpha))
+        records.extend(alpha_records[1:])
+        for j, beta, beta_records, bits in betas:
+            p_beta = probs[j] / p_alpha
+            if p_beta < 1e-30:
+                continue
+            records.append(_remeasured(beta_records[0], beta, p_beta))
+            records.extend(beta_records[1:])
+            p = p_alpha * p_beta
+            final = outs[j] / math.sqrt(p)
             branches.append(BranchResult(
-                alpha_out, beta_out, float(p_alpha * p_beta),
-                state_fidelity(target, sf), sf,
-                tuple(to_bob.log + to_alice.log)))
-
-    total = sum(br.probability for br in branches)
-    if abs(total - 1.0) > 1e-10:
-        raise ProtocolError(f"branch probabilities sum to {total}")
-    for br in branches:
-        if len(br.bits) != 2 and br.beta != "i":
-            raise ProtocolError(f"branch {br.label} used {len(br.bits)} bits")
-
-    return ProtocolTrace(gate=gate, level=level, amplitudes=amplitudes,
-                         records=tuple(records), branches=tuple(branches))
+                alpha, beta, p, float(abs(np.vdot(targets[j], final)) ** 2),
+                StateVector(out_space, final.reshape(shape).transpose(order)), bits))
+    return records, branches
 
 
 def _ebit_pair(atoms: StateVector, beta_dim: int) -> StateVector:
@@ -739,20 +917,25 @@ def _ebit_pair(atoms: StateVector, beta_dim: int) -> StateVector:
     return StateVector(space, out.reshape(-1))
 
 
+@lru_cache(maxsize=None)
+def _bell_pair(beta_dim: int) -> StateVector:
+    """The ideal Bell pair as _ebit_pair widens it; immutable, so shared."""
+    return _ebit_pair(_bell_atoms(), beta_dim)
+
+
 def _pulse_text(result) -> str:
     return " ".join(f"gaussian(carrier={p.omega_drive:.9g}, width={p.width:.6g})"
                     for p in result.pulse_log) or "-"
 
 
-def _branch_target(target_initial: StateVector, alpha_final: str,
+def _branch_target(gated: StateVector, space: CompositeSpace, alpha_final: str,
                    beta_final: str) -> StateVector:
-    """The ideal output with the atoms set to the branch's final levels
-    (both start in g; an e outcome flips that atom)."""
-    t = target_initial
-    for atom, level in (("alpha", alpha_final), ("beta", beta_final)):
-        if level == "e":
-            t = apply_local(t, *ideal_block(GateKind.NOT_ATOM, t.space, atom))
-    return t
+    """The ideal output on space: the gated register, with alpha and beta,
+    the last two factors, at the branch's final levels."""
+    amps = np.zeros(space.dims, dtype=complex)
+    amps[..., ATOM_LEVEL_NAMES.index(alpha_final),
+         ATOM_LEVEL_NAMES.index(beta_final)] = gated.tensor_view()
+    return StateVector(space, amps)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from cavitylink import (
     GateKind,
@@ -30,7 +31,7 @@ from cavitylink import (
     run_nonlocal_cqpg,
 )
 import cavitylink
-from cavitylink import gates, perturb, qstate
+from cavitylink import cli, gates, perturb, qstate
 from cavitylink.gates import HADAMATOM
 from cavitylink import protocol
 from cavitylink.protocol import ClassicalChannel, TraceRecord
@@ -114,6 +115,206 @@ def test_ancilla_entangled_input():
     v[sp.index({"A": 0, "B": 1, "anc": 1})] = 1 / math.sqrt(2)
     tr = run_nonlocal_cnot(input_state=StateVector(sp, v), level="ideal")
     assert min(br.fidelity_vs_ideal for br in tr.branches) >= 1.0 - 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the ideal level as per-branch maps, against the step loop run on the input
+
+
+def _step_loop(gate, ref_cav, ebit_state=None):
+    """The step table run on the input itself, as the physical level runs it:
+    (trace lines, branches)."""
+    spec = protocol._GATES[gate]
+    supplied = ebit_state is not None
+    atoms = protocol._ebit_pair(ebit_state if supplied else protocol._bell_atoms(),
+                                spec.beta_dim)
+    records, leaves = protocol._run_steps(spec, protocol._LEVELS["ideal"],
+                                          protocol.ProtocolConfig(), ref_cav, ref_cav,
+                                          atoms, supplied)
+    return [r.line() for r in records], [protocol._branch_result(leaf) for leaf in leaves]
+
+
+def _register(a, b, c, d):
+    return qstate.tensor([protocol._cavity_qubit("A", 6, a, b),
+                          protocol._cavity_qubit("B", 6, c, d)])
+
+
+def _random_input(rng, names, levels, dims=None):
+    """A random normalized state with cavities A and B (dim 6) at most at
+    the given levels; other factors, of dims[name] (default 2), are free."""
+    dims = {"A": 6, "B": 6, **(dims or {})}
+    space = CompositeSpace([FactorLabel(n, dims.get(n, 2)) for n in names])
+    amps = np.zeros(space.dims, dtype=complex)
+    occupied = tuple(slice(0, levels[n] + 1) if n in levels else slice(None)
+                     for n in names)
+    shape = amps[occupied].shape
+    amps[occupied] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return StateVector(space, amps.reshape(-1) / np.linalg.norm(amps))
+
+
+def _oracle_cases():
+    rng = make_rng(18)
+    cases = [(_random_pairs(rng), None, None) for _ in range(3)]
+    for names in (("anc", "A", "B"), ("A", "anc", "B"), ("A", "B", "anc")):
+        cases.append((None, _random_input(rng, names, {"A": 1, "B": 1}), None))
+    for m in range(2, 6):
+        cases.append((None, _random_input(rng, ("A", "B"), {"A": m, "B": 1}), None))
+        cases.append((None, _random_input(rng, ("B", "anc", "A"), {"A": 1, "B": m},
+                                          {"anc": 3}), None))
+    model = PhotonGunModel(p_empty=0.1, p_double=0.05, p_single=0.85)
+    for br in enumerate_ebit_branches(model):
+        if br.flagged:
+            continue
+        pair = br.atoms_state
+        swapped = StateVector(CompositeSpace([FactorLabel("beta", 2),
+                                              FactorLabel("alpha", 2)]),
+                              pair.tensor_view().T.reshape(-1))
+        for ebit in (pair, swapped):
+            # a photon-number input: an unentangled pair leaves branches at p = 0
+            for amps in (_random_pairs(rng), (1.0, 0.0, 0.6, 0.8j), (0.0, 1.0, 1.0, 0.0)):
+                cases.append((amps, None, ebit))
+            cases.append((None, _random_input(rng, ("A", "anc", "B"),
+                                              {"A": 1, "B": 1}), ebit))
+    return cases
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cqpg"])
+def test_branch_maps_match_the_step_loop_run_on_the_input(gate):
+    runner = {"cnot": run_nonlocal_cnot, "cqpg": run_nonlocal_cqpg}[gate]
+    cases = _oracle_cases()
+    if gate == "cqpg":
+        # a pair with weight on beta's level i: its i branches score 0
+        leaky = StateVector(CompositeSpace([FactorLabel("alpha", 2), FactorLabel("beta", 3)]),
+                            np.array([0.0, 0.6, 0.0, 0.6, 0.0, 0.52915026221291811]))
+        cases += [((0.6, 0.8, 0.28, 0.96j), None, leaky),
+                  (None, _random_input(make_rng(5), ("A", "anc", "B"), {"A": 2, "B": 1}),
+                   leaky)]
+    dropped = 0
+    for amps, state, ebit in cases:
+        if state is None:
+            trace = runner(*amps, level="ideal", ebit_state=ebit)
+            state = _register(*amps)
+        else:
+            trace = runner(input_state=state, level="ideal", ebit_state=ebit)
+        lines, want = _step_loop(gate, state, ebit)
+        assert trace.trace_lines() == lines
+        assert [br.label for br in trace.branches] == [br.label for br in want]
+        dropped += sum(br.beta != "i" for br in want) < 4
+        for got, ref in zip(trace.branches, want):
+            np.testing.assert_allclose(got.probability, ref.probability, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(got.fidelity_vs_ideal, ref.fidelity_vs_ideal,
+                                       rtol=0, atol=1e-12)
+            assert got.bits == ref.bits
+            assert len(got.bits) == (1 if got.beta == "i" else 2)
+            assert got.final_state.space == ref.final_state.space
+            np.testing.assert_allclose(got.final_state.amplitudes,
+                                       ref.final_state.amplitudes, rtol=0, atol=1e-12)
+    assert dropped > 0   # the cases include branches dropped at zero probability
+
+
+def test_an_incomplete_set_of_branch_maps_is_refused(monkeypatch):
+    # a build that loses beta's last outcome loses branches: sum K^dag K != 1
+    real = protocol._measure
+
+    def losing(state, factor):
+        outcomes = real(state, factor)
+        return outcomes[:-1] if factor == "beta" else outcomes
+
+    monkeypatch.setattr(protocol, "_measure", losing)
+    protocol._ideal_maps.cache_clear()
+    with pytest.raises(ProtocolError, match="incomplete on cavity levels <= 1"):
+        run_nonlocal_cnot(level="ideal")
+    assert protocol._ideal_maps.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cqpg"])
+def test_cli_random_inputs_build_the_maps_once(gate, monkeypatch, tmp_path):
+    real = protocol.enumerate_branches
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "enumerate_branches", counting)
+    measured = {}
+    for runs in (20, 200):
+        protocol._ideal_maps.cache_clear()
+        calls.clear()
+        rc = cli.main(["protocol", "--gate", gate, "--random", str(runs), "--seed", "3",
+                       "--level", "ideal", "--out", str(tmp_path / f"{runs}.csv")])
+        assert rc == 0
+        info = protocol._ideal_maps.cache_info()
+        assert (info.misses, info.hits) == (1, runs - 1)
+        measured[runs] = len(calls)
+    assert measured[200] == measured[20] > 0
+
+
+def _maps_key(gate, ebit, m, supplied):
+    spec = protocol._GATES[gate]
+    table = (spec, protocol._STEP4, protocol._CONDITIONAL_NOT, protocol._STEP6,
+             protocol._PHOTON_PHASE)
+    return table, 6, m, protocol._ebit_pair(ebit, spec.beta_dim).amplitudes.tobytes(), \
+        supplied
+
+
+@strategies.composite
+def _protocol_inputs(draw):
+    gate = draw(strategies.sampled_from(["cnot", "cqpg"]))
+    seed = draw(strategies.integers(0, 2 ** 32 - 1))
+    ancilla = draw(strategies.sampled_from([None, 0, 1, 2]))
+    m = draw(strategies.integers(1, 5)) if ancilla is not None else 1
+    return gate, seed, ancilla, m, draw(strategies.booleans())
+
+
+# derandomized, few examples and no example database: the same cases on
+# every run, in about a second
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(_protocol_inputs())
+def test_branch_maps_keep_the_protocol_invariants(case):
+    gate, seed, ancilla, m, own_pair = case
+    runner = {"cnot": run_nonlocal_cnot, "cqpg": run_nonlocal_cqpg}[gate]
+    rng = make_rng(seed)
+    if own_pair:
+        pair = rng.normal(size=4) + 1j * rng.normal(size=4)
+        ebit = StateVector(CompositeSpace([FactorLabel("alpha", 2),
+                                           FactorLabel("beta", 2)]),
+                           pair / np.linalg.norm(pair))
+    else:
+        ebit = None
+    if ancilla is None:
+        args, kwargs = _random_pairs(rng), {}
+    else:
+        names = ["A", "B"]
+        names.insert(ancilla, "anc")
+        levels = {"A": m, "B": int(rng.integers(0, m + 1))}
+        args, kwargs = (), {"input_state": _random_input(rng, names, levels)}
+
+    first = runner(*args, level="ideal", ebit_state=ebit, **kwargs)
+    protocol._ideal_maps.cache_clear()
+    cold = runner(*args, level="ideal", ebit_state=ebit, **kwargs)
+    warm = runner(*args, level="ideal", ebit_state=ebit, **kwargs)
+    np.testing.assert_allclose(cold.total_probability(), 1.0, rtol=0, atol=1e-10)
+    assert all(len(br.bits) == 2 for br in cold.branches)
+    assert locality_violations(cold.records) == []
+    for other in (first, warm):
+        assert other.records == cold.records
+        assert [br.label for br in other.branches] == [br.label for br in cold.branches]
+        for a, b in zip(other.branches, cold.branches):
+            assert (a.probability, a.fidelity_vs_ideal, a.bits) == \
+                (b.probability, b.fidelity_vs_ideal, b.bits)
+            np.testing.assert_array_equal(a.final_state.amplitudes,
+                                          b.final_state.amplitudes)
+    # the maps of this input's levels are complete; a cache hit, so the key
+    # above is the one the run used
+    hits = protocol._ideal_maps.cache_info().hits
+    maps = protocol._ideal_maps(*_maps_key(gate, ebit or protocol._bell_atoms(), m,
+                                           ebit is not None))
+    assert protocol._ideal_maps.cache_info().hits == hits + 1
+    stacked = maps.kraus.reshape(-1, (m + 1) ** 2)
+    np.testing.assert_allclose(stacked.conj().T @ stacked, np.eye((m + 1) ** 2),
+                               rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
