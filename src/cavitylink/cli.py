@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 import warnings
@@ -26,9 +27,9 @@ from .qstate import QStateError, StateVector, make_rng
 from .jcmodel import (JCParams, desk_params, dressed_energies, jc_rotating,
                       jc_space, mixing_angle)
 from .pulses import StiffnessError, evolve_tdse
-from .perturb import (SOURCE_POINT_ANGULAR, SOURCE_POINT_CYCLIC, QuadratureError,
-                      calibrate_convention, two_photon_probability,
-                      two_photon_tdse_oracle)
+from .perturb import (BAND_CENTER, BAND_WIDTH, SOURCE_POINT_ANGULAR,
+                      SOURCE_POINT_CYCLIC, QuadratureError, calibrate_convention,
+                      two_photon_probability, two_photon_tdse_oracle)
 from .gates import (PhysicalGateConfig, fidelity_closed_form,
                     physical_cnot_cavity_to_atom)
 from .protocol import (PhotonGunModel, ProtocolConfig, ProtocolError,
@@ -36,8 +37,9 @@ from .protocol import (PhotonGunModel, ProtocolConfig, ProtocolError,
                        run_nonlocal_cqpg)
 
 
-class CliError(ValueError):
-    pass
+class CliError(ValueError, argparse.ArgumentTypeError):
+    """Bad input; argparse prints the message when a flag's converter
+    raises it."""
 
 
 def _fmt(value) -> str:
@@ -55,6 +57,29 @@ def _fmt_at_tol(value, tol: float) -> str:
     return _fmt(round(float(value), math.floor(-math.log10(tol))))
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _cfloat(text: str) -> float:
+    """A float flag or config value; NaN and the infinities are refused."""
+    value = _number(text)
+    if not math.isfinite(value):
+        raise CliError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _ctol(text: str) -> float:
+    """The integrator tolerance: finite and > 0."""
+    value = _number(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise CliError(f"tol must be > 0 and finite, got {text!r}")
+    return value
+
+
 def _cbool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -69,9 +94,13 @@ def _camps(text: str) -> tuple:
     if len(parts) != 4:
         raise CliError(f"--amps needs 4 comma-separated values, got {len(parts)}")
     try:
-        return tuple(complex(p) for p in parts)
+        amps = tuple(complex(p) for p in parts)
     except ValueError as exc:
         raise CliError(f"bad amplitude in {text!r}: {exc}") from None
+    for part, amp in zip(parts, amps):
+        if not cmath.isfinite(amp):
+            raise CliError(f"amplitude {part!r} in {text!r} is not finite")
+    return amps
 
 
 def _choice(*options):
@@ -86,23 +115,23 @@ GLOBAL_SCHEMA = {
     "seed": (int, None, "seed of protocol --random inputs and the ebit-noise Monte Carlo"),
     "out": (str, None, "output file (default: stdout)"),
     "fock_cutoff": (int, 5, "maximum photon number kept per cavity"),
-    "tolerance": (float, 1e-10, "integrator tolerance"),
+    "tolerance": (_ctol, 1e-10, "integrator tolerance"),
 }
 
 SCHEMAS = {
     "dressed": {
-        "x": (float, 0.1, "coupling-to-detuning ratio Omega/delta"),
+        "x": (_cfloat, 0.1, "coupling-to-detuning ratio Omega/delta"),
         "n_max": (int, 3, "highest excitation manifold listed"),
-        "omega_rabi": (float, 1.0, "vacuum Rabi coupling Omega"),
+        "omega_rabi": (_cfloat, 1.0, "vacuum Rabi coupling Omega"),
     },
     "rabi": {
-        "t_max": (float, 2.0 * math.pi, "end time of the oscillation scan"),
+        "t_max": (_cfloat, 2.0 * math.pi, "end time of the oscillation scan"),
         "points": (int, 50, "number of sample times"),
-        "omega_rabi": (float, 1.0, "vacuum Rabi coupling Omega"),
+        "omega_rabi": (_cfloat, 1.0, "vacuum Rabi coupling Omega"),
     },
     "fidelity-sweep": {
-        "x_min": (float, 0.01, "smallest x in the sweep"),
-        "x_max": (float, 0.1, "largest x in the sweep"),
+        "x_min": (_cfloat, 0.01, "smallest x in the sweep"),
+        "x_max": (_cfloat, 0.1, "largest x in the sweep"),
         "steps": (int, 10, "number of sweep points"),
         "mode": (_choice("formula", "simulated", "both"), "formula",
                  "which fidelity columns to fill"),
@@ -120,9 +149,9 @@ SCHEMAS = {
         "trace": (str, None, "trace file (default: OUT.trace when --out is set)"),
     },
     "ebit-noise": {
-        "p_empty": (float, 0.0, "probability of an empty gun emission"),
-        "p_double": (float, 0.0, "probability of a double emission"),
-        "p_single": (float, None, "single-photon probability (default: remainder)"),
+        "p_empty": (_cfloat, 0.0, "probability of an empty gun emission"),
+        "p_double": (_cfloat, 0.0, "probability of a double emission"),
+        "p_single": (_cfloat, None, "single-photon probability (default: remainder)"),
         "runs": (int, 10000, "Monte-Carlo sample count"),
     },
 }
@@ -185,7 +214,10 @@ def _resolve(args: argparse.Namespace, command: str) -> SimpleNamespace:
     for dest, (conv, default, _help) in schema.items():
         value = getattr(args, dest, None)
         if value is None and dest in config:
-            value = conv(config[dest])
+            try:
+                value = conv(config[dest])
+            except ValueError as exc:
+                raise CliError(f"config {dest}: {exc}") from None
         if value is None:
             value = default
         resolved[dest] = value
@@ -298,16 +330,14 @@ def _simulated_fidelity(x: float, config: PhysicalGateConfig) -> float:
 
 def cmd_two_photon(ns) -> int:
     lines = []
-    band_center, band_width = 0.47, 0.02
     if ns.convention == "auto":
-        report = calibrate_convention(band_center, band_width, tol=ns.tolerance)
+        report = calibrate_convention(tol=ns.tolerance)
         for name in ("angular", "cyclic"):
             exact = _fmt_at_tol(report.tdse[name], ns.tolerance)
             lines.append(f"convention={name} "
                          f"perturbative={_fmt(report.perturbative[name])} "
                          f"tdse={exact}")
         chosen, in_band = report.chosen, report.in_band
-        pert = report.perturbative[chosen]
     else:
         point = {"angular": SOURCE_POINT_ANGULAR, "cyclic": SOURCE_POINT_CYCLIC}[ns.convention]
         with warnings.catch_warnings():
@@ -317,9 +347,9 @@ def cmd_two_photon(ns) -> int:
         lines.append(f"convention={ns.convention} perturbative={_fmt(pert)} "
                      f"tdse={_fmt_at_tol(exact, ns.tolerance)}")
         chosen = ns.convention
-        in_band = abs(pert - band_center) <= band_width
+        in_band = abs(pert - BAND_CENTER) <= BAND_WIDTH
     lines.append(f"chosen={chosen}")
-    lines.append(f"target={_fmt(band_center)} band={_fmt(band_width)} "
+    lines.append(f"target={_fmt(BAND_CENTER)} band={_fmt(BAND_WIDTH)} "
                  f"in_band={str(in_band).lower()}")
     _emit(lines, ns.out)
     return 0

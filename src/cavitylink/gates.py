@@ -43,7 +43,7 @@ from .jcmodel import (JCParams, bare_to_dressed_map, jc_rotating,
                       manifold_splitting)
 from .pulses import (GAUSSIAN_SUPPORT, Drive, PulseSpec, calibrate_pulse_area,
                      propagate_basis)
-from .perturb import TwoPhotonParams, two_photon_amplitude
+from .perturb import TwoPhotonParams
 
 
 class GateKind(Enum):
@@ -101,21 +101,17 @@ class ThreeLevelParams:
 
     delta_ge None models the fully suppressed g <-> e cavity coupling (the
     transition is far out of band); a finite value turns that coupling on
-    at the given detuning, with strength coupling_ge (defaults to the e-i
-    coupling).
+    at the given detuning, with the e-i coupling's strength.
     """
 
     rabi_coupling: float
     delta_ge: Optional[float] = None
-    coupling_ge: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.rabi_coupling <= 0:
             raise QStateError("rabi_coupling must be > 0")
         if self.delta_ge is not None and self.delta_ge == 0:
             raise QStateError("delta_ge = 0 would make g<->e resonant; use None to suppress")
-        if self.coupling_ge is not None and self.coupling_ge <= 0:
-            raise QStateError("coupling_ge must be > 0")
 
 
 @dataclass(frozen=True)
@@ -129,7 +125,6 @@ class GateResult:
     norm_drift: Optional[float] = None
     correction: Optional[dict] = None
     exchange_probability_tdse: Optional[float] = None
-    exchange_probability_perturbative: Optional[float] = None
     # step-doubling estimate of max |U - U_exact| over the propagators the
     # action is built from, and their Magnus steps (0 for exact evolution)
     error_estimate: Optional[float] = None
@@ -416,11 +411,9 @@ def physical_swap_two_photon(state: StateVector, p: TwoPhotonParams,
                              cavity: str = "cavity") -> GateResult:
     """Laser-driven two-photon exchange |g,0> <-> |e,1> on one node.
 
-    The exchange probability is read off the exact integrated propagator;
-    the perturbative estimate, |two_photon_amplitude|^2 without the
-    breakdown warning, rides along for comparison.  At the source
-    operating point the exchange is far from complete, and the fidelity
-    reflects that honestly.
+    The exchange probability is read off the exact integrated propagator.
+    At the source operating point the exchange is far from complete, and
+    the fidelity reflects that honestly.
     """
     config = config or PhysicalGateConfig()
     _check_cavity(state, cavity, config)
@@ -428,8 +421,7 @@ def physical_swap_two_photon(state: StateVector, p: TwoPhotonParams,
     return _gate_result(state, engine, (atom, cavity),
                         ideal_block(GateKind.SWAP_ATOM_CAVITY, state.space,
                                     atom, cavity),
-                        exchange_probability_tdse=engine[3]["exchange_forward"],
-                        exchange_probability_perturbative=abs(two_photon_amplitude(p)) ** 2)
+                        exchange_probability_tdse=engine[3]["exchange_forward"])
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +460,7 @@ def physical_cnot_atom_to_cavity(state: StateVector, p: TwoPhotonParams,
     return _gate_result(state, engine, (atom, cavity),
                         ideal_block(GateKind.CNOT_ATOM_TO_CAVITY, state.space,
                                     atom, cavity),
-                        exchange_probability_tdse=engine[3]["exchange_forward"],
-                        exchange_probability_perturbative=abs(two_photon_amplitude(p)) ** 2)
+                        exchange_probability_tdse=engine[3]["exchange_forward"])
 
 
 def averaged_step5_fidelity(p: TwoPhotonParams,
@@ -645,13 +636,12 @@ def three_level_hamiltonian(tp: ThreeLevelParams, fock_cutoff: int) -> Operator:
         h[idx(ATOM_I, n), idx(ATOM_E, n + 1)] = g * root
         h[idx(ATOM_E, n + 1), idx(ATOM_I, n)] = g * root
     if tp.delta_ge is not None:
-        gge = tp.coupling_ge if tp.coupling_ge is not None else g
         for n in range(n_ph):
             h[idx(ATOM_G, n), idx(ATOM_G, n)] = tp.delta_ge
         for n in range(fock_cutoff):
             root = math.sqrt(n + 1)
-            h[idx(ATOM_E, n), idx(ATOM_G, n + 1)] = gge * root
-            h[idx(ATOM_G, n + 1), idx(ATOM_E, n)] = gge * root
+            h[idx(ATOM_E, n), idx(ATOM_G, n + 1)] = g * root
+            h[idx(ATOM_G, n + 1), idx(ATOM_E, n)] = g * root
     space = CompositeSpace([FactorLabel("atom", 3), FactorLabel("cavity", n_ph)])
     return Operator(space, h, hermitian=True)
 

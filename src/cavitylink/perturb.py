@@ -117,6 +117,10 @@ SOURCE_POINT_CYCLIC = TwoPhotonParams(
     rabi_coupling=2.0 * math.pi * 1e5, delta=2.0 * math.pi * 1e6, tau=2e-5,
     sigma0=2.0 * math.pi * 1e5)
 
+# The quoted exchange probability at the operating point, and its band.
+BAND_CENTER = 0.47
+BAND_WIDTH = 0.02
+
 # Frozen calibration outcome (see calibrate_convention): probability of the
 # two-photon exchange at the operating point, perturbative and exact.
 FROZEN_CONVENTION = "cyclic"
@@ -186,8 +190,7 @@ def _running_integral(f: np.ndarray, h: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _sigma0_free_total(rabi_coupling: float, delta: float, tau: float,
-                       direction: str) -> complex:
+def _sigma0_free_total(rabi_coupling: float, delta: float, tau: float) -> complex:
     """sum_j hop1_j hop2_j times the ordered double integral of path j, with
     the drive strength sigma0 taken out.
 
@@ -198,9 +201,6 @@ def _sigma0_free_total(rabi_coupling: float, delta: float, tau: float,
     construction would repeat its warnings.
     """
     hop1, hop2, d1, d2 = _path_elements(rabi_coupling, delta)
-    if direction == "reverse":
-        # conjugated hops in the opposite order: emission back down
-        d1, d2 = -d2, -d1
     # the window of TwoPhotonParams.t_start and t_end
     t_start, t_end = -3.0 * tau, 3.0 * tau
 
@@ -224,8 +224,8 @@ def _sigma0_free_total(rabi_coupling: float, delta: float, tau: float,
         coarse = fine
 
 
-def two_photon_amplitude(p: TwoPhotonParams, direction: str = "forward") -> complex:
-    """Second-order amplitude of the |g,0> -> |V+,1> exchange (or reverse).
+def two_photon_amplitude(p: TwoPhotonParams) -> complex:
+    """Second-order amplitude of the |g,0> -> |V+,1> exchange.
 
     Time-ordered double integral over both intermediate paths on the window
     [-3 tau, 3 tau], on the Magnus step's Filon panel rule repeated over
@@ -235,17 +235,15 @@ def two_photon_amplitude(p: TwoPhotonParams, direction: str = "forward") -> comp
     operating point (coupling, detuning and tau) and cached; a call at
     another drive strength only rescales it.
     """
-    if direction not in ("forward", "reverse"):
-        raise QStateError(f"direction must be forward or reverse, got {direction!r}")
     if p.sigma0 == 0.0:
         return 0.0 + 0.0j
-    total = _sigma0_free_total(p.rabi_coupling, p.delta, p.tau, direction)
+    total = _sigma0_free_total(p.rabi_coupling, p.delta, p.tau)
     return complex(-(p.sigma0 ** 2) * total)  # (-i)^2 prefactor
 
 
-def two_photon_probability(p: TwoPhotonParams, direction: str = "forward") -> float:
+def two_photon_probability(p: TwoPhotonParams) -> float:
     """|amplitude|^2; values above 1 flag perturbation-theory breakdown."""
-    prob = abs(two_photon_amplitude(p, direction=direction)) ** 2
+    prob = abs(two_photon_amplitude(p)) ** 2
     if prob > 1.0:
         warnings.warn(
             f"perturbative probability {prob:.4g} exceeds 1; "
@@ -253,33 +251,14 @@ def two_photon_probability(p: TwoPhotonParams, direction: str = "forward") -> fl
     return float(prob)
 
 
-def first_order_population(p: TwoPhotonParams) -> float:
-    """Peak total first-order population of the intermediate pair V+-,0.
-
-    sum_j |sigma0 hop1_j int env(t) exp(i d1_j t) dt|^2 up to each node of
-    the panel rule, at one panel per FILON_PANEL_RAD of the first hops'
-    phase.  Small values justify treating the pair as virtual.
-    """
-    if p.sigma0 == 0.0:
-        return 0.0
-    hop1, _hop2, d1, _d2 = _path_elements(p.rabi_coupling, p.delta)
-    panels = _panels(float(np.max(np.abs(d1))), p.t_end - p.t_start)
-    f, h = _path_integrands(p.tau, d1, p.t_start, p.t_end, panels)
-    amplitudes = p.sigma0 * hop1[:, None, None] * _running_integral(f, h)
-    return float(np.max(np.sum(np.abs(amplitudes) ** 2, axis=0)))
-
-
-def two_photon_tdse_oracle(p: TwoPhotonParams, direction: str = "forward",
-                           tol: float = 1e-10) -> float:
+def two_photon_tdse_oracle(p: TwoPhotonParams, tol: float = 1e-10) -> float:
     """Exact transition probability from integrating the driven node.
 
     Full rotating-frame Hamiltonian on the node truncated at
     ORACLE_FOCK_CUTOFF photons plus the rotating-wave laser drive; measures
-    |<V+,1|psi>|^2 starting from |g,0> (or the reverse).  Independent of
-    the perturbative machinery.
+    |<V+,1|psi>|^2 starting from |g,0>.  Independent of the perturbative
+    machinery.
     """
-    if direction not in ("forward", "reverse"):
-        raise QStateError(f"direction must be forward or reverse, got {direction!r}")
     params = p.jc_params()
     static = jc_rotating(params, ORACLE_FOCK_CUTOFF)
     space = static.space
@@ -289,10 +268,9 @@ def two_photon_tdse_oracle(p: TwoPhotonParams, direction: str = "forward",
     pair1 = dressed_pair(params, 1, ORACLE_FOCK_CUTOFF)
     g0 = np.zeros(space.dim, dtype=complex)
     g0[space.index({"atom": ATOM_G, "cavity": 0})] = 1.0
-    start, target = (g0, pair1.v_plus) if direction == "forward" else (pair1.v_plus, g0)
     final, _info = propagate_basis(static, [Drive(pulse, pulse.omega_drive)],
-                                   p.t_start, p.t_end, tol, columns=start)
-    return float(abs(np.vdot(target, final)) ** 2)
+                                   p.t_start, p.t_end, tol, columns=g0)
+    return float(abs(np.vdot(pair1.v_plus, final)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -305,12 +283,12 @@ class ConventionReport:
     in_band: bool
 
 
-def calibrate_convention(band_center: float = 0.47, band_width: float = 0.02,
-                         tol: float = 1e-8) -> ConventionReport:
+def calibrate_convention(tol: float = 1e-8) -> ConventionReport:
     """Evaluate the operating point under both frequency readings.
 
     Picks the reading whose perturbative probability lands closest to the
-    quoted band and reports whether it actually falls inside.  The outcome
+    quoted band, BAND_CENTER +/- BAND_WIDTH, and reports whether it
+    actually falls inside.  The outcome
     is frozen in FROZEN_CONVENTION / FROZEN_CALIBRATION; this function
     recomputes it from scratch.
     """
@@ -321,7 +299,7 @@ def calibrate_convention(band_center: float = 0.47, band_width: float = 0.02,
         for name, pt in points.items():
             pert[name] = two_photon_probability(pt)
             exact[name] = two_photon_tdse_oracle(pt, tol=tol)
-    chosen = min(pert, key=lambda k: abs(pert[k] - band_center))
-    in_band = abs(pert[chosen] - band_center) <= band_width
+    chosen = min(pert, key=lambda k: abs(pert[k] - BAND_CENTER))
+    in_band = abs(pert[chosen] - BAND_CENTER) <= BAND_WIDTH
     return ConventionReport(perturbative=pert, tdse=exact, chosen=chosen,
                             in_band=in_band)

@@ -88,22 +88,6 @@ BOB = Node("Bob", atom="beta", cavity="B", port="p2")
 SOURCE = Node("Source", atom="p1", cavity="p2")   # owns both ports pre-handoff
 
 
-class ClassicalChannel:
-    """Measurement-outcome messages between the nodes."""
-
-    def __init__(self) -> None:
-        self.log: list = []
-
-    def send(self, sender: str, recipient: str, bit: int, step: str) -> None:
-        if bit not in (0, 1):
-            raise ProtocolError(f"classical channel carries single bits, got {bit!r}")
-        self.log.append((sender, recipient, int(bit), step))
-
-    @property
-    def bits_used(self) -> int:
-        return len(self.log)
-
-
 @dataclass(frozen=True)
 class PhotonGunModel:
     """Emission statistics of the entangled-pair source."""
@@ -173,7 +157,6 @@ class EbitBranch:
 class ProtocolTrace:
     gate: str
     level: str
-    amplitudes: Optional[tuple]
     records: tuple
     branches: tuple
 
@@ -241,7 +224,7 @@ def _measure(state: StateVector, factor: str) -> list:
 
 def _check_pair(u: complex, v: complex, names: str) -> None:
     norm = abs(u) ** 2 + abs(v) ** 2
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:   # NaN fails too
         raise QStateError(f"|{names[0]}|^2 + |{names[1]}|^2 = {norm}, expected 1")
 
 
@@ -623,13 +606,11 @@ def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
             if input_state.space.factor(need).dim != dim_c:
                 raise QStateError(f"input_state factor {need!r} must have dim {dim_c}")
         ref_cav = input_state
-        amplitudes = None
     else:
         _check_pair(a, b, "ab")
         _check_pair(c, d, "cd")
         ref_cav = tensor([_cavity_qubit("A", dim_c, a, b),
                           _cavity_qubit("B", dim_c, c, d)])
-        amplitudes = (complex(a), complex(b), complex(c), complex(d))
 
     # step 3: the ebit, the ideal Bell pair unless the caller brings one
     supplied = ebit_state is not None
@@ -637,9 +618,9 @@ def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
              else _bell_pair(spec.beta_dim))
 
     if level == "ideal":
-        records, branches = _apply_maps(spec, ref_cav, atoms, supplied, dim_c)
+        records, branches = _apply_maps(gate, ref_cav, atoms, supplied, dim_c)
     else:
-        cav_state = _load_physical(ref_cav, amplitudes, config, spec.node_params)
+        cav_state = _load_physical(ref_cav, (a, b, c, d), config, spec.node_params)
         records, leaves = _run_steps(spec, _LEVELS[level], config, cav_state,
                                      ref_cav, atoms, supplied)
         branches = [_branch_result(leaf) for leaf in leaves]
@@ -651,8 +632,8 @@ def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
         if len(br.bits) != 2 and br.beta != "i":
             raise ProtocolError(f"branch {br.label} used {len(br.bits)} bits")
 
-    return ProtocolTrace(gate=gate, level=level, amplitudes=amplitudes,
-                         records=tuple(records), branches=tuple(branches))
+    return ProtocolTrace(gate=gate, level=level, records=tuple(records),
+                         branches=tuple(branches))
 
 
 @dataclass(frozen=True)
@@ -709,8 +690,7 @@ def _run_steps(spec: _Gate, lvl: _Level, config: ProtocolConfig,
         tag_a = alpha_out + "?"
         _record(records, tag_a, "measure-alpha", ALICE, "projective-measurement",
                 "basis g/e", _measured(alpha_out, p_alpha), ("alpha",))
-        to_bob = ClassicalChannel()
-        to_bob.send("Alice", "Bob", _bit_of(alpha_out), "alpha-measurement")
+        to_bob = ("Alice", "Bob", _bit_of(alpha_out), "alpha-measurement")
         _record(records, tag_a, "classical", ALICE, "send-bit",
                 f"bit={_bit_of(alpha_out)}", "Alice -> Bob")
         if alpha_out == "e":
@@ -727,10 +707,9 @@ def _run_steps(spec: _Gate, lvl: _Level, config: ProtocolConfig,
                     _measured(beta_out, p_beta), ("beta",))
             if beta_out == "i":
                 leaves.append(_Leaf(alpha_out, beta_out, p_alpha, p_beta, sf, None,
-                                    tuple(to_bob.log)))
+                                    (to_bob,)))
                 continue
-            to_alice = ClassicalChannel()
-            to_alice.send("Bob", "Alice", _bit_of(beta_out), "beta-measurement")
+            to_alice = ("Bob", "Alice", _bit_of(beta_out), "beta-measurement")
             _record(records, tag, "classical", BOB, "send-bit",
                     f"bit={_bit_of(beta_out)}", "Bob -> Alice")
 
@@ -743,7 +722,7 @@ def _run_steps(spec: _Gate, lvl: _Level, config: ProtocolConfig,
 
             leaves.append(_Leaf(alpha_out, beta_out, p_alpha, p_beta, sf,
                                 _branch_target(gated, sf.space, alpha_final, beta_out),
-                                tuple(to_bob.log + to_alice.log)))
+                                (to_bob, to_alice)))
     return records, leaves
 
 
@@ -781,18 +760,17 @@ class _Maps:
 
 
 @lru_cache(maxsize=_MAPS_CACHED)
-def _ideal_maps(table: tuple, dim_c: int, m: int, ebit: bytes,
+def _ideal_maps(gate: str, dim_c: int, m: int, ebit: bytes,
                 supplied: bool) -> _Maps:
-    """Run the step table once on a Choi state of the levels <= m.
+    """Run gate's step table once on a Choi state of the levels <= m.
 
-    table is (gate, and the step entries the loop reads), so that a changed
-    entry builds anew; ebit holds the (alpha, beta) amplitudes.  The state
+    ebit holds the (alpha, beta) amplitudes.  The state
     is sum_k |k>_AB |k>_choi / side over the side^2 levels k, so branch j
     ends in (K_j x 1)|choi> / sqrt(p_j), whose k-th column times side and
     sqrt(p_j) is K_j|k>.  A branch the loop drops is zero on every input of
     those levels.  The maps must be complete there: sum_j K_j^dag K_j = 1.
     """
-    spec = table[0]
+    spec = _GATES[gate]
     side = m + 1
     n = side * side
     v = np.zeros((dim_c, dim_c, n), dtype=complex)
@@ -844,7 +822,7 @@ def _remeasured(record: TraceRecord, level: str, p: float) -> TraceRecord:
                        record.params_text, _measured(level, p), record.support)
 
 
-def _apply_maps(spec: _Gate, ref_cav: StateVector, atoms: StateVector,
+def _apply_maps(gate: str, ref_cav: StateVector, atoms: StateVector,
                 supplied: bool, dim_c: int) -> tuple:
     """The ideal protocol on one register: (records, branches) from the maps
     of its occupied cavity levels, with the step loop's drop rule and order."""
@@ -859,8 +837,7 @@ def _apply_maps(spec: _Gate, ref_cav: StateVector, atoms: StateVector,
     m = dim_c - 1
     while m > 1 and not (np.count_nonzero(psi[m]) or np.count_nonzero(psi[:, m])):
         m -= 1
-    maps = _ideal_maps((spec, _STEP4, _CONDITIONAL_NOT, _STEP6, _PHOTON_PHASE),
-                       dim_c, m, atoms.amplitudes.tobytes(), supplied)
+    maps = _ideal_maps(gate, dim_c, m, atoms.amplitudes.tobytes(), supplied)
     psi = psi[:maps.side, :maps.side].reshape(maps.side * maps.side, -1)
     n_branches = len(maps.kraus)
     outs = (maps.kraus.reshape(-1, psi.shape[0]) @ psi).reshape(n_branches, -1)
@@ -870,10 +847,11 @@ def _apply_maps(spec: _Gate, ref_cav: StateVector, atoms: StateVector,
         raise QStateError(f"branch probabilities sum to {total}, not 1")
     targets = (maps.targets.reshape(-1, psi.shape[0]) @ psi).reshape(n_branches, -1)
 
+    beta_dim = _GATES[gate].beta_dim
     out_space = CompositeSpace(space.factors + (FactorLabel("alpha", 2),
-                                                FactorLabel("beta", spec.beta_dim)))
+                                                FactorLabel("beta", beta_dim)))
     # (A, B, alpha, beta, rest) back to the input's factors, then alpha, beta
-    shape = (dim_c, dim_c, 2, spec.beta_dim) + tuple(space.dims[k] for k in rest)
+    shape = (dim_c, dim_c, 2, beta_dim) + tuple(space.dims[k] for k in rest)
     order = [axes.index(k) if k in axes else 4 + rest.index(k)
              for k in range(len(space.dims))] + [2, 3]
     records = list(maps.prefix)
@@ -943,12 +921,9 @@ def _branch_target(gated: StateVector, space: CompositeSpace, alpha_final: str,
 
 
 def monte_carlo_gun_fidelity(model: PhotonGunModel, n_runs: int = 10000,
-                             seed: int = 0,
-                             a: complex = 1 / math.sqrt(2),
-                             b: complex = 1 / math.sqrt(2),
-                             c: complex = 1 / math.sqrt(2),
-                             d: complex = 1 / math.sqrt(2)) -> dict:
-    """Mean protocol fidelity under imperfect pair distribution.
+                             seed: int = 0) -> dict:
+    """Mean protocol fidelity under imperfect pair distribution, on the
+    default register of run_nonlocal_cnot.
 
     Emission outcomes are sampled with common random numbers (one uniform
     per run, single-photon band first), so the estimate is exactly
@@ -964,8 +939,7 @@ def monte_carlo_gun_fidelity(model: PhotonGunModel, n_runs: int = 10000,
     def conditional_score(br: EbitBranch) -> float:
         if br.flagged:
             return 0.0
-        return run_nonlocal_cnot(a, b, c, d, level="ideal",
-                                 ebit_state=br.atoms_state).mean_fidelity()
+        return run_nonlocal_cnot(ebit_state=br.atoms_state).mean_fidelity()
 
     outcome_score = {}
     for outcome in ("single", "empty", "double"):

@@ -123,7 +123,7 @@ class StateVector:
         if amps.shape != (space.dim,):
             raise QStateError(f"amplitude length {amps.shape[0]} != space dim {space.dim}")
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > TOLERANCES.norm:
+        if not abs(nrm - 1.0) <= TOLERANCES.norm:   # NaN fails too
             raise QStateError(f"state norm {nrm} deviates from 1 beyond {TOLERANCES.norm}")
         self.space = space
         self.amplitudes = amps

@@ -1,12 +1,14 @@
 """Tests for the command line interface: formats, exit codes, determinism."""
 
 import math
+import tempfile
 import time
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from cavitylink import perturb, pulses
 from cavitylink.cli import _fmt_at_tol, main
@@ -138,6 +140,35 @@ def test_non_finite_tolerance_is_bad_input(capsys, command):
         assert rc == 1, bad
         assert "tol must be > 0 and finite" in err
         assert time.perf_counter() - start < 5.0
+
+
+# a command, then one value that makes it non-finite, given as a flag or
+# through --config
+NON_FINITE = [
+    (("protocol", "--gate", "cnot"), "amps", "nan,0.8,0.6,0.8"),
+    (("fidelity-sweep", "--x-max", "0.1", "--steps", "2"), "x-min", "nan"),
+    (("rabi", "--points", "3"), "t-max", "nan"),
+    (("fidelity-sweep", "--x-min", "0.01"), "x-max", "inf"),
+    (("rabi",), "t-max", "inf"),
+]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value", NON_FINITE,
+                         ids=["amps-nan", "x-min-nan", "t-max-nan", "x-max-inf",
+                              "t-max-inf"])
+def test_non_finite_values_are_bad_input(capsys, tmp_path, command, key, value, via):
+    if via == "flag":
+        extra = ("--" + key, value)
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        extra = ("--config", str(cfg))
+    rc, out, err = run_cli(capsys, *command, *extra)
+    assert rc == 1
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+    assert "finite" in err
 
 
 def test_under_resolved_sweep_is_a_numerical_failure(capsys, monkeypatch):
@@ -372,3 +403,58 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
                                  "--seed", "9", "--out", str(path))
         assert rc == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# every key of `dressed`, with a value its converter takes and the command
+# accepts; `out` is a string, which no value fails
+_DRESSED_VALID = {"x": "0.05", "n_max": "2", "omega_rabi": "1.5", "seed": "7",
+                  "out": "unused.csv", "fock_cutoff": "3", "tolerance": "1e-8"}
+_REFUSED = ("", "abc", "0.1.2", "0.1 # note", "nan", "NaN", "inf", "-inf", "1e400")
+
+
+@strategies.composite
+def _config_line(draw):
+    """One config line and what it does: (text, effect), effect None for a
+    line the parser skips, "bad" for one it refuses whatever follows, and
+    (key, refused) for a known key's value."""
+    kind = draw(strategies.sampled_from(
+        ["blank", "comment", "malformed", "unknown", "known", "known", "known"]))
+    if kind == "blank":
+        return draw(strategies.sampled_from(["", "   ", "\t"])), None
+    if kind == "comment":
+        return draw(strategies.sampled_from(["# x=nan", "  # n-max = 2", "#"])), None
+    if kind == "malformed":
+        return draw(strategies.sampled_from(["x 0.1", "garbage", "n_max: 2"])), "bad"
+    pad = draw(strategies.sampled_from(["", " "]))
+    if kind == "unknown":
+        key = draw(strategies.sampled_from(["wavelength", "points", "N_max", "x_mix"]))
+        return f"{key}{pad}={pad}1", "bad"
+    key = draw(strategies.sampled_from(sorted(_DRESSED_VALID)))
+    spelled = key.replace("_", draw(strategies.sampled_from(["_", "-"])))
+    refused = draw(strategies.integers(0, 3)) == 0
+    value = draw(strategies.sampled_from(_REFUSED)) if refused else _DRESSED_VALID[key]
+    return f"{spelled}{pad}={pad}{value}", (key, refused and key != "out")
+
+
+# derandomized, few examples and no example database: the same cases on
+# every run, well under a second
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(strategies.lists(_config_line(), max_size=6))
+def test_config_parser_exits_1_exactly_on_bad_files(lines):
+    # a later value of a key replaces an earlier one before it is converted
+    last = {}
+    bad = False
+    for _text, effect in lines:
+        if effect == "bad":
+            bad = True
+        elif effect is not None:
+            last[effect[0]] = effect[1]
+    expected = 1 if bad or any(last.values()) else 0
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text("".join(text + "\n" for text, _effect in lines))
+        out = Path(tmp) / "out.csv"
+        rc = main(["dressed", "--config", str(cfg), "--out", str(out)])
+        assert rc == expected
+        if rc == 0:
+            assert out.read_text().startswith("n,phi_n,")

@@ -198,8 +198,6 @@ def test_config_and_params_validation():
         ThreeLevelParams(rabi_coupling=0.0)
     with pytest.raises(QStateError, match="use None to suppress"):
         ThreeLevelParams(rabi_coupling=1.0, delta_ge=0.0)
-    with pytest.raises(QStateError, match="coupling_ge must be > 0"):
-        ThreeLevelParams(rabi_coupling=1.0, delta_ge=10.0, coupling_ge=0.0)
 
 
 def test_gate_result_fidelity_clamp():
@@ -311,8 +309,6 @@ def test_swap_source_point_exchange_probability():
     res = physical_swap_two_photon(st, SOURCE_POINT_CYCLIC)
     np.testing.assert_allclose(res.exchange_probability_tdse, 6.378623e-04,
                                rtol=1e-4)
-    assert res.exchange_probability_perturbative == pytest.approx(0.360455,
-                                                                  rel=1e-3)
     assert set(res.correction) == {"theta"}
     assert res.norm_drift < 1e-9
 
@@ -321,13 +317,18 @@ def test_swap_source_point_exchange_probability():
     (SOURCE_POINT_CYCLIC, 0.3604548107200223),
     (SOURCE_POINT_ANGULAR, 0.009308045876454429)], ids=["cyclic", "angular"])
 def test_swap_perturbative_estimate_is_the_two_photon_probability(point, expected):
-    # full-precision frozen values, read through the sigma0-free integral's
-    # cache cold (the swap) and warm (the composite CNOT)
+    # full-precision frozen values of the swap's perturbative exchange, read
+    # with the sigma0-free integral's cache cold and then warm; the pulsed
+    # swap itself never fills that cache
     st = _node_state({(0, 0): 1.0})
     _sigma0_free_total.cache_clear()
-    cold = physical_swap_two_photon(st, point).exchange_probability_perturbative
-    warm = physical_cnot_atom_to_cavity(st, point).exchange_probability_perturbative
-    assert cold == warm == two_photon_probability(point) == expected
+    physical_swap_two_photon(st, point)
+    assert _sigma0_free_total.cache_info().currsize == 0
+    cold = two_photon_probability(point)
+    warm = two_photon_probability(point)
+    info = _sigma0_free_total.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert cold == warm == expected
 
 
 def test_swap_needs_deep_ladder():

@@ -12,8 +12,8 @@ from cavitylink.perturb import (
     FROZEN_CALIBRATION, FROZEN_CONVENTION, SOURCE_POINT_ANGULAR,
     SOURCE_POINT_CYCLIC, QuadratureError, TwoPhotonParams, _path_elements,
     _sigma0_free_total,
-    calibrate_convention, first_order_population, two_photon_amplitude,
-    two_photon_probability, two_photon_tdse_oracle)
+    calibrate_convention, two_photon_amplitude, two_photon_probability,
+    two_photon_tdse_oracle)
 
 
 def small_point(sigma0=0.02):
@@ -70,15 +70,16 @@ def test_zero_drive_gives_zero_amplitude():
     p = small_point(sigma0=0.0)
     _sigma0_free_total.cache_clear()
     assert two_photon_probability(p) == 0.0
-    assert two_photon_amplitude(p, "reverse") == 0.0
+    assert two_photon_amplitude(p) == 0.0
     # exactly zero without integrating, so nothing is cached
     assert _sigma0_free_total.cache_info().currsize == 0
 
 
+# forward: the |g,0> -> |V+,1> amplitude
 @pytest.mark.parametrize("point", [SOURCE_POINT_ANGULAR, SOURCE_POINT_CYCLIC,
-                                   small_point()], ids=["angular", "cyclic", "small"])
-@pytest.mark.parametrize("direction", ["forward", "reverse"])
-def test_cold_and_warm_amplitudes_are_identical(point, direction):
+                                   small_point()],
+                         ids=["forward-angular", "forward-cyclic", "forward-small"])
+def test_cold_and_warm_amplitudes_are_identical(point):
     # the cached integral is filled at one drive strength and read at others:
     # every amplitude must equal the one computed with the cache empty
     scales = np.random.default_rng(17).uniform(0.1, 1.0, size=4)
@@ -86,10 +87,10 @@ def test_cold_and_warm_amplitudes_are_identical(point, direction):
     cold = []
     for p in points:
         _sigma0_free_total.cache_clear()
-        cold.append(two_photon_amplitude(p, direction))
+        cold.append(two_photon_amplitude(p))
     _sigma0_free_total.cache_clear()
-    base = two_photon_amplitude(point, direction)
-    warm = [two_photon_amplitude(p, direction) for p in points]
+    base = two_photon_amplitude(point)
+    warm = [two_photon_amplitude(p) for p in points]
     info = _sigma0_free_total.cache_info()
     assert (info.misses, info.hits) == (1, len(points))
     assert warm == cold
@@ -98,12 +99,10 @@ def test_cold_and_warm_amplitudes_are_identical(point, direction):
         np.testing.assert_allclose(amp, s ** 2 * base, rtol=1e-14, atol=0)
 
 
-def _trapezoid_total(p: TwoPhotonParams, direction: str, n: int) -> complex:
+def _trapezoid_total(p: TwoPhotonParams, n: int) -> complex:
     """sum_j hop1_j hop2_j times path j's ordered double integral, by a
     cumulative trapezoid on n + 1 points of the window."""
     hop1, hop2, d1, d2 = _path_elements(p.rabi_coupling, p.delta)
-    if direction == "reverse":
-        d1, d2 = -d2, -d1
     t = np.linspace(p.t_start, p.t_end, n + 1)
     dt = (p.t_end - p.t_start) / n
     env = np.exp(-(t / p.tau) ** 2)
@@ -117,14 +116,12 @@ def _trapezoid_total(p: TwoPhotonParams, direction: str, n: int) -> complex:
 
 
 @pytest.mark.parametrize("point", [SOURCE_POINT_ANGULAR, SOURCE_POINT_CYCLIC],
-                         ids=["angular", "cyclic"])
-@pytest.mark.parametrize("direction", ["forward", "reverse"])
-def test_ordered_integral_matches_richardson_trapezoid(point, direction):
+                         ids=["forward-angular", "forward-cyclic"])
+def test_ordered_integral_matches_richardson_trapezoid(point):
     # the trapezoid's error falls as h^2, so (4 T_2n - T_n) / 3 removes it
-    coarse, fine = (_trapezoid_total(point, direction, n) for n in (2 ** 15, 2 ** 16))
+    coarse, fine = (_trapezoid_total(point, n) for n in (2 ** 15, 2 ** 16))
     oracle = (4.0 * fine - coarse) / 3.0
-    total = _sigma0_free_total(point.rabi_coupling, point.delta, point.tau,
-                               direction)
+    total = _sigma0_free_total(point.rabi_coupling, point.delta, point.tau)
     np.testing.assert_allclose(total, oracle, rtol=1e-9, atol=0)
 
 
@@ -132,14 +129,14 @@ def test_panel_cap_refuses_before_any_rule_is_evaluated(monkeypatch):
     def no_rule(panels):
         raise AssertionError("a panel rule was evaluated")
 
-    # the angular point starts at 63 panels, the cyclic one's first hops at 392
+    # the angular point starts at 63 panels, the cyclic one at 392
     monkeypatch.setattr(perturb, "ORDERED_MAX_PANELS", 32)
     monkeypatch.setattr(perturb, "_step_rule", no_rule)
     _sigma0_free_total.cache_clear()
     with pytest.raises(QuadratureError, match="63 panels .* would pass ORDERED_MAX_PANELS"):
         two_photon_probability(SOURCE_POINT_ANGULAR)
     with pytest.raises(QuadratureError, match="392 panels"):
-        first_order_population(SOURCE_POINT_CYCLIC)
+        two_photon_probability(SOURCE_POINT_CYCLIC)
     assert _sigma0_free_total.cache_info().currsize == 0
 
 
@@ -151,15 +148,6 @@ def test_unconverged_ordered_integral_stops_at_the_panel_cap(monkeypatch):
     _sigma0_free_total.cache_clear()
     with pytest.raises(QuadratureError, match="504 panels"):
         two_photon_probability(SOURCE_POINT_ANGULAR)
-
-
-def test_forward_reverse_symmetry():
-    p = small_point()
-    fwd = abs(two_photon_amplitude(p, "forward"))
-    rev = abs(two_photon_amplitude(p, "reverse"))
-    np.testing.assert_allclose(fwd, rev, rtol=1e-6)
-    with pytest.raises(QStateError, match="direction"):
-        two_photon_amplitude(p, "sideways")
 
 
 def test_perturbative_quadratic_scaling_in_drive():
@@ -177,12 +165,6 @@ def test_perturbative_matches_tdse_oracle_weak_drive():
     exact = two_photon_tdse_oracle(p, tol=1e-10)
     assert pert > 1e-8
     np.testing.assert_allclose(pert, exact, rtol=0.05)
-
-
-def test_first_order_population_suppressed():
-    # intermediate-level population stays far below the two-photon signal scale
-    p = small_point()
-    assert first_order_population(p) < 1e-3
 
 
 def test_breakdown_warning_above_unity():

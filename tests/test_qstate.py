@@ -46,6 +46,11 @@ def test_state_norm_enforced():
     assert abs(st.norm() - 1.0) < TOLERANCES.norm
 
 
+def test_state_with_a_nan_amplitude_is_refused():
+    with pytest.raises(QStateError, match="norm"):
+        StateVector(two_qubits(), np.array([np.nan, 1.0, 0.0, 0.0]))
+
+
 def test_amplitudes_read_only():
     st = two_qubits().basis_state({"a": 0, "b": 1})
     with pytest.raises(ValueError):
