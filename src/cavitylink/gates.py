@@ -114,6 +114,14 @@ class ThreeLevelParams:
             raise QStateError("delta_ge = 0 would make g<->e resonant; use None to suppress")
 
 
+def checked_fidelity(f: float) -> float:
+    """A computed fidelity clamped to [0, 1]; one outside [-1e-12, 1 + 1e-9]
+    is refused as a numerical fault."""
+    if not -1e-12 <= f <= 1.0 + 1e-9:
+        raise QStateError(f"fidelity {f} outside [0, 1]")
+    return float(min(max(f, 0.0), 1.0))
+
+
 @dataclass(frozen=True)
 class GateResult:
     """Outcome of one physical gate application."""
@@ -122,6 +130,8 @@ class GateResult:
     fidelity_vs_ideal: float
     pulse_log: tuple
     duration: float
+    # the ideal block's output on the same input, which output is scored against
+    target: StateVector
     norm_drift: Optional[float] = None
     correction: Optional[dict] = None
     exchange_probability_tdse: Optional[float] = None
@@ -131,10 +141,8 @@ class GateResult:
     steps: Optional[int] = None
 
     def __post_init__(self) -> None:
-        f = self.fidelity_vs_ideal
-        if not -1e-12 <= f <= 1.0 + 1e-9:
-            raise QStateError(f"fidelity {f} outside [0, 1]")
-        object.__setattr__(self, "fidelity_vs_ideal", float(min(max(f, 0.0), 1.0)))
+        object.__setattr__(self, "fidelity_vs_ideal",
+                           checked_fidelity(self.fidelity_vs_ideal))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +324,8 @@ def _gate_result(state: StateVector, engine: tuple, factors: tuple,
     target = apply_local(state, *ideal)
     fidelity = float(abs(np.vdot(target.amplitudes, out.amplitudes)) ** 2)
     return GateResult(output=out, fidelity_vs_ideal=fidelity, pulse_log=pulses,
-                      duration=duration, norm_drift=meta["norm_drift"],
+                      duration=duration, target=target,
+                      norm_drift=meta["norm_drift"],
                       error_estimate=meta["error_estimate"], steps=meta["steps"],
                       correction=meta.get("correction"), **fields)
 

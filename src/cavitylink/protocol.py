@@ -10,7 +10,9 @@ A run takes one register and one ebit, the ideal Bell pair or a caller's
 pair state on alpha and beta in either order (e.g. one outcome of
 enumerate_ebit_branches), and enumerates every measurement branch.  The
 physical level runs each node gate at one fixed operating point, the
-module constants below.
+module constants below.  Either level runs the step table once per gate
+and ebit, on a Choi state, and answers each register with the linear map
+of every branch.
 
 Logical encoding throughout: atom |g> is logical 1 and |e> is logical 0;
 a single photon is logical 1.  Flow: register preparation, entanglement
@@ -33,14 +35,14 @@ import scipy
 
 from .qstate import (ATOM_LEVEL_NAMES, CompositeSpace, FactorLabel, QStateError,
                      StateVector, apply_local, enumerate_branches, make_rng,
-                     state_fidelity, tensor)
+                     tensor)
 from .jcmodel import (JCParams, desk_params, resonant_rabi_evolve,
                       set_stark_detuning)
 from .perturb import SOURCE_POINT_CYCLIC
-from .gates import (GateKind, PhysicalGateConfig, ThreeLevelParams, ideal_block,
-                    physical_cnot_atom_to_cavity, physical_cnot_cavity_to_atom,
-                    physical_cqpg_local, physical_hadamard_atom,
-                    physical_not_atom)
+from .gates import (GateKind, GateResult, PhysicalGateConfig, ThreeLevelParams,
+                    checked_fidelity, ideal_block, physical_cnot_atom_to_cavity,
+                    physical_cnot_cavity_to_atom, physical_cqpg_local,
+                    physical_hadamard_atom, physical_not_atom)
 
 
 class ProtocolError(RuntimeError):
@@ -228,12 +230,6 @@ def _check_pair(u: complex, v: complex, names: str) -> None:
         raise QStateError(f"|{names[0]}|^2 + |{names[1]}|^2 = {norm}, expected 1")
 
 
-def _cavity_qubit(label: str, dim: int, one: complex, zero: complex) -> StateVector:
-    v = np.zeros(dim, dtype=complex)
-    v[0], v[1] = zero, one
-    return StateVector(CompositeSpace([FactorLabel(label, dim)]), v)
-
-
 def _atom_level(label: str, dim: int, level: int) -> StateVector:
     """The basis state |level> of one factor: an atom level, or a photon number."""
     v = np.zeros(dim, dtype=complex)
@@ -391,7 +387,7 @@ class _Step:
     traced as one record with params ideal_text.  physical(step, state,
     params, config) runs the pulse-level operation at node params and
     returns the state and its trace records, each (operation, params_text,
-    outcome, support).
+    outcome, support); a gate record's outcome is the _Scored gate.
     """
 
     name: str
@@ -407,14 +403,24 @@ def _true_hadamard(space: CompositeSpace) -> tuple:
     return _atom_block(space.factor("beta").dim, TRUE_HADAMARD), ("beta",)
 
 
-def _fidelity_text(result) -> str:
-    return f"fidelity={result.fidelity_vs_ideal:.9f}"
+def _fidelity_outcome(f: float, suffix: str) -> str:
+    return f"fidelity={checked_fidelity(f):.9f}{suffix}"
+
+
+@dataclass(frozen=True)
+class _Scored:
+    """What one physical gate scored: the state it ran on, its result (the
+    ideal target and the output) and the constant text after its fidelity."""
+
+    pre: StateVector
+    result: GateResult
+    suffix: str = ""
 
 
 def _cnot_photon_to_alpha(step, state, params, config):
     res = physical_cnot_cavity_to_atom(state, params, config.gate_config(),
                                        atom="alpha", cavity="A")
-    return res.output, [(step.operation, _pulse_text(res), _fidelity_text(res),
+    return res.output, [(step.operation, _pulse_text(res), _Scored(state, res),
                          step.support)]
 
 
@@ -424,15 +430,15 @@ def _not_beta(step, state, params, config):
     res = physical_not_atom(state, params, config.gate_config(), atom="beta",
                             cavity=cavity)
     support = step.support if cavity is None else step.support + (cavity,)
-    return res.output, [(step.operation, _pulse_text(res), _fidelity_text(res),
+    return res.output, [(step.operation, _pulse_text(res), _Scored(state, res),
                          support)]
 
 
 def _cnot_beta_to_photon(step, state, params, config):
     res = physical_cnot_atom_to_cavity(state, SWAP_PARAMS, config.gate_config(),
                                        atom="beta", cavity="B")
-    outcome = f"{_fidelity_text(res)} exchange={res.exchange_probability_tdse:.6f}"
-    return res.output, [(step.operation, _pulse_text(res), outcome, step.support)]
+    scored = _Scored(state, res, f" exchange={res.exchange_probability_tdse:.6f}")
+    return res.output, [(step.operation, _pulse_text(res), scored, step.support)]
 
 
 def _cqpg_at_bob(step, state, params, config):
@@ -440,7 +446,7 @@ def _cqpg_at_bob(step, state, params, config):
     res = physical_cqpg_local(state, ThreeLevelParams(rabi_coupling=g),
                               config.gate_config(), atom="beta", cavity="B")
     return res.output, [(step.operation, f"resonant e-i cycle t=pi/{g:.6g}",
-                         _fidelity_text(res), step.support)]
+                         _Scored(state, res), step.support)]
 
 
 def _hadamard_beta(step, state, params, config):
@@ -460,7 +466,7 @@ def _hadamard_beta(step, state, params, config):
     support = step.support if cavity is None else step.support + (cavity,)
     records.append((step.operation,
                     _pulse_text(res) + " + atom frame phases diag(i,1)",
-                    _fidelity_text(res), support))
+                    _Scored(state, res), support))
     return apply_local(res.output, frame, ("beta",)), records
 
 
@@ -468,7 +474,7 @@ def _reset_alpha(step, state, params, config):
     res = physical_not_atom(state, params, config.gate_config(), atom="alpha",
                             cavity=None)
     return res.output, [(step.operation, "decoupled reset before phase pulse",
-                         _fidelity_text(res), step.support)]
+                         _Scored(state, res), step.support)]
 
 
 def _photon_phase(step, state, params, config):
@@ -520,12 +526,6 @@ _GATES = {
 }
 
 
-def _load_physical(ref_cav, amplitudes, config, params) -> StateVector:
-    reg = prepare_register(*amplitudes, fock_cutoff=config.fock_cutoff,
-                           params=params)
-    return _reorder_sub(reg, ref_cav.space)
-
-
 def _apply_ideal(step, state, params, config):
     return (apply_local(state, *step.ideal(state.space)),
             [(step.operation, step.ideal_text, "-", step.support)])
@@ -556,11 +556,17 @@ def _record(records: list, branch: str, step: str, node: Node, operation: str,
                                outcome, tuple(support)))
 
 
-def _run_step(records: list, level: _Level, params: JCParams,
+def _run_step(records: list, scores: list, level: _Level, params: JCParams,
               config: ProtocolConfig, branch: str, step: _Step,
               state: StateVector) -> StateVector:
+    """Apply step and record it; a gate record is traced with the fidelity on
+    state, and its _Scored gate kept in scores with the record's index."""
     state, done = level.apply(step, state, params, config)
     for operation, params_text, outcome, support in done:
+        if isinstance(outcome, _Scored):
+            scores.append((len(records), outcome))
+            outcome = _fidelity_outcome(outcome.result.fidelity_vs_ideal,
+                                        outcome.suffix)
         _record(records, branch, step.name, step.node, operation, params_text,
                 outcome, support)
     return state
@@ -609,29 +615,18 @@ def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
     else:
         _check_pair(a, b, "ab")
         _check_pair(c, d, "cd")
-        ref_cav = tensor([_cavity_qubit("A", dim_c, a, b),
-                          _cavity_qubit("B", dim_c, c, d)])
+        amps = np.zeros((dim_c, dim_c), dtype=complex)
+        amps[:2, :2] = np.outer(np.array([b, a], dtype=complex), [d, c])
+        ref_cav = StateVector(CompositeSpace([FactorLabel("A", dim_c),
+                                              FactorLabel("B", dim_c)]),
+                              amps.reshape(-1))
 
     # step 3: the ebit, the ideal Bell pair unless the caller brings one
     supplied = ebit_state is not None
     atoms = (_ebit_pair(ebit_state, spec.beta_dim) if supplied
              else _bell_pair(spec.beta_dim))
 
-    if level == "ideal":
-        records, branches = _apply_maps(gate, ref_cav, atoms, supplied, dim_c)
-    else:
-        cav_state = _load_physical(ref_cav, (a, b, c, d), config, spec.node_params)
-        records, leaves = _run_steps(spec, _LEVELS[level], config, cav_state,
-                                     ref_cav, atoms, supplied)
-        branches = [_branch_result(leaf) for leaf in leaves]
-
-    total = sum(br.probability for br in branches)
-    if abs(total - 1.0) > 1e-10:
-        raise ProtocolError(f"branch probabilities sum to {total}")
-    for br in branches:
-        if len(br.bits) != 2 and br.beta != "i":
-            raise ProtocolError(f"branch {br.label} used {len(br.bits)} bits")
-
+    records, branches = _apply_maps(gate, level, config, ref_cav, atoms, supplied)
     return ProtocolTrace(gate=gate, level=level, records=tuple(records),
                          branches=tuple(branches))
 
@@ -656,14 +651,16 @@ def _measured(level: str, p: float) -> str:
 def _run_steps(spec: _Gate, lvl: _Level, config: ProtocolConfig,
                cav_state: StateVector, ref_cav: StateVector,
                atoms: StateVector, supplied: bool) -> tuple:
-    """The step table on one loaded register and ebit: (records, leaves).
+    """The step table on one loaded register and ebit: (records, leaves,
+    scores), scores the (record index, _Scored) of each gate record.
 
     ref_cav is the register the ideal target is taken on; every record is
     refused as it is made if it leaves its node.
     """
-    params = spec.node_params
     records: list = []
     leaves: list = []
+    scores: list = []
+    run = partial(_run_step, records, scores, lvl, spec.node_params, config)
     _record(records, "*", "encoding", SOURCE, "logical-encoding", ENCODING_NOTE, "-")
     for node in (ALICE, BOB):
         _record(records, "*", "register", node, "prepare-cavity",
@@ -682,7 +679,7 @@ def _run_steps(spec: _Gate, lvl: _Level, config: ProtocolConfig,
     gated = apply_local(ref_cav, spec.target(ref_cav.space.factor("A").dim),
                         ("A", "B"))
 
-    state = _run_step(records, lvl, params, config, "*", _STEP4, state)
+    state = run("*", _STEP4, state)
 
     # alpha measured: one bit to Bob, his NOT on e, then steps 5 and 6
     for alpha_level, s, p_alpha in _measure(state, "alpha"):
@@ -694,9 +691,9 @@ def _run_steps(spec: _Gate, lvl: _Level, config: ProtocolConfig,
         _record(records, tag_a, "classical", ALICE, "send-bit",
                 f"bit={_bit_of(alpha_out)}", "Alice -> Bob")
         if alpha_out == "e":
-            s = _run_step(records, lvl, params, config, tag_a, _CONDITIONAL_NOT, s)
-        s = _run_step(records, lvl, params, config, tag_a, spec.step5, s)
-        s = _run_step(records, lvl, params, config, tag_a, _STEP6, s)
+            s = run(tag_a, _CONDITIONAL_NOT, s)
+        s = run(tag_a, spec.step5, s)
+        s = run(tag_a, _STEP6, s)
 
         # beta measured: one bit to Alice, her photon phase on the trigger
         for beta_level, sf, p_beta in _measure(s, "beta"):
@@ -716,40 +713,37 @@ def _run_steps(spec: _Gate, lvl: _Level, config: ProtocolConfig,
             alpha_final = alpha_out
             if beta_out == spec.correction_on:
                 if lvl.resets_alpha and alpha_out == "e":
-                    sf = _run_step(records, lvl, params, config, tag, _ALPHA_RESET, sf)
+                    sf = run(tag, _ALPHA_RESET, sf)
                     alpha_final = "g"
-                sf = _run_step(records, lvl, params, config, tag, _PHOTON_PHASE, sf)
+                sf = run(tag, _PHOTON_PHASE, sf)
 
             leaves.append(_Leaf(alpha_out, beta_out, p_alpha, p_beta, sf,
                                 _branch_target(gated, sf.space, alpha_final, beta_out),
                                 (to_bob, to_alice)))
-    return records, leaves
-
-
-def _branch_result(leaf: _Leaf) -> BranchResult:
-    fidelity = 0.0 if leaf.target is None else state_fidelity(leaf.target, leaf.state)
-    return BranchResult(leaf.alpha, leaf.beta, float(leaf.p_alpha * leaf.p_beta),
-                        fidelity, leaf.state, leaf.bits)
+    return records, leaves, scores
 
 
 # ---------------------------------------------------------------------------
-# the ideal level as one linear map per measurement branch
+# both levels as one linear map per measurement branch
 
-# built maps kept: a few gates, cutoffs, ebits and occupied levels at a time
+# built maps kept: a few gates, levels, cutoffs, ebits and occupied levels
 _MAPS_CACHED = 16
 
 
 @dataclass(frozen=True)
 class _Maps:
-    """The ideal protocol on the cavity levels <= m of one key.
+    """The protocol on the cavity levels <= m of one key.
 
     kraus[j] and targets[j] take the input's (A, B) amplitudes on those
     levels, A-major, to branch j's unnormalized output and its ideal target
     on (A, B, alpha, beta); targets[j] is zero on a beta outcome i, which so
-    scores 0.  prefix holds the records before alpha is measured; alphas
-    holds, per alpha outcome, its records and its branches as (j, beta,
-    records, bits).  The first record of each group is its measurement,
-    whose p= is the input's.
+    scores 0.  scored[k] holds gate record k's pre-state, ideal-image and
+    output columns as _gate_columns keeps them.  prefix holds the records
+    before alpha is measured; alphas holds, per alpha outcome, its records
+    and its branches as (j, beta, records, bits).  Each group of records comes as
+    (records, gates), gates the (position, k, text after the fidelity) of
+    its gate records; the first record of a measured group is its
+    measurement, whose p= is the input's.
     """
 
     side: int
@@ -757,79 +751,133 @@ class _Maps:
     alphas: tuple
     kraus: np.ndarray
     targets: np.ndarray
+    scored: np.ndarray
+
+
+def _load_map(params: JCParams, dim_c: int) -> np.ndarray:
+    """prepare_register at params as a 4 x 4 matrix: column 2 i + j holds
+    the loaded (A, B) amplitudes on cavity levels <= 1, A-major, of the
+    product |i>_A |j>_B."""
+    space = CompositeSpace([FactorLabel("A", dim_c), FactorLabel("B", dim_c)])
+    columns = []
+    for i, j in np.ndindex(2, 2):
+        reg = prepare_register(i, 1 - i, j, 1 - j, fock_cutoff=dim_c - 1,
+                               params=params)
+        columns.append(_reorder_sub(reg, space).tensor_view()[:2, :2].reshape(-1))
+    return np.array(columns).T
 
 
 @lru_cache(maxsize=_MAPS_CACHED)
-def _ideal_maps(gate: str, dim_c: int, m: int, ebit: bytes,
-                supplied: bool) -> _Maps:
-    """Run gate's step table once on a Choi state of the levels <= m.
+def _branch_maps(gate: str, level: str, config: ProtocolConfig, m: int,
+                 ebit: bytes, supplied: bool) -> _Maps:
+    """Run gate's step table once at level on a Choi state of the levels <= m.
 
-    ebit holds the (alpha, beta) amplitudes.  The state
-    is sum_k |k>_AB |k>_choi / side over the side^2 levels k, so branch j
-    ends in (K_j x 1)|choi> / sqrt(p_j), whose k-th column times side and
-    sqrt(p_j) is K_j|k>.  A branch the loop drops is zero on every input of
-    those levels.  The maps must be complete there: sum_j K_j^dag K_j = 1.
+    ebit holds the (alpha, beta) amplitudes.  The reference state is
+    sum_k |k>_AB |k>_choi / side over the side^2 levels k, and the ideal
+    level runs on it; the physical level runs on its image under _load_map
+    (m is 1 there) and keeps it as the targets' reference.  Branch j ends in
+    (K_j x 1)|choi> / sqrt(p_j), whose k-th column times side and sqrt(p_j)
+    is K_j|k>.  A gate that meets the state S|k> scores input v on
+    S v / |S v|, so it keeps the columns S, I S and A S of its pre-state,
+    ideal image and output (see _gate_columns).  A branch the loop
+    drops is zero on every input of those levels.  The maps must be
+    complete there: sum_j K_j^dag K_j = 1.
     """
     spec = _GATES[gate]
+    dim_c = config.fock_cutoff + 1
     side = m + 1
     n = side * side
-    v = np.zeros((dim_c, dim_c, n), dtype=complex)
-    v[:side, :side] = np.eye(n).reshape(side, side, n) / side
-    choi = StateVector(CompositeSpace([FactorLabel("A", dim_c), FactorLabel("B", dim_c),
-                                       FactorLabel("choi", n)]), v)
+    space = CompositeSpace([FactorLabel("A", dim_c), FactorLabel("B", dim_c),
+                            FactorLabel("choi", n)])
+
+    def choi(columns: np.ndarray) -> StateVector:
+        v = np.zeros((dim_c, dim_c, n), dtype=complex)
+        v[:side, :side] = columns.reshape(side, side, n) / side
+        return StateVector(space, v.reshape(-1))
+
+    def columns(state: StateVector) -> np.ndarray:
+        # the amplitudes at choi level k as column k, rows in factor order
+        view = np.moveaxis(state.tensor_view(), state.space.axis("choi"), -1)
+        return view.reshape(-1, n)
+
+    ref = choi(np.eye(n))
+    loaded = ref if level == "ideal" else choi(_load_map(spec.node_params, dim_c))
     atoms = StateVector(CompositeSpace([FactorLabel("alpha", 2),
                                         FactorLabel("beta", spec.beta_dim)]),
                         np.frombuffer(ebit, dtype=complex))
-    records, leaves = _run_steps(spec, _LEVELS["ideal"],
-                                 ProtocolConfig(fock_cutoff=dim_c - 1), choi, choi,
-                                 atoms, supplied)
+    records, leaves, scores = _run_steps(spec, _LEVELS[level], config, loaded,
+                                         ref, atoms, supplied)
 
-    def maps_of(amplitudes: list, scales: list) -> np.ndarray:
-        # branch j's column k: its amplitudes at choi level k, scaled
-        amps = np.array(amplitudes).reshape(len(leaves), dim_c, dim_c, n, 2,
-                                            spec.beta_dim)
-        amps = amps.transpose(0, 1, 2, 4, 5, 3).reshape(len(leaves), -1, n)
-        return amps * np.array(scales)[:, None, None]
-
-    kraus = maps_of([leaf.state.amplitudes for leaf in leaves],
-                    [side * math.sqrt(leaf.p_alpha * leaf.p_beta) for leaf in leaves])
-    targets = maps_of([np.zeros_like(leaf.state.amplitudes) if leaf.target is None
-                       else leaf.target.amplitudes for leaf in leaves],
-                      [side] * len(leaves))
+    kraus = np.array([columns(leaf.state)
+                      * (side * math.sqrt(leaf.p_alpha * leaf.p_beta))
+                      for leaf in leaves])
+    targets = np.array([np.zeros(kraus.shape[1:]) if leaf.target is None
+                        else columns(leaf.target) * side for leaf in leaves])
     stacked = kraus.reshape(-1, n)
     err = float(np.linalg.norm(stacked.conj().T @ stacked - np.eye(n)))
     if err > 1e-10:
         raise ProtocolError(f"branch maps are incomplete on cavity levels <= {m}: "
                             f"sum K^dag K is off the identity by {err:.3g}")
-    kraus.setflags(write=False)
-    targets.setflags(write=False)
+    scored = np.array([_gate_columns(columns(sc.pre), columns(sc.result.target),
+                                     columns(sc.result.output)) for _, sc in scores])
+    for array in (kraus, targets, scored):
+        array.setflags(write=False)
 
+    gate_record = {i: (k, sc.suffix) for k, (i, sc) in enumerate(scores)}
     groups: dict = {}
-    for rec in records:
-        groups.setdefault(rec.branch, []).append(rec)
+    for i, rec in enumerate(records):
+        group, gates = groups.setdefault(rec.branch, ([], []))
+        if i in gate_record:
+            gates.append((len(group), *gate_record[i]))
+        group.append(rec)
+    groups = {key: (tuple(group), tuple(gates))
+              for key, (group, gates) in groups.items()}
     alphas: dict = {}
     for j, leaf in enumerate(leaves):
         alphas.setdefault(leaf.alpha, []).append(
-            (j, leaf.beta, tuple(groups[leaf.alpha + leaf.beta]), leaf.bits))
-    return _Maps(side, tuple(groups["*"]),
-                 tuple((alpha, tuple(groups[alpha + "?"]), tuple(betas))
+            (j, leaf.beta, groups[leaf.alpha + leaf.beta], leaf.bits))
+    return _Maps(side, groups["*"],
+                 tuple((alpha, groups[alpha + "?"], tuple(betas))
                        for alpha, betas in alphas.items()),
-                 kraus, targets)
+                 kraus, targets, scored)
 
 
-def _remeasured(record: TraceRecord, level: str, p: float) -> TraceRecord:
+def _gate_columns(pre: np.ndarray, target: np.ndarray,
+                  output: np.ndarray) -> np.ndarray:
+    """A gate's pre-state, ideal-image and output columns (rows x n each) as
+    the R of their joint QR, split the same way: Q is an isometry, so R keeps
+    every norm and overlap of their images of an input, in at most 3 n rows."""
+    r = np.linalg.qr(np.hstack([pre, target, output]), mode="r")
+    return r.reshape(len(r), 3, -1).transpose(1, 0, 2)
+
+
+def _gate_fidelities(scored: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each gate record's fidelity on input v, |y'z|^2 / |x|^4 for its
+    pre-state x = S v, ideal image y = I S v and output z = A S v; not a
+    fidelity on a record of a branch that v never reaches, which is dropped.
+    The vectors are formed first, so rounding errs by about 1e-16 / |x|, as
+    on the normalized state."""
+    x, y, z = np.moveaxis(scored @ v, 1, 0)
+    overlap = np.einsum("kd,kd->k", y.conj(), z)
+    norm = np.einsum("kd,kd->k", x.conj(), x).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return abs(overlap) ** 2 / norm ** 2
+
+
+def _with_outcome(record: TraceRecord, outcome: str) -> TraceRecord:
     return TraceRecord(record.branch, record.step, record.node, record.operation,
-                       record.params_text, _measured(level, p), record.support)
+                       record.params_text, outcome, record.support)
 
 
-def _apply_maps(gate: str, ref_cav: StateVector, atoms: StateVector,
-                supplied: bool, dim_c: int) -> tuple:
-    """The ideal protocol on one register: (records, branches) from the maps
-    of its occupied cavity levels, with the step loop's drop rule and order."""
+def _apply_maps(gate: str, level: str, config: ProtocolConfig,
+                ref_cav: StateVector, atoms: StateVector, supplied: bool) -> tuple:
+    """The protocol on one register: (records, branches) from the maps of its
+    occupied cavity levels, with the step loop's drop rule and order."""
     space = ref_cav.space
     taken = sorted({"alpha", "beta"}.intersection(space.names))
     if taken:
         raise QStateError(f"label collision on {taken}")
+    dim_c = config.fock_cutoff + 1
     axes = [space.axis("A"), space.axis("B")]
     rest = [k for k in range(len(space.dims)) if k not in axes]
     psi = ref_cav.tensor_view().transpose(axes + rest).reshape(dim_c, dim_c, -1)
@@ -837,7 +885,9 @@ def _apply_maps(gate: str, ref_cav: StateVector, atoms: StateVector,
     m = dim_c - 1
     while m > 1 and not (np.count_nonzero(psi[m]) or np.count_nonzero(psi[:, m])):
         m -= 1
-    maps = _ideal_maps(gate, dim_c, m, atoms.amplitudes.tobytes(), supplied)
+    # the ideal level does not integrate, so one tol serves every run
+    key = config if level == "physical" else ProtocolConfig(config.fock_cutoff)
+    maps = _branch_maps(gate, level, key, m, atoms.amplitudes.tobytes(), supplied)
     psi = psi[:maps.side, :maps.side].reshape(maps.side * maps.side, -1)
     n_branches = len(maps.kraus)
     outs = (maps.kraus.reshape(-1, psi.shape[0]) @ psi).reshape(n_branches, -1)
@@ -846,6 +896,8 @@ def _apply_maps(gate: str, ref_cav: StateVector, atoms: StateVector,
     if abs(total - 1.0) > 1e-10:   # as the alpha measurement refuses it
         raise QStateError(f"branch probabilities sum to {total}, not 1")
     targets = (maps.targets.reshape(-1, psi.shape[0]) @ psi).reshape(n_branches, -1)
+    # physical inputs are one product column; ideal maps score no gate
+    fids = _gate_fidelities(maps.scored, psi[:, 0]) if len(maps.scored) else ()
 
     beta_dim = _GATES[gate].beta_dim
     out_space = CompositeSpace(space.factors + (FactorLabel("alpha", 2),
@@ -854,20 +906,32 @@ def _apply_maps(gate: str, ref_cav: StateVector, atoms: StateVector,
     shape = (dim_c, dim_c, 2, beta_dim) + tuple(space.dims[k] for k in rest)
     order = [axes.index(k) if k in axes else 4 + rest.index(k)
              for k in range(len(space.dims))] + [2, 3]
-    records = list(maps.prefix)
+    records: list = []
+
+    def extend(group: tuple, measured: Optional[tuple] = None) -> None:
+        # a group's records on this input: its measurement's p= and each
+        # gate record's fidelity=
+        group_records, gates = group
+        start = len(records)
+        records.extend(group_records)
+        if measured:
+            records[start] = _with_outcome(group_records[0], _measured(*measured))
+        for i, k, suffix in gates:
+            records[start + i] = _with_outcome(group_records[i],
+                                               _fidelity_outcome(fids[k], suffix))
+
+    extend(maps.prefix)
     branches = []
     for alpha, alpha_records, betas in maps.alphas:
         p_alpha = sum(probs[j] for j, *_ in betas)
         if p_alpha < 1e-30:
             continue
-        records.append(_remeasured(alpha_records[0], alpha, p_alpha))
-        records.extend(alpha_records[1:])
+        extend(alpha_records, (alpha, p_alpha))
         for j, beta, beta_records, bits in betas:
             p_beta = probs[j] / p_alpha
             if p_beta < 1e-30:
                 continue
-            records.append(_remeasured(beta_records[0], beta, p_beta))
-            records.extend(beta_records[1:])
+            extend(beta_records, (beta, p_beta))
             p = p_alpha * p_beta
             final = outs[j] / math.sqrt(p)
             branches.append(BranchResult(

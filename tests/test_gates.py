@@ -203,10 +203,11 @@ def test_config_and_params_validation():
 def test_gate_result_fidelity_clamp():
     st = _node_state({(0, 0): 1.0})
     res = GateResult(output=st, fidelity_vs_ideal=1.0 + 5e-10,
-                     pulse_log=(), duration=0.0)
+                     pulse_log=(), duration=0.0, target=st)
     assert res.fidelity_vs_ideal == 1.0
     with pytest.raises(QStateError, match="outside"):
-        GateResult(output=st, fidelity_vs_ideal=1.1, pulse_log=(), duration=0.0)
+        GateResult(output=st, fidelity_vs_ideal=1.1, pulse_log=(), duration=0.0,
+                   target=st)
 
 
 # ---------------------------------------------------------------------------

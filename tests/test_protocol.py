@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from cavitylink import (
+    BranchResult,
     GateKind,
     JCParams,
     PhotonGunModel,
@@ -29,10 +30,11 @@ from cavitylink import (
     resonant_rabi_evolve,
     run_nonlocal_cnot,
     run_nonlocal_cqpg,
+    state_fidelity,
 )
 import cavitylink
 from cavitylink import cli, gates, perturb, qstate
-from cavitylink.gates import HADAMATOM
+from cavitylink.gates import HADAMATOM, checked_fidelity
 from cavitylink import protocol
 from cavitylink.protocol import TraceRecord
 from cavitylink.qstate import CompositeSpace, FactorLabel
@@ -99,10 +101,10 @@ def test_locality_rule_flags_and_refuses_cross_node_operations(monkeypatch):
     good = [record("Alice", ("A", "anc")), record("Source", ("p1", "p2"))]
     assert locality_violations(good + bad) == bad
     # the runner applies the same rule to every step as it runs
-    # (the ideal maps are cached per gate, so the patched step must rebuild)
+    # (the branch maps are cached per gate, so the patched step must rebuild)
     leaky = dataclasses.replace(protocol._STEP4, support=("alpha", "B"))
     monkeypatch.setattr(protocol, "_STEP4", leaky)
-    protocol._ideal_maps.cache_clear()
+    protocol._branch_maps.cache_clear()
     with pytest.raises(ProtocolError, match="exceeds node Alice"):
         run_nonlocal_cnot(level="ideal")
 
@@ -120,25 +122,36 @@ def test_ancilla_entangled_input():
 
 
 # ---------------------------------------------------------------------------
-# the ideal level as per-branch maps, against the step loop run on the input
+# both levels as per-branch maps, against the step loop run on the input
 
 
-def _step_loop(gate, ref_cav, ebit_state=None):
-    """The step table run on the input itself, as the physical level runs it:
-    (trace lines, branches)."""
+def _step_loop(gate, cav_state, ref_cav, ebit_state=None, level="ideal",
+               config=None):
+    """The step table run on the loaded input itself, its targets taken on
+    ref_cav: (records, branches, scores)."""
     spec = protocol._GATES[gate]
     supplied = ebit_state is not None
     atoms = protocol._ebit_pair(ebit_state if supplied else protocol._bell_atoms(),
                                 spec.beta_dim)
-    records, leaves = protocol._run_steps(spec, protocol._LEVELS["ideal"],
-                                          protocol.ProtocolConfig(), ref_cav, ref_cav,
-                                          atoms, supplied)
-    return [r.line() for r in records], [protocol._branch_result(leaf) for leaf in leaves]
+    records, leaves, scores = protocol._run_steps(
+        spec, protocol._LEVELS[level], config or protocol.ProtocolConfig(), cav_state,
+        ref_cav, atoms, supplied)
+    branches = [BranchResult(leaf.alpha, leaf.beta, leaf.p_alpha * leaf.p_beta,
+                             0.0 if leaf.target is None
+                             else state_fidelity(leaf.target, leaf.state),
+                             leaf.state, leaf.bits) for leaf in leaves]
+    return records, branches, scores
 
 
-def _register(a, b, c, d):
-    return qstate.tensor([protocol._cavity_qubit("A", 6, a, b),
-                          protocol._cavity_qubit("B", 6, c, d)])
+def _cavity(label, one, zero, dim=6):
+    """(one |1> + zero |0>) on one cavity factor of dimension dim."""
+    v = np.zeros(dim, dtype=complex)
+    v[0], v[1] = zero, one
+    return StateVector(CompositeSpace([FactorLabel(label, dim)]), v)
+
+
+def _register(a, b, c, d, dim=6):
+    return qstate.tensor([_cavity("A", a, b, dim), _cavity("B", c, d, dim)])
 
 
 def _random_input(rng, names, levels, dims=None):
@@ -154,6 +167,21 @@ def _random_input(rng, names, levels, dims=None):
     return StateVector(space, amps.reshape(-1) / np.linalg.norm(amps))
 
 
+def _gun_ebits():
+    """Every unflagged photon-gun pair, in both factor orders."""
+    model = PhotonGunModel(p_empty=0.1, p_double=0.05, p_single=0.85)
+    ebits = []
+    for br in enumerate_ebit_branches(model):
+        if br.flagged:
+            continue
+        pair = br.atoms_state
+        swapped = StateVector(CompositeSpace([FactorLabel("beta", 2),
+                                              FactorLabel("alpha", 2)]),
+                              pair.tensor_view().T.reshape(-1))
+        ebits += [pair, swapped]
+    return ebits
+
+
 def _oracle_cases():
     rng = make_rng(18)
     cases = [(_random_pairs(rng), None, None) for _ in range(3)]
@@ -163,20 +191,12 @@ def _oracle_cases():
         cases.append((None, _random_input(rng, ("A", "B"), {"A": m, "B": 1}), None))
         cases.append((None, _random_input(rng, ("B", "anc", "A"), {"A": 1, "B": m},
                                           {"anc": 3}), None))
-    model = PhotonGunModel(p_empty=0.1, p_double=0.05, p_single=0.85)
-    for br in enumerate_ebit_branches(model):
-        if br.flagged:
-            continue
-        pair = br.atoms_state
-        swapped = StateVector(CompositeSpace([FactorLabel("beta", 2),
-                                              FactorLabel("alpha", 2)]),
-                              pair.tensor_view().T.reshape(-1))
-        for ebit in (pair, swapped):
-            # a photon-number input: an unentangled pair leaves branches at p = 0
-            for amps in (_random_pairs(rng), (1.0, 0.0, 0.6, 0.8j), (0.0, 1.0, 1.0, 0.0)):
-                cases.append((amps, None, ebit))
-            cases.append((None, _random_input(rng, ("A", "anc", "B"),
-                                              {"A": 1, "B": 1}), ebit))
+    for ebit in _gun_ebits():
+        # a photon-number input: an unentangled pair leaves branches at p = 0
+        for amps in (_random_pairs(rng), (1.0, 0.0, 0.6, 0.8j), (0.0, 1.0, 1.0, 0.0)):
+            cases.append((amps, None, ebit))
+        cases.append((None, _random_input(rng, ("A", "anc", "B"),
+                                          {"A": 1, "B": 1}), ebit))
     return cases
 
 
@@ -198,24 +218,121 @@ def test_branch_maps_match_the_step_loop_run_on_the_input(gate):
             state = _register(*amps)
         else:
             trace = runner(input_state=state, level="ideal", ebit_state=ebit)
-        lines, want = _step_loop(gate, state, ebit)
-        assert trace.trace_lines() == lines
-        assert [br.label for br in trace.branches] == [br.label for br in want]
+        records, want, _ = _step_loop(gate, state, state, ebit)
+        assert trace.trace_lines() == [r.line() for r in records]
+        _assert_same_branches(trace.branches, want)
         dropped += sum(br.beta != "i" for br in want) < 4
-        for got, ref in zip(trace.branches, want):
-            np.testing.assert_allclose(got.probability, ref.probability, rtol=0,
-                                       atol=1e-12)
-            np.testing.assert_allclose(got.fidelity_vs_ideal, ref.fidelity_vs_ideal,
-                                       rtol=0, atol=1e-12)
-            assert got.bits == ref.bits
-            assert len(got.bits) == (1 if got.beta == "i" else 2)
-            assert got.final_state.space == ref.final_state.space
-            np.testing.assert_allclose(got.final_state.amplitudes,
-                                       ref.final_state.amplitudes, rtol=0, atol=1e-12)
     assert dropped > 0   # the cases include branches dropped at zero probability
 
 
-def test_an_incomplete_set_of_branch_maps_is_refused(monkeypatch):
+def _assert_same_branches(branches, want):
+    assert [br.label for br in branches] == [br.label for br in want]
+    for got, ref in zip(branches, want):
+        np.testing.assert_allclose(got.probability, ref.probability, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(got.fidelity_vs_ideal, ref.fidelity_vs_ideal,
+                                   rtol=0, atol=1e-12)
+        assert got.bits == ref.bits
+        assert len(got.bits) == (1 if got.beta == "i" else 2)
+        assert got.final_state.space == ref.final_state.space
+        np.testing.assert_allclose(got.final_state.amplitudes,
+                                   ref.final_state.amplitudes, rtol=0, atol=1e-12)
+
+
+def _loaded(gate, amps, config):
+    """The register on (A, B) as the physical nodes load it."""
+    dim = config.fock_cutoff + 1
+    reg = prepare_register(*amps, fock_cutoff=config.fock_cutoff,
+                           params=protocol._GATES[gate].node_params)
+    return protocol._reorder_sub(reg, CompositeSpace([FactorLabel("A", dim),
+                                                      FactorLabel("B", dim)]))
+
+
+def _gate_records(maps):
+    """(record, k) of each gate record k of maps."""
+    groups = [maps.prefix]
+    for _, alpha_records, betas in maps.alphas:
+        groups += [alpha_records] + [beta_records for _, _, beta_records, _ in betas]
+    return [(records[i], k) for records, gates in groups for i, k, _ in gates]
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cqpg"])
+@pytest.mark.parametrize("cutoff", [4, 5, 6])
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+def test_physical_branch_maps_match_the_step_loop_run_on_the_loaded_input(
+        gate, cutoff, tol):
+    runner = {"cnot": run_nonlocal_cnot, "cqpg": run_nonlocal_cqpg}[gate]
+    spec = protocol._GATES[gate]
+    config = protocol.ProtocolConfig(fock_cutoff=cutoff, tol=tol)
+    rng = make_rng(20)
+    tiny = (1e-7, math.sqrt(1 - 1e-14), math.sqrt(1 - 1e-12), 1e-6)
+    inputs = [_random_pairs(rng) for _ in range(2)] + [(1, 0, 1, 0), (0, 1, 0, 1),
+                                                       (1, 0, 0, 1), tiny]
+    for a, b, c, d in inputs:
+        v = np.outer([b, a], [d, c]).reshape(-1)   # the input on levels <= 1
+        for ebit in [None] + _gun_ebits():
+            trace = runner(a, b, c, d, level="physical", ebit_state=ebit, config=config)
+            records, want, scores = _step_loop(
+                gate, _loaded(gate, (a, b, c, d), config),
+                _register(a, b, c, d, cutoff + 1), ebit, "physical", config)
+            # the same records, every p= and fidelity= as printed
+            assert trace.trace_lines() == [r.line() for r in records]
+            _assert_same_branches(trace.branches, want)
+            # and each gate record's fidelity before it is rounded
+            supplied = ebit is not None
+            atoms = protocol._ebit_pair(ebit if supplied else protocol._bell_atoms(),
+                                        spec.beta_dim)
+            maps = protocol._branch_maps(gate, "physical", config, 1,
+                                         atoms.amplitudes.tobytes(), supplied)
+            fids = protocol._gate_fidelities(maps.scored, v)
+            scored = {(r.branch, r.step, r.operation): fids[k]
+                      for r, k in _gate_records(maps)}
+            assert scores
+            for i, gate_scored in scores:
+                r = records[i]
+                np.testing.assert_allclose(
+                    checked_fidelity(scored[r.branch, r.step, r.operation]),
+                    gate_scored.result.fidelity_vs_ideal, rtol=0, atol=1e-12)
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+
+def test_gate_fidelities_keep_the_step_loops_precision_on_a_rare_branch():
+    # a gate met with probability 1e-14: its pre-state columns S are O(1), and
+    # S v has norm 1e-7 only through cancellation.  The loop scores the
+    # normalized state, which errs by about 1e-16 / 1e-7; a ratio of 4 x 4
+    # quadratic forms errs by about 1e-16 / 1e-14 and misses this by 1e-3.
+    # The kept R of the columns' QR rounds as the state does
+    rng = make_rng(22)
+    q = _unitary(rng, 12)[:, :4]
+    w = _unitary(rng, 4)
+    s = q @ np.diag([1.0, 1.0, 1.0, 1e-7]) @ w.conj().T
+    ideal = _unitary(rng, 12)
+    h = rng.normal(size=(12, 12))
+    energies, basis = np.linalg.eigh(h + h.T)
+    action = ideal @ basis @ np.diag(np.exp(0.3j * energies)) @ basis.conj().T
+    pre = q[:, 3]   # S w_3 / |S w_3|, free of the cancellation
+    want = abs(np.vdot(ideal @ pre, action @ pre)) ** 2
+    scored = protocol._gate_columns(s, ideal @ s, action @ s)
+    got = protocol._gate_fidelities(scored[None], w[:, 3])
+    np.testing.assert_allclose(got, [want], rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cqpg"])
+def test_load_map_is_prepare_register_on_the_product_amplitudes(gate):
+    load = protocol._load_map(protocol._GATES[gate].node_params, 6)
+    rng = make_rng(21)
+    for _ in range(50):
+        a, b, c, d = _random_pairs(rng)
+        got = np.zeros((6, 6), dtype=complex)
+        got[:2, :2] = (load @ np.outer([b, a], [d, c]).reshape(-1)).reshape(2, 2)
+        want = _loaded(gate, (a, b, c, d), protocol.ProtocolConfig())
+        np.testing.assert_allclose(got.reshape(-1), want.amplitudes, rtol=0, atol=1e-12)
+
+
+def _losing_beta_outcomes(monkeypatch):
     # a build that loses beta's last outcome loses branches: sum K^dag K != 1
     real = protocol._measure
 
@@ -224,10 +341,37 @@ def test_an_incomplete_set_of_branch_maps_is_refused(monkeypatch):
         return outcomes[:-1] if factor == "beta" else outcomes
 
     monkeypatch.setattr(protocol, "_measure", losing)
-    protocol._ideal_maps.cache_clear()
+    protocol._branch_maps.cache_clear()
+
+
+def test_an_incomplete_set_of_branch_maps_is_refused(monkeypatch):
+    _losing_beta_outcomes(monkeypatch)
     with pytest.raises(ProtocolError, match="incomplete on cavity levels <= 1"):
         run_nonlocal_cnot(level="ideal")
-    assert protocol._ideal_maps.cache_info().currsize == 0
+    assert protocol._branch_maps.cache_info().currsize == 0
+
+
+def test_a_physical_build_that_loses_a_branch_is_refused(monkeypatch):
+    _losing_beta_outcomes(monkeypatch)
+    with pytest.raises(ProtocolError, match="branch maps are incomplete on cavity "
+                                            "levels <= 1"):
+        run_nonlocal_cqpg(level="physical")
+    assert protocol._branch_maps.cache_info().currsize == 0
+
+
+def test_a_map_fidelity_outside_its_range_is_refused(monkeypatch):
+    # outputs doubled: every gate record scores about 4, refused as GateResult
+    # refuses it
+    real = protocol._branch_maps
+
+    def inflated(*key):
+        maps = real(*key)
+        doubled = maps.scored * np.array([1.0, 1.0, 2.0])[:, None, None]
+        return dataclasses.replace(maps, scored=doubled)
+
+    monkeypatch.setattr(protocol, "_branch_maps", inflated)
+    with pytest.raises(QStateError, match=r"fidelity .* outside \[0, 1\]"):
+        run_nonlocal_cqpg(level="physical")
 
 
 @pytest.mark.parametrize("gate", ["cnot", "cqpg"])
@@ -242,21 +386,53 @@ def test_cli_random_inputs_build_the_maps_once(gate, monkeypatch, tmp_path):
     monkeypatch.setattr(protocol, "enumerate_branches", counting)
     measured = {}
     for runs in (20, 200):
-        protocol._ideal_maps.cache_clear()
+        protocol._branch_maps.cache_clear()
         calls.clear()
         rc = cli.main(["protocol", "--gate", gate, "--random", str(runs), "--seed", "3",
                        "--level", "ideal", "--out", str(tmp_path / f"{runs}.csv")])
         assert rc == 0
-        info = protocol._ideal_maps.cache_info()
+        info = protocol._branch_maps.cache_info()
         assert (info.misses, info.hits) == (1, runs - 1)
         measured[runs] = len(calls)
     assert measured[200] == measured[20] > 0
 
 
-def _maps_key(gate, ebit, m, supplied):
+PHYSICAL_GATES = {
+    "cnot": ("physical_cnot_cavity_to_atom", "physical_not_atom",
+             "physical_cnot_atom_to_cavity", "physical_hadamard_atom"),
+    "cqpg": ("physical_cnot_cavity_to_atom", "physical_not_atom",
+             "physical_cqpg_local", "physical_hadamard_atom"),
+}
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cqpg"])
+def test_cli_random_physical_inputs_build_the_maps_once(gate, monkeypatch, tmp_path):
+    calls = {}
+    for name in {name for names in PHYSICAL_GATES.values() for name in names}:
+        def counting(*args, _real=getattr(protocol, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, name, counting)
+    measured = {}
+    for runs in (1, 200):
+        protocol._branch_maps.cache_clear()
+        calls.clear()
+        rc = cli.main(["protocol", "--gate", gate, "--random", str(runs), "--seed", "3",
+                       "--level", "physical", "--out", str(tmp_path / f"{runs}.csv")])
+        assert rc == 0
+        info = protocol._branch_maps.cache_info()
+        assert (info.misses, info.hits) == (1, runs - 1)
+        measured[runs] = dict(calls)
+    # every gate call belongs to the one build
+    assert measured[200] == measured[1]
+    assert sorted(measured[1]) == sorted(PHYSICAL_GATES[gate])
+
+
+def _maps_key(gate, level, ebit, m, supplied):
     beta_dim = protocol._GATES[gate].beta_dim
-    return gate, 6, m, protocol._ebit_pair(ebit, beta_dim).amplitudes.tobytes(), \
-        supplied
+    return gate, level, protocol.ProtocolConfig(), m, \
+        protocol._ebit_pair(ebit, beta_dim).amplitudes.tobytes(), supplied
 
 
 @strategies.composite
@@ -268,11 +444,30 @@ def _protocol_inputs(draw):
     return gate, seed, ancilla, m, draw(strategies.booleans())
 
 
+# the physical level takes product registers only
+_physical_inputs = strategies.tuples(strategies.sampled_from(["cnot", "cqpg"]),
+                                     strategies.integers(0, 2 ** 32 - 1),
+                                     strategies.just(None), strategies.just(1),
+                                     strategies.booleans())
+
+
 # derandomized, few examples and no example database: the same cases on
-# every run, in about a second
+# every run, in about a second per level
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(_protocol_inputs())
 def test_branch_maps_keep_the_protocol_invariants(case):
+    _check_invariants(case, "ideal")
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(_physical_inputs)
+def test_physical_branch_maps_keep_the_protocol_invariants(case):
+    _check_invariants(case, "physical")
+
+
+def _check_invariants(case, level):
+    """Probabilities sum to 1, two bits per branch, no record leaves its node,
+    and a warm, a cleared and a rewarmed cache give identical runs."""
     gate, seed, ancilla, m, own_pair = case
     runner = {"cnot": run_nonlocal_cnot, "cqpg": run_nonlocal_cqpg}[gate]
     rng = make_rng(seed)
@@ -291,10 +486,10 @@ def test_branch_maps_keep_the_protocol_invariants(case):
         levels = {"A": m, "B": int(rng.integers(0, m + 1))}
         args, kwargs = (), {"input_state": _random_input(rng, names, levels)}
 
-    first = runner(*args, level="ideal", ebit_state=ebit, **kwargs)
-    protocol._ideal_maps.cache_clear()
-    cold = runner(*args, level="ideal", ebit_state=ebit, **kwargs)
-    warm = runner(*args, level="ideal", ebit_state=ebit, **kwargs)
+    first = runner(*args, level=level, ebit_state=ebit, **kwargs)
+    protocol._branch_maps.cache_clear()
+    cold = runner(*args, level=level, ebit_state=ebit, **kwargs)
+    warm = runner(*args, level=level, ebit_state=ebit, **kwargs)
     np.testing.assert_allclose(cold.total_probability(), 1.0, rtol=0, atol=1e-10)
     assert all(len(br.bits) == 2 for br in cold.branches)
     assert locality_violations(cold.records) == []
@@ -308,10 +503,10 @@ def test_branch_maps_keep_the_protocol_invariants(case):
                                           b.final_state.amplitudes)
     # the maps of this input's levels are complete; a cache hit, so the key
     # above is the one the run used
-    hits = protocol._ideal_maps.cache_info().hits
-    maps = protocol._ideal_maps(*_maps_key(gate, ebit or protocol._bell_atoms(), m,
-                                           ebit is not None))
-    assert protocol._ideal_maps.cache_info().hits == hits + 1
+    hits = protocol._branch_maps.cache_info().hits
+    maps = protocol._branch_maps(*_maps_key(gate, level, ebit or protocol._bell_atoms(),
+                                            m, ebit is not None))
+    assert protocol._branch_maps.cache_info().hits == hits + 1
     stacked = maps.kraus.reshape(-1, (m + 1) ** 2)
     np.testing.assert_allclose(stacked.conj().T @ stacked, np.eye((m + 1) ** 2),
                                rtol=0, atol=1e-10)
@@ -324,10 +519,8 @@ def test_branch_maps_keep_the_protocol_invariants(case):
 def test_prepare_register_physical_matches_ideal():
     amps = (0.6, 0.8j, 1 / math.sqrt(2), -1 / math.sqrt(2))
     a, b, c, d = amps
-    reg_i = qstate.tensor([protocol._cavity_qubit("A", 6, a, b),
-                           protocol._atom_level("alpha", 2, 0),
-                           protocol._cavity_qubit("B", 6, c, d),
-                           protocol._atom_level("beta", 2, 0)])
+    reg_i = qstate.tensor([_cavity("A", a, b), protocol._atom_level("alpha", 2, 0),
+                           _cavity("B", c, d), protocol._atom_level("beta", 2, 0)])
     reg_p = prepare_register(*amps)
     assert reg_p.space == reg_i.space
     ov = abs(np.vdot(reg_i.amplitudes, reg_p.amplitudes)) ** 2
@@ -651,6 +844,7 @@ def test_cold_physical_cnot_integrates_the_cnot_pulse_once():
     gates._cnot_engine.cache_clear()
     gates._cnot_atom_to_cavity_engine.cache_clear()
     perturb._sigma0_free_total.cache_clear()
+    protocol._branch_maps.cache_clear()
     run_nonlocal_cnot(level="physical")
     info = gates._cnot_engine.cache_info()
     assert info.misses == 1
