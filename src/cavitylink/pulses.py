@@ -23,6 +23,9 @@ picks its method from the drives it is given:
   matrices and exponentiated by a scaled Taylor polynomial, stacked
   matmuls only.  Step doubling picks the step count and supplies the
   error estimate (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
+  The steps are built, exponentiated and multiplied MAGNUS_BLOCK at a time
+  in one workspace per thread, written with out= and reused block after
+  block, so a block allocates no matrix stack of its own.
 
 No path renormalizes; the norm drift of the result is reported as a check.
 """
@@ -30,6 +33,7 @@ No path renormalizes; the norm drift of the result is reported as a check.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -60,8 +64,10 @@ MAGNUS_MAX_STEPS = 2 ** 23
 # No tol of this size or more can see the rule, since the doubling would
 # already have ended at the estimate below it.
 MAGNUS_ROUNDING_ONSET = 1e-10
-# Steps are exponentiated and multiplied this many at a time, so memory does
-# not grow with the step count.
+# Steps are exponentiated and multiplied this many at a time, in a workspace
+# of seven complex and one real stack of MAGNUS_BLOCK matrices that each
+# thread allocates once and reuses (see _workspace), so memory does not grow
+# with the step count and no block allocates a stack.
 MAGNUS_BLOCK = 256
 # Taylor coefficients 1/k!, k = 0..12, as three Paterson-Stockmeyer blocks
 # and the last, and log2(13! u) with u = 2^-53 the unit roundoff: the
@@ -178,19 +184,43 @@ def _excitations(space: CompositeSpace) -> np.ndarray:
     return n
 
 
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+_WORKSPACE = threading.local()
 
 
-def _time_ordered_product(mats: np.ndarray) -> np.ndarray:
-    """mats[-1] @ ... @ mats[0], multiplied pairwise."""
+def _workspace(m: int, dim: int) -> tuple:
+    """Seven complex stacks and one real stack of m <= MAGNUS_BLOCK dim x dim
+    matrices, each contiguous, on the front of buffers that the calling
+    thread allocates once (again only for a larger dim) and reuses."""
+    size = MAGNUS_BLOCK * dim * dim
+    buffers = getattr(_WORKSPACE, "buffers", None)
+    if buffers is None or len(buffers[1]) < size:
+        buffers = _WORKSPACE.buffers = (np.empty(7 * size, dtype=complex),
+                                        np.empty(size))
+    n = m * dim * dim
+    return buffers[0][:7 * n].reshape(7, m, dim, dim), buffers[1][:n].reshape(m, dim, dim)
+
+
+def _commutator(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """[a, b] written into out; scratch is overwritten."""
+    return np.subtract(np.matmul(a, b, out=out), np.matmul(b, a, out=scratch), out=out)
+
+
+def _time_ordered_product(mats: np.ndarray, slabs: np.ndarray) -> np.ndarray:
+    """mats[-1] @ ... @ mats[0], multiplied pairwise; each round writes to
+    slabs[0] or slabs[1] in turn, so mats may lie in any other slab."""
+    side = 0
     while len(mats) > 1:
-        even = len(mats) - len(mats) % 2
-        mats = np.concatenate((mats[1:even:2] @ mats[0:even:2], mats[even:]))
+        half, odd = divmod(len(mats), 2)
+        out = slabs[side][:half + odd]
+        np.matmul(mats[1:2 * half:2], mats[0:2 * half:2], out=out[:half])
+        if odd:
+            out[half] = mats[-1]
+        mats, side = out, 1 - side
     return mats[0]
 
 
-def _expm_stack(a: np.ndarray) -> np.ndarray:
+def _expm_stack(a: np.ndarray, slabs: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """exp of every matrix in the stack a, from stacked matmuls only.
 
     The stack is scaled by 2^s; f = exp(a / 2^s) - 1 is the degree-12
@@ -202,22 +232,30 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     Squaring multiplies the truncation error by 2^s, so s is the least
     with 2^s (norm / 2^s)^13 / 13! below the unit roundoff, for the
     largest 1-norm in the stack.
+
+    slabs and norms are a _workspace of a's shape; a may be slabs[4], and
+    the result is slabs[2].
     """
-    norm = float(np.max(np.sum(np.abs(a), axis=-2)))
+    norm = float(np.max(np.sum(np.abs(a, out=norms), axis=-2)))
     s = max(0, math.ceil((13.0 * math.log2(norm) - _TAYLOR_LOG2_BUDGET) / 12.0)) \
         if norm > 0 else 0
     dim = a.shape[-1]
-    powers = np.empty((3,) + a.shape, dtype=complex)    # a, a^2, a^3
+    powers = slabs[:3]    # a, a^2, a^3
     np.multiply(a, 0.5 ** s, out=powers[0])
     np.matmul(powers[0], powers[0], out=powers[1])
     np.matmul(powers[1], powers[0], out=powers[2])
-    a4 = powers[1] @ powers[1]
+    a4 = np.matmul(powers[1], powers[1], out=slabs[3])
     # b_j = sum_i c_{4j+i} a^i for i = 0..3, less the constant 1 in b_0
-    b = (_TAYLOR_BLOCKS[:, 1:] @ powers.reshape(3, -1)).reshape(powers.shape)
+    b = slabs[4:]
+    np.matmul(_TAYLOR_BLOCKS[:, 1:], powers.reshape(3, -1), out=b.reshape(3, -1))
     b.reshape(3, -1, dim * dim)[1:, :, ::dim + 1] += _TAYLOR_BLOCKS[1:, :1, None]
-    f = b[0] + a4 @ (b[1] + a4 @ (b[2] + _TAYLOR_LAST * a4))
-    for _ in range(s):
-        f = 2.0 * f + f @ f     # (1 + f)^2 - 1
+    # f = b_0 + a4 (b_1 + a4 (b_2 + a4 / 12!))
+    t1, t2, f = slabs[:3]
+    np.add(b[2], np.multiply(_TAYLOR_LAST, a4, out=t1), out=t1)
+    np.add(b[1], np.matmul(a4, t1, out=t2), out=t2)
+    np.add(b[0], np.matmul(a4, t2, out=t1), out=f)
+    for _ in range(s):    # (1 + f)^2 - 1
+        np.add(np.multiply(2.0, f, out=t1), np.matmul(f, f, out=t2), out=f)
     f.reshape(len(f), -1)[:, ::dim + 1] += 1.0
     return f
 
@@ -229,7 +267,7 @@ def _magnus_basis(k: np.ndarray, x: np.ndarray) -> np.ndarray:
     the nested commutators is a combination of these six.
     """
     y = -x.conj().T
-    mats = (k, x, y, _commutator(k, x), _commutator(k, y), _commutator(x, y))
+    mats = (k, x, y, k @ x - x @ k, k @ y - y @ k, x @ y - y @ x)
     return np.stack(mats).reshape(6, -1)
 
 
@@ -318,10 +356,14 @@ def _magnus_steps(basis: np.ndarray, coefficient, w: float, t0: float,
         coef[2:4, :, 4] = h * x2.conj()
         coef[2:4, :, 5] = x1 * x2.conj() - x1.conj() * x2
         coef[4, :, 5] = bloch_siegert
-        a1, a2, d, l, low = (coef.reshape(5 * m, 6) @ basis).reshape(5, m, dim, dim)
-        r = a2 - _commutator(a1, d) / 60.0        # a2 + c2, c2 = -[a1, d] / 60
-        omega = low + _commutator(l, r) / 240.0
-        u = _time_ordered_product(_expm_stack(omega)) @ u
+        slabs, norms = _workspace(m, dim)
+        np.matmul(coef.reshape(5 * m, 6), basis, out=slabs[:5].reshape(5 * m, -1))
+        a1, a2, d, l, low, c, scratch = slabs
+        np.divide(_commutator(a1, d, c, scratch), 60.0, out=c)
+        r = np.subtract(a2, c, out=a2)      # a2 + c2, c2 = -[a1, d] / 60
+        np.divide(_commutator(l, r, c, scratch), 240.0, out=c)
+        omega = np.add(low, c, out=low)     # low + [l, r] / 240
+        u = _time_ordered_product(_expm_stack(omega, slabs, norms), slabs) @ u
     return u
 
 

@@ -1,6 +1,9 @@
 import cmath
 import math
+import sys
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,12 +252,12 @@ def test_evolve_tdse_space_mismatch():
 # the Magnus path
 
 
-def _frame_generator(carrier, counter):
-    """Basis, coefficient and its fastest frequency for the cutoff-2 CNOT node
-    in the carrier's frame, under a pi-area gaussian drive; counter None is
-    the rotating wave."""
-    p = desk_params(1.0, x=0.1)
-    static = jc_rotating(p, 2)
+def _frame_generator(carrier, counter, static=None):
+    """Basis, coefficient and its fastest frequency for the static node
+    (default the cutoff-2 CNOT node) in the carrier's frame, under a pi-area
+    gaussian drive; counter None is the rotating wave."""
+    if static is None:
+        static = jc_rotating(desk_params(1.0, x=0.1), 2)
     k = -1j * (static.matrix - carrier * np.diag(pulses._excitations(static.space)))
     basis = pulses._magnus_basis(k, -1j * _atom_raise(static.space))
     pulse = calibrate_pulse_area(PulseSpec(omega_drive=carrier, amplitude=1.0,
@@ -342,8 +345,140 @@ def test_taylor_exponential_matches_eigh():
     exact = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
     for one, want in zip(h, exact):
         # one matrix at a time, so each is scaled by its own norm
-        got = pulses._expm_stack(-1j * one[None])[0]
+        got = pulses._expm_stack(-1j * one[None], *pulses._workspace(1, 12))[0]
         assert np.max(np.abs(got - want)) < 1e-13 * max(1.0, np.max(np.abs(one)))
+
+
+# The block loop as it stood before it wrote into a reused workspace: every
+# operation allocates its result.  The workspace kernel must equal it bit for
+# bit, since it keeps the arithmetic and its order.
+def _reference_time_ordered_product(mats):
+    while len(mats) > 1:
+        even = len(mats) - len(mats) % 2
+        mats = np.concatenate((mats[1:even:2] @ mats[0:even:2], mats[even:]))
+    return mats[0]
+
+
+def _reference_expm_stack(a):
+    norm = float(np.max(np.sum(np.abs(a), axis=-2)))
+    s = max(0, math.ceil((13.0 * math.log2(norm) - pulses._TAYLOR_LOG2_BUDGET) / 12.0)) \
+        if norm > 0 else 0
+    dim = a.shape[-1]
+    powers = np.empty((3,) + a.shape, dtype=complex)
+    np.multiply(a, 0.5 ** s, out=powers[0])
+    np.matmul(powers[0], powers[0], out=powers[1])
+    np.matmul(powers[1], powers[0], out=powers[2])
+    a4 = powers[1] @ powers[1]
+    b = (pulses._TAYLOR_BLOCKS[:, 1:] @ powers.reshape(3, -1)).reshape(powers.shape)
+    b.reshape(3, -1, dim * dim)[1:, :, ::dim + 1] += pulses._TAYLOR_BLOCKS[1:, :1, None]
+    f = b[0] + a4 @ (b[1] + a4 @ (b[2] + pulses._TAYLOR_LAST * a4))
+    for _ in range(s):
+        f = 2.0 * f + f @ f
+    f.reshape(len(f), -1)[:, ::dim + 1] += 1.0
+    return f
+
+
+def _reference_magnus_steps(basis, coefficient, w, t0, t1, n):
+    def commutator(a, b):
+        return a @ b - b @ a
+
+    h = (t1 - t0) / n
+    dim = math.isqrt(basis.shape[1])
+    rule = pulses._step_rule(pulses._panels(w, h))
+    u = np.eye(dim, dtype=complex)
+    for first in range(0, n, pulses.MAGNUS_BLOCK):
+        m = min(pulses.MAGNUS_BLOCK, n - first)
+        z = np.asarray(coefficient(t0 + h * (np.arange(first, first + m)[:, None]
+                                             + rule[0])))
+        x1, x2, x3, bloch_siegert = pulses._step_scalars(z, h, rule)
+        coef = np.zeros((5, m, 6), dtype=complex)
+        coef[:, :, 0] = np.array([[h], [0.0], [0.0], [-20.0 * h], [h]])
+        coef[:, :, 1] = (x1, x2, 2.0 * x3, -20.0 * x1 - x3, x1 + x3 / 12.0)
+        coef[:, :, 2] = coef[:, :, 1].conj()
+        coef[2:4, :, 3] = h * x2
+        coef[2:4, :, 4] = h * x2.conj()
+        coef[2:4, :, 5] = x1 * x2.conj() - x1.conj() * x2
+        coef[4, :, 5] = bloch_siegert
+        a1, a2, d, l, low = (coef.reshape(5 * m, 6) @ basis).reshape(5, m, dim, dim)
+        r = a2 - commutator(a1, d) / 60.0
+        omega = low + commutator(l, r) / 240.0
+        u = _reference_time_ordered_product(_reference_expm_stack(omega)) @ u
+    return u
+
+
+def _node(dim):
+    """A bare atom of dim 2 or 3, or the x = 0.1 node at cutoff dim / 2 - 1."""
+    if dim in (2, 3):
+        space = CompositeSpace([FactorLabel("atom", dim)])
+        return Operator(space, np.diag(0.9 * np.arange(dim)), hermitian=True)
+    return jc_rotating(desk_params(1.0, x=0.1), dim // 2 - 1)
+
+
+@pytest.mark.parametrize("counter", [None, 5.3])
+@pytest.mark.parametrize("dim", [2, 3, 10, 12])
+def test_workspace_kernel_is_bit_identical_to_the_allocating_one(dim, counter):
+    # 64 and 128 steps are one partial block, 256 one full block and 1024
+    # four; the full drive's steps span 3 to 1 panels of its 6 rad/s term
+    basis, coefficient, w, (t0, t1) = _frame_generator(0.7, counter, _node(dim))
+    for n in (64, 128, 256, 1024):
+        want = _reference_magnus_steps(basis, coefficient, w, t0, t1, n)
+        got = pulses._magnus_steps(basis, coefficient, w, t0, t1, n)
+        assert np.array_equal(got, want), (dim, counter, n)
+
+
+def test_magnus_blocks_reuse_their_workspace(monkeypatch):
+    # the cutoff-5 rotating-wave CNOT window, 1024 steps of dim 12: a block
+    # that allocated its matrix stacks would trace about 10 MB
+    calls = []
+    steps = pulses._magnus_steps
+
+    def spy(*args):
+        calls.append(args)
+        return steps(*args)
+
+    monkeypatch.setattr(pulses, "_magnus_steps", spy)
+    gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.1), RWA)
+    args = calls[-1]
+    assert args[-1] == 1024 and args[0].shape == (6, 144)
+    tracemalloc.start()
+    try:
+        steps(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+def test_concurrent_windows_keep_their_own_workspace():
+    # two windows of different dims integrated at once on two threads: one
+    # shared workspace would mix their blocks
+    windows = [_frame_generator(0.7, None, _node(12)),
+               _frame_generator(0.7, 5.3, _node(10))]
+    args = [(basis, coefficient, w, t0, t1, 1024)
+            for basis, coefficient, w, (t0, t1) in windows]
+    serial = [pulses._magnus_steps(*a) for a in args]
+    start = threading.Barrier(len(args), timeout=60)
+    results = [[] for _ in args]
+
+    def run(k):
+        start.wait()
+        for _ in range(3):
+            results[k].append(pulses._magnus_steps(*args[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(args))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, got in zip(serial, results):
+        assert len(got) == 3
+        assert all(np.array_equal(u, want) for u in got)
 
 
 def test_magnus_info_and_frame_checks():
