@@ -754,21 +754,17 @@ class _Maps:
     scored: np.ndarray
 
 
-@lru_cache(maxsize=_MAPS_CACHED)
 def _load_map(params: JCParams, dim_c: int) -> np.ndarray:
     """prepare_register at params as a 4 x 4 matrix: column 2 i + j holds
     the loaded (A, B) amplitudes on cavity levels <= 1, A-major, of the
-    product |i>_A |j>_B.  Cached and read-only: every tol and ebit of a
-    gate shares it."""
+    product |i>_A |j>_B."""
     space = CompositeSpace([FactorLabel("A", dim_c), FactorLabel("B", dim_c)])
     columns = []
     for i, j in np.ndindex(2, 2):
         reg = prepare_register(i, 1 - i, j, 1 - j, fock_cutoff=dim_c - 1,
                                params=params)
         columns.append(_reorder_sub(reg, space).tensor_view()[:2, :2].reshape(-1))
-    load = np.array(columns).T
-    load.setflags(write=False)
-    return load
+    return np.array(columns).T
 
 
 @lru_cache(maxsize=_MAPS_CACHED)

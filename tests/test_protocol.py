@@ -332,26 +332,6 @@ def test_load_map_is_prepare_register_on_the_product_amplitudes(gate):
         np.testing.assert_allclose(got.reshape(-1), want.amplitudes, rtol=0, atol=1e-12)
 
 
-def test_load_map_is_built_once_for_every_tol_of_a_gate(monkeypatch):
-    # each tol is a new branch-map key; the load map depends only on the
-    # node parameters and the cutoff, so its four registers load once
-    calls = []
-    real = protocol.prepare_register
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(protocol, "prepare_register", counting)
-    protocol._load_map.cache_clear()
-    protocol._branch_maps.cache_clear()
-    for tol in (1e-10, 1e-6):
-        run_nonlocal_cqpg(level="physical", config=protocol.ProtocolConfig(tol=tol))
-    assert len(calls) == 4
-    load = protocol._load_map(protocol._GATES["cqpg"].node_params, 6)    # a hit
-    assert len(calls) == 4 and not load.flags.writeable
-
-
 def _losing_beta_outcomes(monkeypatch):
     # a build that loses beta's last outcome loses branches: sum K^dag K != 1
     real = protocol._measure
