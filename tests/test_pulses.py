@@ -252,16 +252,18 @@ def test_evolve_tdse_space_mismatch():
 # the Magnus path
 
 
-def _frame_generator(carrier, counter, static=None):
+def _frame_generator(carrier, counter, static=None, pulse=None):
     """Basis, coefficient and its fastest frequency for the static node
-    (default the cutoff-2 CNOT node) in the carrier's frame, under a pi-area
-    gaussian drive; counter None is the rotating wave."""
+    (default the cutoff-2 CNOT node) in the carrier's frame, under the pulse
+    (default a pi-area gaussian of width 4); counter None is the rotating
+    wave."""
     if static is None:
         static = jc_rotating(desk_params(1.0, x=0.1), 2)
     k = -1j * (static.matrix - carrier * np.diag(pulses._excitations(static.space)))
     basis = pulses._magnus_basis(k, -1j * _atom_raise(static.space))
-    pulse = calibrate_pulse_area(PulseSpec(omega_drive=carrier, amplitude=1.0,
-                                           width=4.0), math.pi)
+    if pulse is None:
+        pulse = calibrate_pulse_area(PulseSpec(omega_drive=carrier, amplitude=1.0,
+                                               width=4.0), math.pi)
     if counter is None:
         w = 0.0
 
@@ -330,8 +332,11 @@ def test_full_drive_bloch_siegert_term_at_fixed_steps(monkeypatch):
 
     monkeypatch.setattr(pulses, "_magnus_steps", spy)
     gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.1), FULL)
-    basis, coefficient, w, t0, t1, _n = calls[0]
-    assert 1.3 < w * (t1 - t0) / 8192 < 1.4
+    # the window [t0, t1] is time-symmetric, so the spied passes integrate
+    # its half [t_c, t1]: at 8192 window steps a step is (t1 - t_c) / 4096
+    basis, coefficient, w, middle, t1, _n = calls[0]
+    t0 = 2.0 * middle - t1
+    assert 1.3 < w * (t1 - middle) / 4096 < 1.4
     coarse = steps(basis, coefficient, w, t0, t1, 8192)
     fine = steps(basis, coefficient, w, t0, t1, 16 * 8192)
     assert np.max(np.abs(coarse - fine)) < 2e-9
@@ -427,8 +432,9 @@ def test_workspace_kernel_is_bit_identical_to_the_allocating_one(dim, counter):
 
 
 def test_magnus_blocks_reuse_their_workspace(monkeypatch):
-    # the cutoff-5 rotating-wave CNOT window, 1024 steps of dim 12: a block
-    # that allocated its matrix stacks would trace about 10 MB
+    # the cutoff-5 rotating-wave CNOT window, accepted at 1024 steps of dim
+    # 12, integrated as its time-symmetric half in 512: a block that
+    # allocated its matrix stacks would trace about 10 MB
     calls = []
     steps = pulses._magnus_steps
 
@@ -439,7 +445,7 @@ def test_magnus_blocks_reuse_their_workspace(monkeypatch):
     monkeypatch.setattr(pulses, "_magnus_steps", spy)
     gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.1), RWA)
     args = calls[-1]
-    assert args[-1] == 1024 and args[0].shape == (6, 144)
+    assert args[-1] == 512 and args[0].shape == (6, 144)
     tracemalloc.start()
     try:
         steps(*args)
@@ -494,13 +500,16 @@ def test_magnus_info_and_frame_checks():
         assert pulses._first_steps(0.0 if counter is None else 40.4, -3.0, 3.0) == start
         assert info["steps"] >= 2 * start
         assert 0.0 <= info["error_estimate"] < 1e-10
-        # ten nodes per panel of every step, over every doubling: one panel a
-        # step for the rotating wave, two at 128 full-drive steps (1.9 rad)
+        # ten nodes per panel of every step made, over every doubling: one
+        # panel a step for the rotating wave, two at 128 full-drive steps
+        # (1.9 rad).  The window [-3, 3] is time-symmetric, so a pass of n
+        # steps makes the n / 2 on [0, 3]
         passes = [start << k for k in range((info["steps"] // start).bit_length())]
         w = 0.0 if counter is None else 40.4
-        assert info["nfev"] == sum(10 * n * pulses._panels(w, 6.0 / n) for n in passes)
+        assert info["nfev"] == sum(10 * (n // 2) * pulses._panels(w, 6.0 / n)
+                                   for n in passes)
         if counter is None:
-            assert info["nfev"] == 10 * (2 * info["steps"] - start)
+            assert info["nfev"] == 10 * (info["steps"] - start // 2)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(static.space.dim), atol=1e-12)
     overlapping = PulseSpec(omega_drive=0.2, amplitude=0.3, width=1.0, center=1.0)
     with pytest.raises(QStateError, match="overlap"):
@@ -512,6 +521,97 @@ def test_magnus_info_and_frame_checks():
     with pytest.raises(QStateError, match="conserves N"):
         propagate_basis(Operator(static.space, leaky, hermitian=True),
                         [Drive(first, 0.4)], -3.0, 3.0, 1e-10)
+
+
+@pytest.mark.parametrize("case", ["cnot-rwa", "cnot-full", "bare-3-level"])
+def test_time_symmetric_window_is_its_half_times_its_transpose(case):
+    # W W^T from n / 2 steps on [t_c, t1] against the whole window in n
+    # steps of the same length, at each window's accepted count: the
+    # cutoff-5 CNOT at x = 0.1 (rotating wave, and the full drive at
+    # t_c = 0) and a bare three-level atom's pi pulse centred at t_c = 1.5
+    if case == "bare-3-level":
+        static = _node(3)
+        pulse = calibrate_pulse_area(PulseSpec(omega_drive=0.9, amplitude=1.0,
+                                               width=0.5, center=1.5), math.pi)
+        carrier, counter, n = 0.9, None, 128
+    else:
+        params = desk_params(1.0, x=0.1)
+        static = jc_rotating(params, 5)
+        pulse, carrier = gates._cnot_pulse(params)
+        counter, n = ((None, 1024) if case == "cnot-rwa"
+                      else (2.0 * params.omega + carrier, 16384))
+    basis, coefficient, w, (t0, t1) = _frame_generator(carrier, counter, static, pulse)
+    middle = 0.5 * (t0 + t1)
+    whole = pulses._magnus_steps(basis, coefficient, w, t0, t1, n)
+    half = pulses._magnus_steps(basis, coefficient, w, middle, t1, n // 2)
+    assert np.max(np.abs(half @ half.T - whole)) < 1e-14
+
+
+def _spied_window(monkeypatch, static, drive, t0, t1):
+    """_magnus_window's (U, steps, estimate, evaluations) for one drive on
+    [t0, t1], and the ((t0, t1, n), result) of every _magnus_steps pass."""
+    passes = []
+    steps = pulses._magnus_steps
+
+    def spy(basis, coefficient, w, start, stop, n):
+        passes.append(((start, stop, n), steps(basis, coefficient, w, start, stop, n)))
+        return passes[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pulses, "_magnus_steps", spy)
+        out = pulses._magnus_window(static.matrix, pulses._excitations(static.space),
+                                    _atom_raise(static.space), drive, t0, t1, 1e-10)
+    return out, passes
+
+
+def _complex_exchange_node():
+    # the cutoff-2 node with its |e,0> <-> |g,1> coupling given a phase: it
+    # still conserves N, but h_frame is no longer real
+    static = jc_rotating(desk_params(1.0, x=0.1), 2)
+    h = static.matrix.copy()
+    i = static.space.index({"atom": 1, "cavity": 0})
+    j = static.space.index({"atom": 0, "cavity": 1})
+    h[i, j] *= np.exp(0.3j)
+    h[j, i] = np.conj(h[i, j])
+    assert h[i, j].imag != 0
+    return Operator(static.space, h, hermitian=True)
+
+
+def test_planted_asymmetric_windows_take_the_full_path(monkeypatch):
+    node = jc_rotating(desk_params(1.0, x=0.1), 2)
+    centred = PulseSpec(omega_drive=0.4, amplitude=0.3, width=1.0)
+    off_centre = PulseSpec(omega_drive=0.4, amplitude=0.3, width=1.0, center=1.0)
+    planted = {
+        # propagate_basis on [-3, 2] clips the window there, so the centre
+        # is off its midpoint
+        "clipped": (node, Drive(centred, 0.4), -3.0, 2.0),
+        # the full drive's exp(i W t) is even about t_c = 0 only
+        "full-drive-off-zero": (node, Drive(off_centre, 0.4, 40.0), -2.0, 4.0),
+        "complex-h-frame": (_complex_exchange_node(), Drive(centred, 0.4), -3.0, 3.0),
+    }
+    for name, (static, drive, t0, t1) in planted.items():
+        (u, n, _estimate, evaluations), passes = _spied_window(
+            monkeypatch, static, drive, t0, t1)
+        assert [bounds[:2] for bounds, _u in passes] == [(t0, t1)] * len(passes), name
+        assert passes[-1][0][2] == n, name
+        w = 0.0 if drive.counter is None else drive.carrier + drive.counter
+        assert evaluations == sum(10 * k * pulses._panels(w, (t1 - t0) / k)
+                                  for (_t0, _t1, k), _u in passes), name
+        # the accepted full pass taken back to the lab frame, as before the
+        # symmetric branch: U = exp(-i (c N t1 + shift T)) U' exp(i c N t0)
+        c, n_exc = drive.carrier, pulses._excitations(static.space)
+        h_frame = static.matrix - c * np.diag(n_exc)
+        shift = float(np.trace(h_frame).real) / len(h_frame)
+        post = np.exp(-1j * (c * n_exc * t1 + shift * (t1 - t0)))
+        full = post[:, None] * passes[-1][1] * np.exp(1j * c * n_exc * t0)
+        assert np.array_equal(u, full), name
+    # the same drives unclipped and centred at 0 on the real node: every
+    # pass integrates [0, 3] in half the window's steps
+    for drive in (Drive(centred, 0.4), Drive(centred, 0.4, 40.0)):
+        (_u, n, _estimate, _evaluations), passes = _spied_window(
+            monkeypatch, node, drive, -3.0, 3.0)
+        assert [bounds[:2] for bounds, _u in passes] == [(0.0, 3.0)] * len(passes)
+        assert 2 * passes[-1][0][2] == n
 
 
 def _dop853(static, drives, t0, t1, tol, columns=None):
@@ -648,7 +748,9 @@ def test_tolerance_below_the_rounding_floor_raises_stiffness():
 
 def test_rising_estimate_above_the_rounding_onset_keeps_doubling(monkeypatch):
     # a strong pulse is under-resolved at first, and its estimate rises
-    # from the first doubling to the second; that is not rounding
+    # from the first doubling to the second; that is not rounding.  The
+    # window is time-symmetric, so each spied pass is the half W and the
+    # doubling compares the assembled W W^T
     passes = []
     steps = pulses._magnus_steps
 
@@ -660,6 +762,7 @@ def test_rising_estimate_above_the_rounding_onset_keeps_doubling(monkeypatch):
     static = jc_rotating(desk_params(1.0, x=0.1), 2)
     strong = PulseSpec(omega_drive=0.4, amplitude=1600.0, width=1.0)
     _u, info = propagate_basis(static, [Drive(strong, 0.4)], -3.0, 3.0, 1e-10)
-    estimates = [np.max(np.abs(b - a)) / 63.0 for a, b in zip(passes, passes[1:])]
+    assembled = [p @ p.T for p in passes]
+    estimates = [np.max(np.abs(b - a)) / 63.0 for a, b in zip(assembled, assembled[1:])]
     assert pulses.MAGNUS_ROUNDING_ONSET < estimates[0] < estimates[1]
     assert info["error_estimate"] == estimates[-1] < 1e-10
