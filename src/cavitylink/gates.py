@@ -1,25 +1,28 @@
 """Local gates on one atom-cavity node: ideal unitaries and pulsed physics.
 
-Physical single-node gates share one pipeline:
+Each pulsed gate is one table entry, a _PulsedGate: node Hamiltonian,
+pulses.Drive windows and span, whether the propagator is dressed, phase
+rule, and the labels and readouts of its record.  One engine, _action,
+runs an entry once per (gate, parameters) and keeps its result read-only;
+the atom-controls-cavity CNOT is an entry of three references (swap,
+CNOT, swap), each run once.  The engine's steps:
 
-1. drive: a gaussian pulse is integrated in the cavity-rotating frame as one
-   pulses.Drive on the atom's raising operator: its carrier is the offset
-   from the cavity frequency, and its counter-rotating term at 2 omega plus
-   that offset is kept unless the config sets rwa.  Either drive takes
-   pulses' 6th-order Magnus path in the carrier's frame, to an error
-   estimate below tol that the GateResult carries with its step count;
+1. drive: propagate_basis integrates the node under the drives to an
+   error estimate below tol, carried by the GateResult with its step
+   count, and integrates each distinct window once wherever it recurs.
+   On a cavity node a drive's carrier is the offset from the cavity
+   frequency; its counter-rotating term at 2 omega plus that offset is
+   kept unless the config sets rwa;
 2. encode: the adiabatic detuning-ramp map W carries the computational
    labels {|g,0>, |e,0>, |g,1>, |e,1>} onto the dressed states |g,0>,
    |V+,0>, |V-,0>, |V+,1>, so W' u W is the propagator on the bare labels
-   (engines on a cavity-decoupled atom or the three-level ladder are
-   already bare);
-3. fix phases: residual deterministic phases are removed on the
-   computational rows (and, for a pi/2 pulse, columns) by one diagonal
-   solved from that propagator itself, restricted to locally
-   implementable phases (atom frame phases, photon-conditioned dispersive
-   phases) -- magnitudes are never touched, and the controlled-phase
-   gate's defining sign is never adjusted;
-4. cache: the fixed action is kept read-only per (params, config).
+   (a cavity-decoupled atom and the three-level ladder are already bare);
+3. fix phases: the entry's rule solves residual deterministic phases on
+   the computational rows (and, for a pi/2 pulse, columns) from that
+   propagator, restricted to locally implementable phases (atom frame
+   phases, photon-conditioned dispersive phases); _phase_fixed applies
+   them.  Magnitudes are never touched, and the controlled-phase gate's
+   defining sign is never adjusted.
 
 Every gate call applies that one small matrix to its node factors with
 qstate.apply_local, whatever the rest of the register holds.  Fidelity is
@@ -32,8 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Optional
+from functools import lru_cache, partial, reduce
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -242,27 +245,19 @@ def ideal_gate(kind: GateKind, space: CompositeSpace, atom: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
-# shared physical-gate machinery
+# pulsed node gates as data, and the one engine that runs them
 
 
-def _encoded(u: np.ndarray, params: JCParams, cutoff: int) -> tuple:
-    """A dressed-frame propagator on the bare labels, with its computational
-    rows: the ramp map W sends the labels onto the dressed columns, so the
-    propagator there is W' u W."""
-    w = bare_to_dressed_map(params, cutoff).matrix
-    return w.conj().T @ u @ w, _comp_rows(cutoff + 1)
-
-
-def _truth_table_phases(m: np.ndarray, kind: GateKind) -> np.ndarray:
-    """One phase per row of the logical block m (a bare atom's 2x2 block
-    reads the table's first two rows), each solved on its own truth-table
-    entry; an entry of magnitude 1e-9 or less (a swap that barely
-    exchanges) falls back to the diagonal."""
+def _truth_table_phases(m: np.ndarray, kind: GateKind) -> tuple:
+    """(theta, None): one phase per row of the logical block m (a bare
+    atom's 2x2 block reads the table's first two rows), each solved on its
+    own truth-table entry; an entry of magnitude 1e-9 or less (a swap that
+    barely exchanges) falls back to the diagonal."""
     th = np.zeros(len(m))
     for row, col in enumerate(_TRUTH_TABLE[kind][:len(m)]):
         entry = m[row, col] if abs(m[row, col]) > 1e-9 else m[row, row]
         th[row] = -np.angle(entry)
-    return th
+    return th, None
 
 
 def _atom_phases(m: np.ndarray, kind: GateKind) -> tuple:
@@ -273,7 +268,7 @@ def _atom_phases(m: np.ndarray, kind: GateKind) -> tuple:
     pulse; both are plain atom-frame phases, repeated per photon sector.
     """
     if kind == GateKind.NOT_ATOM:
-        return _truth_table_phases(m, kind), None
+        return _truth_table_phases(m, kind)
     chi_g = -np.angle(m[0, 0])
     chi_e = -0.5 * math.pi - np.angle(m[1, 0])   # steer 0e<-0g onto -i
     eta_e = -0.5 * math.pi - np.angle(m[0, 1]) - chi_g  # and 0g<-0e onto -i
@@ -281,9 +276,19 @@ def _atom_phases(m: np.ndarray, kind: GateKind) -> tuple:
     return np.tile([chi_g, chi_e], sectors), np.tile([0.0, eta_e], sectors)
 
 
+def _cqpg_phases(m: np.ndarray) -> tuple:
+    """(theta, None) on the rows |g,0>, |g,1>, |e,0>, |e,1>: the first three
+    solved on their diagonal, the e1 phase forced by them, so the
+    controlled phase's -1 must appear physically."""
+    th = np.zeros(4)
+    th[:3] = [-np.angle(m[j, j]) for j in range(3)]
+    th[3] = th[2] + th[1] - th[0]
+    return th, None
+
+
 def _phase_fixed(a: np.ndarray, rows: list, theta: np.ndarray,
                  eta: Optional[np.ndarray] = None, **labels) -> tuple:
-    """The one phase fix of every engine, on a bare-label propagator a.
+    """The one phase fix of every table entry, on a bare-label propagator a.
 
     Row rows[j] takes exp(i theta_j) and, when eta is given, column rows[j]
     takes exp(i eta_j) before the pulse; every other entry is untouched.
@@ -303,6 +308,67 @@ def _phase_fixed(a: np.ndarray, rows: list, theta: np.ndarray,
     return action, {**correction, **labels}
 
 
+@dataclass(frozen=True)
+class _PulsedGate:
+    """One pulsed node gate as data, which _action runs: static under the
+    drives over span at tol; ramp, the node's JCParams when the propagator
+    is dressed and goes through the ramp map W, else None; the phase rule
+    on the logical block of rows (a list) and the labels of its correction
+    record; readouts, meta read as |block[row, col]|^2; the pulse log."""
+
+    static: Operator
+    drives: tuple
+    span: tuple
+    tol: float
+    pulses: tuple
+    ramp: Optional[JCParams]
+    rows: list
+    phases: Callable
+    labels: dict
+    readouts: dict
+
+
+_INTEGRATION = ("norm_drift", "error_estimate", "steps")
+
+
+@lru_cache(maxsize=64)
+def _action(gate: Callable, *args) -> tuple:
+    """The one engine: the table entry gate(*args), run once and kept.
+
+    Returns (read-only action on the bare labels, pulse log, duration,
+    meta), meta holding _INTEGRATION's keys, the correction record and the
+    entry's readouts.  A _PulsedGate runs propagate_basis, the ramp map,
+    its phase rule and _phase_fixed; a tuple entry is a composite of
+    (gate, *args) references in time order, whose parts each run once
+    however often they recur.
+    """
+    entry = gate(*args)
+    if isinstance(entry, tuple):
+        parts = [_action(*ref) for ref in entry]
+        metas = [part[3] for part in parts]
+        action = reduce(np.matmul, [part[0] for part in reversed(parts)])
+        action.setflags(write=False)
+        meta = {"norm_drift": max(m["norm_drift"] for m in metas),
+                "error_estimate": math.fsum(m["error_estimate"] for m in metas),
+                # a recurring part is applied again but integrated once
+                "steps": sum(m["steps"] for m in dict(zip(entry, metas)).values()),
+                **{key: m[key] for m in metas for key in m
+                   if key not in _INTEGRATION and key != "correction"}}
+        return (action, sum((part[1] for part in parts), ()),
+                math.fsum(part[2] for part in parts), meta)
+    u, info = propagate_basis(entry.static, entry.drives, *entry.span, entry.tol)
+    if entry.ramp is not None:
+        # W sends the labels onto the dressed columns, so W' u W acts on them
+        w = bare_to_dressed_map(entry.ramp, entry.static.space.dims[1] - 1).matrix
+        u = w.conj().T @ u @ w
+    m = u[np.ix_(entry.rows, entry.rows)]
+    action, correction = _phase_fixed(u, entry.rows, *entry.phases(m),
+                                      **entry.labels)
+    meta = {**{key: info[key] for key in _INTEGRATION}, "correction": correction,
+            **{key: float(abs(m[r, c]) ** 2) for key, (r, c) in entry.readouts.items()}}
+    return action, entry.pulses, entry.span[1] - entry.span[0], meta
+
+
 def _check_cavity(state: StateVector, cavity: str,
                   config: PhysicalGateConfig) -> None:
     n_ph = config.fock_cutoff + 1
@@ -312,60 +378,41 @@ def _check_cavity(state: StateVector, cavity: str,
 
 
 def _gate_result(state: StateVector, engine: tuple, factors: tuple,
-                 ideal: tuple, **fields) -> GateResult:
-    """Apply an engine's cached action to its factors; score it against the
-    ideal block (matrix, factors) on the same input.
-
-    engine is what every *_engine returns: (bare-basis action, pulses,
-    duration, meta with _integration's keys and optionally "correction").
-    """
+                 kind: GateKind) -> GateResult:
+    """Apply the cached action of an _action result to its factors; score
+    it against the ideal block of kind on the same input."""
     action, pulses, duration, meta = engine
     out = apply_local(state, action, factors)
-    target = apply_local(state, *ideal)
+    target = apply_local(state, *ideal_block(kind, state.space, *factors))
     fidelity = float(abs(np.vdot(target.amplitudes, out.amplitudes)) ** 2)
     return GateResult(output=out, fidelity_vs_ideal=fidelity, pulse_log=pulses,
                       duration=duration, target=target,
                       norm_drift=meta["norm_drift"],
                       error_estimate=meta["error_estimate"], steps=meta["steps"],
-                      correction=meta.get("correction"), **fields)
-
-
-def _integration(info: dict) -> dict:
-    """The engine meta read from one propagate_basis info."""
-    return {key: info[key] for key in ("norm_drift", "error_estimate", "steps")}
+                      correction=meta.get("correction"),
+                      exchange_probability_tdse=meta.get("exchange_forward"))
 
 
 # ---------------------------------------------------------------------------
 # CNOT, cavity controls atom
 
 
-def _cnot_pulse(params: JCParams) -> tuple:
+def _cnot_gate(params: JCParams, config: PhysicalGateConfig) -> _PulsedGate:
     r0 = float(manifold_splitting(params, 0))
     r1 = float(manifold_splitting(params, 1))
-    carrier_rot = r0 + r1                       # |V-,0> <-> |V+,1| gap
+    carrier = r0 + r1                           # |V-,0> <-> |V+,1| gap
     splitting = r1 - params.delta / 2.0         # distance to the 0-photon line
-    tau = TAU_FACTOR / splitting
-    shape = PulseSpec(omega_drive=params.omega + carrier_rot, amplitude=1.0,
-                      width=tau)
+    shape = PulseSpec(omega_drive=params.omega + carrier, amplitude=1.0,
+                      width=TAU_FACTOR / splitting)
     pulse = calibrate_pulse_area(shape, math.pi)
-    return pulse, carrier_rot
-
-
-@lru_cache(maxsize=32)
-def _cnot_engine(params: JCParams, config: PhysicalGateConfig):
-    cutoff = config.fock_cutoff
-    pulse, carrier_rot = _cnot_pulse(params)
-    static = jc_rotating(params, cutoff)
-    t0, t1 = pulse.window
-    drive = Drive(pulse, carrier_rot,
-                  None if config.rwa else 2.0 * params.omega + carrier_rot)
-    u, info = propagate_basis(static, [drive], t0, t1, config.tol)
-    a, rows = _encoded(u, params, cutoff)
-    theta = _truth_table_phases(a[np.ix_(rows, rows)], GateKind.CNOT_CAVITY_TO_ATOM)
-    action, correction = _phase_fixed(
-        a, rows, theta, ramp="adiabatic detuning ramp on computational labels")
-    return action, (pulse,), (t1 - t0), {**_integration(info),
-                                         "correction": correction}
+    return _PulsedGate(
+        static=jc_rotating(params, config.fock_cutoff),
+        drives=(Drive(pulse, carrier, None if config.rwa else 2.0 * params.omega + carrier),),
+        span=pulse.window, tol=config.tol, pulses=(pulse,), ramp=params,
+        rows=_comp_rows(config.fock_cutoff + 1),
+        phases=partial(_truth_table_phases, kind=GateKind.CNOT_CAVITY_TO_ATOM),
+        labels={"ramp": "adiabatic detuning ramp on computational labels"},
+        readouts={})
 
 
 def physical_cnot_cavity_to_atom(state: StateVector, params: JCParams,
@@ -385,33 +432,30 @@ def physical_cnot_cavity_to_atom(state: StateVector, params: JCParams,
     if x > 0.3:
         raise QStateError(f"coupling/detuning = {x:.3g} outside dispersive regime (> 0.3)")
     _check_cavity(state, cavity, config)
-    return _gate_result(state, _cnot_engine(params, config), (atom, cavity),
-                        ideal_block(GateKind.CNOT_CAVITY_TO_ATOM, state.space,
-                                    atom, cavity))
+    return _gate_result(state, _action(_cnot_gate, params, config), (atom, cavity),
+                        GateKind.CNOT_CAVITY_TO_ATOM)
 
 
 # ---------------------------------------------------------------------------
-# two-photon SWAP
+# two-photon SWAP, and the composite CNOT (atom controls cavity) built on it
 
 
-@lru_cache(maxsize=32)
-def _swap_engine(p: TwoPhotonParams, config: PhysicalGateConfig):
+def _swap_gate(p: TwoPhotonParams, config: PhysicalGateConfig) -> _PulsedGate:
     params = p.jc_params()
     cutoff = config.fock_cutoff
     if cutoff < 4:
         raise QStateError("fock_cutoff must be >= 4 for the two-photon ladder")
-    static = jc_rotating(params, cutoff)
     pulse = PulseSpec(omega_drive=p.laser_frequency, amplitude=2.0 * p.sigma0,
                       width=p.tau)
-    drives = [Drive(pulse, pulse.omega_drive)] if p.sigma0 > 0 else []
-    u, info = propagate_basis(static, drives, p.t_start, p.t_end, config.tol)
-    a, rows = _encoded(u, params, cutoff)
-    m = a[np.ix_(rows, rows)]
-    action, correction = _phase_fixed(
-        a, rows, _truth_table_phases(m, GateKind.SWAP_ATOM_CAVITY))
-    meta = {**_integration(info), "correction": correction,
-            "exchange_forward": float(abs(m[3, 0]) ** 2)}
-    return action, (pulse,), (p.t_end - p.t_start), meta
+    return _PulsedGate(
+        static=jc_rotating(params, cutoff),
+        drives=(Drive(pulse, pulse.omega_drive),) if p.sigma0 > 0 else (),
+        span=(p.t_start, p.t_end), tol=config.tol, pulses=(pulse,), ramp=params,
+        rows=_comp_rows(cutoff + 1),
+        phases=partial(_truth_table_phases, kind=GateKind.SWAP_ATOM_CAVITY),
+        labels={},
+        # the population |g,0> hands to |e,1>
+        readouts={"exchange_forward": (3, 0)})
 
 
 def physical_swap_two_photon(state: StateVector, p: TwoPhotonParams,
@@ -426,32 +470,13 @@ def physical_swap_two_photon(state: StateVector, p: TwoPhotonParams,
     """
     config = config or PhysicalGateConfig()
     _check_cavity(state, cavity, config)
-    engine = _swap_engine(p, config)
-    return _gate_result(state, engine, (atom, cavity),
-                        ideal_block(GateKind.SWAP_ATOM_CAVITY, state.space,
-                                    atom, cavity),
-                        exchange_probability_tdse=engine[3]["exchange_forward"])
+    return _gate_result(state, _action(_swap_gate, p, config), (atom, cavity),
+                        GateKind.SWAP_ATOM_CAVITY)
 
 
-# ---------------------------------------------------------------------------
-# composite CNOT, atom controls cavity
-
-
-@lru_cache(maxsize=32)
-def _cnot_atom_to_cavity_engine(p: TwoPhotonParams, config: PhysicalGateConfig):
-    swap_action, swap_pulses, swap_dur, swap_meta = _swap_engine(p, config)
-    cnot_action, cnot_pulses, cnot_dur, cnot_meta = _cnot_engine(p.jc_params(),
-                                                                 config)
-    action = swap_action @ cnot_action @ swap_action
-    action.setflags(write=False)
-    # the swap propagator is applied twice but integrated once
-    meta = {"norm_drift": max(swap_meta["norm_drift"], cnot_meta["norm_drift"]),
-            "error_estimate": 2.0 * swap_meta["error_estimate"]
-            + cnot_meta["error_estimate"],
-            "steps": swap_meta["steps"] + cnot_meta["steps"],
-            "exchange_forward": swap_meta["exchange_forward"]}
-    return (action, swap_pulses + cnot_pulses + swap_pulses,
-            2.0 * swap_dur + cnot_dur, meta)
+def _cnot_atom_to_cavity_gate(p: TwoPhotonParams, config: PhysicalGateConfig) -> tuple:
+    swap = (_swap_gate, p, config)
+    return swap, (_cnot_gate, p.jc_params(), config), swap
 
 
 def physical_cnot_atom_to_cavity(state: StateVector, p: TwoPhotonParams,
@@ -465,11 +490,8 @@ def physical_cnot_atom_to_cavity(state: StateVector, p: TwoPhotonParams,
     """
     config = config or PhysicalGateConfig()
     _check_cavity(state, cavity, config)
-    engine = _cnot_atom_to_cavity_engine(p, config)
-    return _gate_result(state, engine, (atom, cavity),
-                        ideal_block(GateKind.CNOT_ATOM_TO_CAVITY, state.space,
-                                    atom, cavity),
-                        exchange_probability_tdse=engine[3]["exchange_forward"])
+    return _gate_result(state, _action(_cnot_atom_to_cavity_gate, p, config),
+                        (atom, cavity), GateKind.CNOT_ATOM_TO_CAVITY)
 
 
 def averaged_step5_fidelity(p: TwoPhotonParams,
@@ -481,16 +503,12 @@ def averaged_step5_fidelity(p: TwoPhotonParams,
     configurations".
     """
     config = config or PhysicalGateConfig()
-    action = _cnot_atom_to_cavity_engine(p, config)[0]
-    n_ph = config.fock_cutoff + 1
-    rows = _comp_rows(n_ph)
+    action = _action(_cnot_atom_to_cavity_gate, p, config)[0]
+    rows = _comp_rows(config.fock_cutoff + 1)
     # the truth table is its own inverse: label k goes to row table[k]
     table = _TRUTH_TABLE[GateKind.CNOT_ATOM_TO_CAVITY]
-    per = {}
-    names = ("0g", "0e", "1g", "1e")
-    for k, name in enumerate(names):
-        col = action[:, rows[k]]
-        per[name] = float(abs(col[rows[table[k]]]) ** 2)
+    per = {name: float(abs(action[rows[table[k]], rows[k]]) ** 2)
+           for k, name in enumerate(("0g", "0e", "1g", "1e"))}
     return float(np.mean(list(per.values()))), per
 
 
@@ -498,32 +516,27 @@ def averaged_step5_fidelity(p: TwoPhotonParams,
 # Hadamard-type and NOT pulses on the atom
 
 
-@lru_cache(maxsize=32)
-def _bare_atom_pulse_engine(kind: GateKind, rabi: float, atom_dim: int,
-                            tol: float):
+def _bare_atom_gate(kind: GateKind, rabi: float, atom_dim: int,
+                    tol: float) -> _PulsedGate:
     """Resonant rotating-wave pulse on a cavity-decoupled atom.
 
     HADAMARD_ATOM is a pi/2 pulse with post- and pre-pulse atom phases,
     NOT_ATOM a pi pulse with post-pulse phases; a third level is untouched.
     """
-    tau = TAU_FACTOR / rabi
-    shape = PulseSpec(omega_drive=0.0, amplitude=1.0, width=tau)
+    shape = PulseSpec(omega_drive=0.0, amplitude=1.0, width=TAU_FACTOR / rabi)
     pulse = calibrate_pulse_area(
         shape, math.pi / 2.0 if kind == GateKind.HADAMARD_ATOM else math.pi)
     static = Operator(CompositeSpace([FactorLabel("atom", atom_dim)]),
                       np.zeros((atom_dim, atom_dim)), hermitian=True)
-    t0, t1 = pulse.window
-    u, info = propagate_basis(static, [Drive(pulse, pulse.omega_drive)], t0, t1, tol)
-    rows = [ATOM_G, ATOM_E]
-    theta, eta = _atom_phases(u[np.ix_(rows, rows)], kind)
-    action, correction = _phase_fixed(u, rows, theta, eta, mode="decoupled")
-    return action, (pulse,), (t1 - t0), {**_integration(info),
-                                         "correction": correction}
+    return _PulsedGate(
+        static=static, drives=(Drive(pulse, pulse.omega_drive),),
+        span=pulse.window, tol=tol, pulses=(pulse,), ramp=None,
+        rows=[ATOM_G, ATOM_E], phases=partial(_atom_phases, kind=kind),
+        labels={"mode": "decoupled"}, readouts={})
 
 
-@lru_cache(maxsize=32)
-def _dressed_sector_pulse_engine(kind: GateKind, params: JCParams,
-                                 config: PhysicalGateConfig):
+def _dressed_atom_gate(kind: GateKind, params: JCParams,
+                       config: PhysicalGateConfig) -> _PulsedGate:
     """HADAMARD_ATOM as one broadband midpoint pi/2 pulse, NOT_ATOM as two
     sector pi pulses.
 
@@ -531,43 +544,30 @@ def _dressed_sector_pulse_engine(kind: GateKind, params: JCParams,
     far-dispersive regime; sequential mode addresses the one-photon and
     zero-photon transitions one after the other for the full atomic flip.
     """
-    cutoff = config.fock_cutoff
     r0 = float(manifold_splitting(params, 0))
     r1 = float(manifold_splitting(params, 1))
     sector0 = r0 + params.delta / 2.0   # |g,0> <-> |V+,0>
     sector1 = r0 + r1                   # |V-,0> <-> |V+,1>
-    static = jc_rotating(params, cutoff)
     if kind == GateKind.HADAMARD_ATOM:
-        carrier = 0.5 * (sector0 + sector1)
         tau = TAU_FACTOR / params.rabi_coupling
-        shape = PulseSpec(omega_drive=params.omega + carrier, amplitude=1.0,
-                          width=tau)
-        pulse = calibrate_pulse_area(shape, math.pi / 2.0)
-        drives = [Drive(pulse, carrier,
-                        None if config.rwa else 2.0 * params.omega + carrier)]
-        pulses = (pulse,)
-        t0, t1 = pulse.window
-    else:
-        splitting = r1 - params.delta / 2.0
-        tau = TAU_FACTOR / splitting
         half = GAUSSIAN_SUPPORT * tau
-        shape1 = PulseSpec(omega_drive=params.omega + sector1, amplitude=1.0,
-                           width=tau)
-        shape0 = PulseSpec(omega_drive=params.omega + sector0, amplitude=1.0,
-                           width=tau, center=2.0 * half)
-        p1 = calibrate_pulse_area(shape1, math.pi)
-        p0 = calibrate_pulse_area(shape0, math.pi)
-        drives = [Drive(p, c, None if config.rwa else 2.0 * params.omega + c)
-                  for p, c in ((p1, sector1), (p0, sector0))]
-        pulses = (p1, p0)
-        t0, t1 = -half, 3.0 * half
-    u, info = propagate_basis(static, drives, t0, t1, config.tol)
-    a, rows = _encoded(u, params, cutoff)
-    mode = "dressed-broadband" if kind == GateKind.HADAMARD_ATOM else "dressed-sequential"
-    theta, eta = _atom_phases(a[np.ix_(rows, rows)], kind)
-    action, correction = _phase_fixed(a, rows, theta, eta, mode=mode)
-    return action, pulses, (t1 - t0), {**_integration(info),
-                                       "correction": correction}
+        carriers, centers, area = (0.5 * (sector0 + sector1),), (0.0,), math.pi / 2.0
+        span, mode = (-half, half), "dressed-broadband"
+    else:
+        tau = TAU_FACTOR / (r1 - params.delta / 2.0)
+        half = GAUSSIAN_SUPPORT * tau
+        carriers, centers, area = (sector1, sector0), (0.0, 2.0 * half), math.pi
+        span, mode = (-half, 3.0 * half), "dressed-sequential"
+    pulses = tuple(calibrate_pulse_area(PulseSpec(omega_drive=params.omega + c, amplitude=1.0,
+                                                  width=tau, center=t), area)
+                   for c, t in zip(carriers, centers))
+    return _PulsedGate(
+        static=jc_rotating(params, config.fock_cutoff),
+        drives=tuple(Drive(p, c, None if config.rwa else 2.0 * params.omega + c)
+                     for p, c in zip(pulses, carriers)),
+        span=span, tol=config.tol, pulses=pulses, ramp=params,
+        rows=_comp_rows(config.fock_cutoff + 1), phases=partial(_atom_phases, kind=kind),
+        labels={"mode": mode}, readouts={})
 
 
 def _atom_pulse_gate(kind: GateKind, state: StateVector, params: JCParams,
@@ -576,8 +576,8 @@ def _atom_pulse_gate(kind: GateKind, state: StateVector, params: JCParams,
     config = config or PhysicalGateConfig()
     atom_dim = state.space.factor(atom).dim
     if cavity is None or atom_dim == 3:
-        engine = _bare_atom_pulse_engine(kind, params.rabi_coupling, atom_dim,
-                                         config.tol)
+        engine = _action(_bare_atom_gate, kind, params.rabi_coupling, atom_dim,
+                         config.tol)
         factors = (atom,)
     else:
         if kind == GateKind.HADAMARD_ATOM:
@@ -586,9 +586,9 @@ def _atom_pulse_gate(kind: GateKind, state: StateVector, params: JCParams,
                 raise QStateError(
                     f"coupling/detuning = {x:.3g} too large for the broadband pulse (> 0.01)")
         _check_cavity(state, cavity, config)
-        engine = _dressed_sector_pulse_engine(kind, params, config)
+        engine = _action(_dressed_atom_gate, kind, params, config)
         factors = (atom, cavity)
-    return _gate_result(state, engine, factors, ideal_block(kind, state.space, atom))
+    return _gate_result(state, engine, factors, kind)
 
 
 def physical_hadamard_atom(state: StateVector, params: JCParams,
@@ -655,19 +655,15 @@ def three_level_hamiltonian(tp: ThreeLevelParams, fock_cutoff: int) -> Operator:
     return Operator(space, h, hermitian=True)
 
 
-@lru_cache(maxsize=32)
-def _cqpg_engine(tp: ThreeLevelParams, config: PhysicalGateConfig):
+def _cqpg_gate(tp: ThreeLevelParams, config: PhysicalGateConfig) -> _PulsedGate:
     n_ph = config.fock_cutoff + 1
-    static = three_level_hamiltonian(tp, config.fock_cutoff)
-    t_full = math.pi / tp.rabi_coupling   # full e1 -> i0 -> -e1 cycle
-    u, info = propagate_basis(static, [], 0.0, t_full, config.tol)
-    # rows |g,0>, |g,1>, |e,0>, |e,1>
-    rows = [ATOM_G * n_ph, ATOM_G * n_ph + 1, ATOM_E * n_ph, ATOM_E * n_ph + 1]
-    th = np.zeros(4)
-    th[:3] = [-np.angle(u[r, r]) for r in rows[:3]]
-    th[3] = th[2] + th[1] - th[0]   # forced: the -1 must appear physically
-    action, correction = _phase_fixed(u, rows, th, mode="resonant e-i cycle")
-    return action, (), t_full, {**_integration(info), "correction": correction}
+    return _PulsedGate(
+        static=three_level_hamiltonian(tp, config.fock_cutoff), drives=(),
+        # the full e1 -> i0 -> -e1 cycle
+        span=(0.0, math.pi / tp.rabi_coupling), tol=config.tol, pulses=(),
+        ramp=None,
+        rows=[ATOM_G * n_ph, ATOM_G * n_ph + 1, ATOM_E * n_ph, ATOM_E * n_ph + 1],
+        phases=_cqpg_phases, labels={"mode": "resonant e-i cycle"}, readouts={})
 
 
 def physical_cqpg_local(state: StateVector, tp: ThreeLevelParams,
@@ -685,5 +681,5 @@ def physical_cqpg_local(state: StateVector, tp: ThreeLevelParams,
     if state.space.factor(atom).dim != 3:
         raise QStateError(f"factor {atom!r} must be a three-level atom")
     _check_cavity(state, cavity, config)
-    return _gate_result(state, _cqpg_engine(tp, config), (atom, cavity),
-                        ideal_block(GateKind.CQPG_LOCAL, state.space, atom, cavity))
+    return _gate_result(state, _action(_cqpg_gate, tp, config), (atom, cavity),
+                        GateKind.CQPG_LOCAL)

@@ -30,6 +30,10 @@ picks its method from the drives it is given:
   The steps are built, exponentiated and multiplied MAGNUS_BLOCK at a time
   in one workspace per thread, written with out= and reused block after
   block, so a block allocates no matrix stack of its own.
+  Each distinct window (static Hamiltonian and space, drive, clipped
+  bounds, tol) is integrated once and kept read-only in a bounded cache,
+  so a window that recurs, in the same gate or another, costs nothing:
+  it reports the same steps and error estimate and adds 0 to info["nfev"].
 
 No path renormalizes; the norm drift of the result is reported as a check.
 """
@@ -457,17 +461,36 @@ def _magnus_window(h0: np.ndarray, n_exc: np.ndarray, raise_op: np.ndarray,
     return u, n, estimate, evaluations
 
 
+_WINDOW_WORK = threading.local()
+
+
+@lru_cache(maxsize=64)
+def _shared_window(h0: bytes, space: CompositeSpace, drive: Drive, t0: float,
+                   t1: float, tol: float) -> tuple:
+    """(U, steps, estimate) of _magnus_window for one drive on [t0, t1]
+    under the static Hamiltonian whose matrix bytes are h0, integrated once
+    and shared read-only wherever the same window recurs.  The evaluations
+    it makes go to the calling thread's _WINDOW_WORK.evaluations; a cached
+    window adds none."""
+    h = np.frombuffer(h0, dtype=complex).reshape(space.dim, space.dim)
+    u, steps, estimate, evaluations = _magnus_window(
+        h, _excitations(space), _atom_raise(space), drive, t0, t1, tol)
+    u.setflags(write=False)
+    _WINDOW_WORK.evaluations += evaluations
+    return u, steps, estimate
+
+
 def _magnus_propagator(static_h: Operator, evals: np.ndarray, q: np.ndarray,
                        drives: Sequence[Drive], t0: float, t1: float,
                        tol: float) -> tuple:
     """Propagator over [t0, t1] under drives with disjoint windows.
 
-    Each drive's window is one segment in its own carrier's frame; the time
-    outside every window evolves exactly under static_h.  Returns
-    (U, info).
+    Each drive's window, clipped to [t0, t1], is one segment in its own
+    carrier's frame, taken from _shared_window; the time outside every
+    window evolves exactly under static_h.  Returns (U, info).
     """
     h0 = static_h.matrix
-    raise_op = _atom_raise(static_h.space)
+    _atom_raise(static_h.space)     # refuses a space without a leading atom
     n_exc = _excitations(static_h.space)
     if np.any(h0[n_exc[:, None] != n_exc[None, :]] != 0):
         raise QStateError("carrier-frame propagation needs a static Hamiltonian "
@@ -487,17 +510,18 @@ def _magnus_propagator(static_h: Operator, evals: np.ndarray, q: np.ndarray,
         return (q * np.exp(-1j * evals * dt)) @ q.conj().T
 
     u = np.eye(h0.shape[0], dtype=complex)
-    t, steps, estimate, evaluations = t0, 0, 0.0, 0
+    t, steps, estimate = t0, 0, 0.0
+    _WINDOW_WORK.evaluations = 0
     for lo, hi, drive in windows:
         if lo > t:
             u = free(lo - t) @ u
-        seg, n, est, work = _magnus_window(h0, n_exc, raise_op, drive, lo, hi, tol)
+        seg, n, est = _shared_window(h0.tobytes(), static_h.space, drive, lo, hi, tol)
         u = seg @ u
-        t, steps, estimate, evaluations = hi, steps + n, estimate + est, evaluations + work
+        t, steps, estimate = hi, steps + n, estimate + est
     if t1 > t:
         u = free(t1 - t) @ u
-    return u, {"nfev": evaluations, "method": "magnus6", "steps": steps,
-               "error_estimate": estimate}
+    return u, {"nfev": _WINDOW_WORK.evaluations, "method": "magnus6",
+               "steps": steps, "error_estimate": estimate}
 
 
 def propagate_basis(static_h: Operator, drives: Sequence[Drive],
@@ -515,9 +539,12 @@ def propagate_basis(static_h: Operator, drives: Sequence[Drive],
     steps, though a time-symmetric window computes half of them, and
     info["error_estimate"] is their step-doubling estimate of
     max |U - U_exact|, held below tol (both 0 on the exact path);
-    info["nfev"] counts coefficient evaluations at the step rule's nodes,
-    FILON_NODES per panel of every step computed over every doubling: 10 a
-    step for a rotating-wave drive, 10 P for the full drive's P panels.
+    info["nfev"] counts the coefficient evaluations this call made at the
+    step rule's nodes, FILON_NODES per panel of every step computed over
+    every doubling: 10 a step for a rotating-wave drive, 10 P for the full
+    drive's P panels.  A window already integrated by an earlier call (the
+    same static Hamiltonian, drive, clipped bounds and tol) comes from the
+    window cache: it adds its steps and estimate as before and 0 to nfev.
     """
     if t1 <= t0:
         raise QStateError(f"need t1 > t0, got [{t0}, {t1}]")

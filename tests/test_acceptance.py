@@ -137,9 +137,10 @@ def test_criterion_4_step5_average():
     mean, per = averaged_step5_fidelity(SOURCE_POINT_CYCLIC, RWA_CFG)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"runtime {elapsed:.1f} s exceeds 5 min"
+    labels = ", ".join(f"{name}: {value:.6f}" for name, value in per.items())
     assert abs(mean - 0.54) <= 0.05, (
         f"step-5 average {mean:.6f} not within 0.54 +/- 0.05; "
-        f"per-label {per}")
+        f"per-label {labels}")
     print(f"criterion 4 PASS: step-5 average {mean:.4f}, {elapsed:.1f} s")
 
 

@@ -33,7 +33,7 @@ from cavitylink import (
     state_fidelity,
 )
 import cavitylink
-from cavitylink import cli, gates, perturb, qstate
+from cavitylink import cli, gates, perturb, pulses, qstate
 from cavitylink.gates import HADAMATOM, checked_fidelity
 from cavitylink import protocol
 from cavitylink.protocol import TraceRecord
@@ -839,18 +839,68 @@ def test_physical_trace_reports_stark_switches():
     assert all(ln.startswith("[") for ln in lines)
 
 
-def test_cold_physical_cnot_integrates_the_cnot_pulse_once():
-    # step 4 and the step-5 composite share one full-node CNOT propagator
-    gates._cnot_engine.cache_clear()
-    gates._cnot_atom_to_cavity_engine.cache_clear()
-    perturb._sigma0_free_total.cache_clear()
-    protocol._branch_maps.cache_clear()
+def _clear_every_cache():
+    for cache in (gates._action, pulses._shared_window, perturb._sigma0_free_total,
+                  protocol._branch_maps):
+        cache.cache_clear()
+
+
+def test_cold_physical_cnot_integrates_the_cnot_pulse_once(monkeypatch):
+    # step 4 and the step-5 composite share one full-node CNOT propagator:
+    # the CNOT entry is built once, and the action cache answers the rest
+    builds = []
+    cnot_gate = gates._cnot_gate
+
+    def counted(*args):
+        builds.append(args)
+        return cnot_gate(*args)
+
+    monkeypatch.setattr(gates, "_cnot_gate", counted)
+    _clear_every_cache()
     run_nonlocal_cnot(level="physical")
-    info = gates._cnot_engine.cache_info()
-    assert info.misses == 1
-    assert info.hits >= 1
+    assert len(builds) == 1
+    assert gates._action.cache_info().hits >= 1
     # and no gate computes the perturbative two-photon integral
     assert perturb._sigma0_free_total.cache_info().misses == 0
+
+
+def test_cold_physical_cnot_integrates_each_distinct_window_once(monkeypatch):
+    # the sequential NOT's first pulse is the step-4 CNOT pulse on the same
+    # node: of six windows one recurs, so five are integrated
+    integrated, requested = [], []
+    window, shared = pulses._magnus_window, pulses._shared_window
+
+    def integrate(*args):
+        integrated.append(args[3:])
+        return window(*args)
+
+    def request(*key):
+        out = shared(*key)
+        requested.append((key, out[0]))
+        return out
+
+    _clear_every_cache()
+    monkeypatch.setattr(pulses, "_magnus_window", integrate)
+    monkeypatch.setattr(pulses, "_shared_window", request)
+    run_nonlocal_cnot(level="physical")
+    assert len(requested) == 6 and len(integrated) == 5
+    keys = [key for key, _u in requested]
+    (twice,) = [key for key in set(keys) if keys.count(key) == 2]
+    cnot = gates._cnot_gate(protocol.SWAP_PARAMS.jc_params(),
+                            protocol.ProtocolConfig().gate_config())
+    assert twice[2] == cnot.drives[0] and twice[3:5] == cnot.span
+    step4, repeat = [u for key, u in requested if key == twice]
+    assert step4.tobytes() == repeat.tobytes()
+    # a window that differs only in tol, or only in its clipped bounds, is
+    # integrated again; a wider span clips to the same window
+    h0, space, drive, t0, t1, tol = twice
+    static = qstate.Operator(space, np.frombuffer(h0, dtype=complex).reshape(space.dim, -1))
+    _u, info = pulses.propagate_basis(static, [drive], t0 - 1.0, t1 + 1.0, tol)
+    assert len(integrated) == 5 and info["nfev"] == 0
+    for span, tol_again in (((t0, t1), tol / 10.0), ((t0, 0.5 * t1), tol)):
+        _u, info = pulses.propagate_basis(static, [drive], *span, tol_again)
+        assert info["nfev"] > 0
+    assert integrated[5:] == [(drive, t0, t1, tol / 10.0), (drive, t0, 0.5 * t1, tol)]
 
 
 def test_import_and_physical_protocol_load_no_ode_integrator():

@@ -331,7 +331,8 @@ def test_full_drive_bloch_siegert_term_at_fixed_steps(monkeypatch):
         return steps(*args)
 
     monkeypatch.setattr(pulses, "_magnus_steps", spy)
-    gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.1), FULL)
+    pulses._shared_window.cache_clear()
+    _run_entry(gates._cnot_gate, desk_params(1.0, x=0.1), FULL)
     # the window [t0, t1] is time-symmetric, so the spied passes integrate
     # its half [t_c, t1]: at 8192 window steps a step is (t1 - t_c) / 4096
     basis, coefficient, w, middle, t1, _n = calls[0]
@@ -443,7 +444,8 @@ def test_magnus_blocks_reuse_their_workspace(monkeypatch):
         return steps(*args)
 
     monkeypatch.setattr(pulses, "_magnus_steps", spy)
-    gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.1), RWA)
+    pulses._shared_window.cache_clear()
+    _run_entry(gates._cnot_gate, desk_params(1.0, x=0.1), RWA)
     args = calls[-1]
     assert args[-1] == 512 and args[0].shape == (6, 144)
     tracemalloc.start()
@@ -487,7 +489,50 @@ def test_concurrent_windows_keep_their_own_workspace():
         assert all(np.array_equal(u, want) for u in got)
 
 
+def test_concurrent_calls_count_their_own_evaluations(monkeypatch):
+    # a call whose window integrates while another thread's call runs from
+    # start to end reports only its own evaluations: the first window is
+    # held, after integrating, until the second call has returned, so one
+    # counter shared by the threads would give the first call both counts
+    node = _node(6)
+    first, second = [Drive(calibrate_pulse_area(PulseSpec(omega_drive=0.4, amplitude=1.0,
+                                                           width=width), math.pi), 0.4)
+                     for width in (0.8, 1.2)]
+
+    def nfev(drive):
+        return propagate_basis(node, [drive], *drive.pulse.window, 1e-10)[1]["nfev"]
+
+    pulses._shared_window.cache_clear()
+    serial = {"first": nfev(first), "second": nfev(second)}
+    pulses._shared_window.cache_clear()
+    window, inside, returned = pulses._magnus_window, threading.Event(), threading.Event()
+
+    def held(*args):
+        out = window(*args)
+        if args[3] == first:
+            inside.set()
+            returned.wait(timeout=60)
+        return out
+
+    monkeypatch.setattr(pulses, "_magnus_window", held)
+    counts = {}
+    thread = threading.Thread(target=lambda: counts.update(first=nfev(first)))
+    thread.start()
+    try:
+        assert inside.wait(timeout=60)
+        counts["second"] = nfev(second)
+    finally:
+        returned.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert all(count > 0 for count in serial.values())
+    assert counts == serial
+    # each window is cached now: a call that only reads it made nothing
+    assert nfev(first) == nfev(second) == 0
+
+
 def test_magnus_info_and_frame_checks():
+    pulses._shared_window.cache_clear()
     p = desk_params(1.0, x=0.1)
     static = jc_rotating(p, 2)
     first = PulseSpec(omega_drive=0.4, amplitude=0.3, width=1.0)
@@ -537,7 +582,8 @@ def test_time_symmetric_window_is_its_half_times_its_transpose(case):
     else:
         params = desk_params(1.0, x=0.1)
         static = jc_rotating(params, 5)
-        pulse, carrier = gates._cnot_pulse(params)
+        drive = gates._cnot_gate(params, RWA).drives[0]
+        pulse, carrier = drive.pulse, drive.carrier
         counter, n = ((None, 1024) if case == "cnot-rwa"
                       else (2.0 * params.omega + carrier, 16384))
     basis, coefficient, w, (t0, t1) = _frame_generator(carrier, counter, static, pulse)
@@ -654,26 +700,30 @@ def _slow_bare_full_drive():
                                   1e-10)
 
 
+def _run_entry(gate, *args):
+    """One table entry through the gate engine, past its action cache."""
+    return gates._action.__wrapped__(gate, *args)
+
+
 RWA_ENGINES = {
-    "cnot-x0.1": lambda: gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.1), RWA),
-    "cnot-x0.02": lambda: gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.02), RWA),
-    "swap-cyclic": lambda: gates._swap_engine.__wrapped__(SOURCE_POINT_CYCLIC, RWA),
-    "dressed-hadamard-x1e-3": lambda: gates._dressed_sector_pulse_engine.__wrapped__(
-        GateKind.HADAMARD_ATOM, desk_params(1.0, x=1e-3), RWA),
-    "sequential-not": lambda: gates._dressed_sector_pulse_engine.__wrapped__(
-        GateKind.NOT_ATOM, desk_params(1.0, x=0.1), RWA),
+    "cnot-x0.1": lambda: _run_entry(gates._cnot_gate, desk_params(1.0, x=0.1), RWA),
+    "cnot-x0.02": lambda: _run_entry(gates._cnot_gate, desk_params(1.0, x=0.02), RWA),
+    "swap-cyclic": lambda: _run_entry(gates._swap_gate, SOURCE_POINT_CYCLIC, RWA),
+    "dressed-hadamard-x1e-3": lambda: _run_entry(
+        gates._dressed_atom_gate, GateKind.HADAMARD_ATOM, desk_params(1.0, x=1e-3), RWA),
+    "sequential-not": lambda: _run_entry(
+        gates._dressed_atom_gate, GateKind.NOT_ATOM, desk_params(1.0, x=0.1), RWA),
     **{f"bare-{kind.value}-dim{dim}":
-       (lambda kind=kind, dim=dim: gates._bare_atom_pulse_engine.__wrapped__(
-           kind, 1.0, dim, 1e-10))
+       (lambda kind=kind, dim=dim: _run_entry(gates._bare_atom_gate, kind, 1.0, dim, 1e-10))
        for kind in (GateKind.HADAMARD_ATOM, GateKind.NOT_ATOM) for dim in (2, 3)},
     "two-photon-angular": lambda: two_photon_tdse_oracle(SOURCE_POINT_ANGULAR),
     "two-photon-cyclic": lambda: two_photon_tdse_oracle(SOURCE_POINT_CYCLIC),
 }
 FULL_ENGINES = {
-    "cnot-x0.1": lambda: gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.1), FULL),
-    "cnot-x0.05": lambda: gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.05), FULL),
-    "sequential-not": lambda: gates._dressed_sector_pulse_engine.__wrapped__(
-        GateKind.NOT_ATOM, desk_params(1.0, x=0.1), FULL),
+    "cnot-x0.1": lambda: _run_entry(gates._cnot_gate, desk_params(1.0, x=0.1), FULL),
+    "cnot-x0.05": lambda: _run_entry(gates._cnot_gate, desk_params(1.0, x=0.05), FULL),
+    "sequential-not": lambda: _run_entry(
+        gates._dressed_atom_gate, GateKind.NOT_ATOM, desk_params(1.0, x=0.1), FULL),
     "bare-slow": _slow_bare_full_drive,
 }
 
@@ -727,21 +777,23 @@ def test_full_drive_engines_match_dop853(monkeypatch, name):
 def test_under_resolved_drive_raises_stiffness(monkeypatch):
     # the CNOT pulse needs about a thousand steps; refuse past 128
     monkeypatch.setattr(pulses, "MAGNUS_MAX_STEPS", 128)
+    pulses._shared_window.cache_clear()
     with pytest.raises(StiffnessError, match="passed 128"):
-        gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.1), RWA)
+        _run_entry(gates._cnot_gate, desk_params(1.0, x=0.1), RWA)
 
 
 def test_tolerance_below_the_rounding_floor_raises_stiffness():
     # at 1e-16 the RWA CNOT's estimates fall to a few 1e-15 and then rise
     # with rounding; the doubling stops there instead of running to the cap
     tight = PhysicalGateConfig(rwa=True, tol=1e-16)
+    pulses._shared_window.cache_clear()
     start = time.perf_counter()
     with pytest.raises(StiffnessError, match="rounding floor"):
-        gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.1), tight)
+        _run_entry(gates._cnot_gate, desk_params(1.0, x=0.1), tight)
     assert time.perf_counter() - start < 30.0
     # at the default tol the rule cannot act: the x = 0.02 pulse keeps its
     # step count
-    meta = gates._cnot_engine.__wrapped__(desk_params(1.0, x=0.02), RWA)[3]
+    meta = _run_entry(gates._cnot_gate, desk_params(1.0, x=0.02), RWA)[3]
     assert meta["steps"] == 4096
     assert meta["error_estimate"] < RWA.tol
 
@@ -759,6 +811,7 @@ def test_rising_estimate_above_the_rounding_onset_keeps_doubling(monkeypatch):
         return passes[-1]
 
     monkeypatch.setattr(pulses, "_magnus_steps", spy)
+    pulses._shared_window.cache_clear()
     static = jc_rotating(desk_params(1.0, x=0.1), 2)
     strong = PulseSpec(omega_drive=0.4, amplitude=1600.0, width=1.0)
     _u, info = propagate_basis(static, [Drive(strong, 0.4)], -3.0, 3.0, 1e-10)
