@@ -388,12 +388,14 @@ def cmd_protocol(ns) -> int:
     fmt = _fmt if ns.level == "ideal" else (lambda v: _fmt_at_tol(v, ns.tolerance))
     summary = ["run,branch,probability,fidelity_vs_ideal" if multi
                else "branch,probability,fidelity_vs_ideal"]
+    trace_path = ns.trace if ns.trace else (ns.out + ".trace" if ns.out else None)
     trace_lines = []
     all_good = True
     for idx, (a, b, c, d) in enumerate(amp_sets):
         trace = runner(a, b, c, d, level=ns.level, config=config)
-        prefix = f"run={idx} " if multi else ""
-        trace_lines.extend(prefix + line for line in trace.trace_lines())
+        if trace_path:
+            prefix = f"run={idx} " if multi else ""
+            trace_lines.extend(prefix + line for line in trace.trace_lines())
         for label, prob, fid in trace.summary_rows():
             row = [label, fmt(prob), fmt(fid)]
             if multi:
@@ -402,7 +404,6 @@ def cmd_protocol(ns) -> int:
             if fid < 1.0 - 1e-9:
                 all_good = False
     _emit(summary, ns.out)
-    trace_path = ns.trace if ns.trace else (ns.out + ".trace" if ns.out else None)
     if trace_path:
         _emit(trace_lines, trace_path)
     if ns.level == "ideal":

@@ -111,6 +111,10 @@ class ThreeLevelParams:
     delta_ge: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for field in ("rabi_coupling", "delta_ge"):
+            v = getattr(self, field)
+            if v is not None and not math.isfinite(v):
+                raise QStateError(f"{field} must be finite, got {v}")
         if self.rabi_coupling <= 0:
             raise QStateError("rabi_coupling must be > 0")
         if self.delta_ge is not None and self.delta_ge == 0:
@@ -135,13 +139,15 @@ class GateResult:
     duration: float
     # the ideal block's output on the same input, which output is scored against
     target: StateVector
-    norm_drift: Optional[float] = None
-    correction: Optional[dict] = None
-    exchange_probability_tdse: Optional[float] = None
+    norm_drift: float
+    # the phase-fix record; None for a composite
+    correction: Optional[dict]
+    # the swap's |g,0> -> |V+,1> probability; None for a gate without the swap
+    exchange_probability_tdse: Optional[float]
     # step-doubling estimate of max |U - U_exact| over the propagators the
     # action is built from, and their Magnus steps (0 for exact evolution)
-    error_estimate: Optional[float] = None
-    steps: Optional[int] = None
+    error_estimate: float
+    steps: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fidelity_vs_ideal",

@@ -62,6 +62,10 @@ class TwoPhotonParams:
     sigma0: float
 
     def __post_init__(self) -> None:
+        for field in ("rabi_coupling", "delta", "tau", "sigma0"):
+            v = getattr(self, field)
+            if not math.isfinite(v):
+                raise QStateError(f"{field} must be finite, got {v}")
         if self.rabi_coupling <= 0:
             raise QStateError("rabi_coupling must be > 0")
         if self.delta <= 0:

@@ -230,13 +230,6 @@ def _check_pair(u: complex, v: complex, names: str) -> None:
         raise QStateError(f"|{names[0]}|^2 + |{names[1]}|^2 = {norm}, expected 1")
 
 
-def _atom_level(label: str, dim: int, level: int) -> StateVector:
-    """The basis state |level> of one factor: an atom level, or a photon number."""
-    v = np.zeros(dim, dtype=complex)
-    v[level] = 1.0
-    return StateVector(CompositeSpace([FactorLabel(label, dim)]), v)
-
-
 def prepare_register(a: complex, b: complex, c: complex, d: complex,
                      fock_cutoff: int = 5,
                      params: Optional[JCParams] = None) -> StateVector:
@@ -256,8 +249,9 @@ def prepare_register(a: complex, b: complex, c: complex, d: complex,
     parts = []
     for label_c, label_a, one, zero in (("A", "alpha", a, b), ("B", "beta", c, d)):
         atom = np.array([zero, 1.0j * one], dtype=complex)  # drive-phase precompensation
+        cavity = CompositeSpace([FactorLabel(label_c, dim_c)])
         node = tensor([StateVector(CompositeSpace([FactorLabel(label_a, 2)]), atom),
-                       _atom_level(label_c, dim_c, 0)])   # the cavity empty
+                       cavity.basis_state({label_c: 0})])   # the cavity empty
         node = resonant_rabi_evolve(resonant, node,
                                     math.pi / (2.0 * params.rabi_coupling),
                                     atom=label_a, cavity=label_c)
@@ -548,27 +542,31 @@ _LEVELS = {
 
 
 def _record(records: list, branch: str, step: str, node: Node, operation: str,
-            params_text: str, outcome: str, support: tuple = ()) -> None:
+            params_text: str, outcome: str, support: tuple = (),
+            slot: Optional[tuple] = None) -> None:
+    """Append the record and its slot (see _Maps) to records."""
     if not _is_local(node.name, support):
         raise ProtocolError(
             f"operation on {support} exceeds node {node.name} ({sorted(node.factors)})")
-    records.append(TraceRecord(branch, step, node.name, operation, params_text,
-                               outcome, tuple(support)))
+    records.append((TraceRecord(branch, step, node.name, operation, params_text,
+                                outcome, tuple(support)), slot))
 
 
 def _run_step(records: list, scores: list, level: _Level, params: JCParams,
               config: ProtocolConfig, branch: str, step: _Step,
               state: StateVector) -> StateVector:
     """Apply step and record it; a gate record is traced with the fidelity on
-    state, and its _Scored gate kept in scores with the record's index."""
+    state, and its slot names its _Scored gate's index in scores."""
     state, done = level.apply(step, state, params, config)
     for operation, params_text, outcome, support in done:
+        slot = None
         if isinstance(outcome, _Scored):
-            scores.append((len(records), outcome))
+            slot = ("gate", len(scores), outcome.suffix)
+            scores.append(outcome)
             outcome = _fidelity_outcome(outcome.result.fidelity_vs_ideal,
                                         outcome.suffix)
         _record(records, branch, step.name, step.node, operation, params_text,
-                outcome, support)
+                outcome, support, slot)
     return state
 
 
@@ -652,7 +650,8 @@ def _run_steps(spec: _Gate, lvl: _Level, config: ProtocolConfig,
                cav_state: StateVector, ref_cav: StateVector,
                atoms: StateVector, supplied: bool) -> tuple:
     """The step table on one loaded register and ebit: (records, leaves,
-    scores), scores the (record index, _Scored) of each gate record.
+    scores), records each (TraceRecord, slot) and scores the _Scored gate of
+    each gate record.
 
     ref_cav is the register the ideal target is taken on; every record is
     refused as it is made if it leaves its node.
@@ -686,7 +685,8 @@ def _run_steps(spec: _Gate, lvl: _Level, config: ProtocolConfig,
         alpha_out = ATOM_LEVEL_NAMES[alpha_level]
         tag_a = alpha_out + "?"
         _record(records, tag_a, "measure-alpha", ALICE, "projective-measurement",
-                "basis g/e", _measured(alpha_out, p_alpha), ("alpha",))
+                "basis g/e", _measured(alpha_out, p_alpha), ("alpha",),
+                ("alpha", alpha_out))
         to_bob = ("Alice", "Bob", _bit_of(alpha_out), "alpha-measurement")
         _record(records, tag_a, "classical", ALICE, "send-bit",
                 f"bit={_bit_of(alpha_out)}", "Alice -> Bob")
@@ -701,7 +701,7 @@ def _run_steps(spec: _Gate, lvl: _Level, config: ProtocolConfig,
             tag = alpha_out + beta_out
             _record(records, tag, "measure-beta", BOB, "projective-measurement",
                     "basis " + "/".join(ATOM_LEVEL_NAMES[:spec.beta_dim]),
-                    _measured(beta_out, p_beta), ("beta",))
+                    _measured(beta_out, p_beta), ("beta",), ("beta", len(leaves)))
             if beta_out == "i":
                 leaves.append(_Leaf(alpha_out, beta_out, p_alpha, p_beta, sf, None,
                                     (to_bob,)))
@@ -737,18 +737,17 @@ class _Maps:
     kraus[j] and targets[j] take the input's (A, B) amplitudes on those
     levels, A-major, to branch j's unnormalized output and its ideal target
     on (A, B, alpha, beta); targets[j] is zero on a beta outcome i, which so
-    scores 0.  scored[k] holds gate record k's pre-state, ideal-image and
-    output columns as _gate_columns keeps them.  prefix holds the records
-    before alpha is measured; alphas holds, per alpha outcome, its records
-    and its branches as (j, beta, records, bits).  Each group of records comes as
-    (records, gates), gates the (position, k, text after the fidelity) of
-    its gate records; the first record of a measured group is its
-    measurement, whose p= is the input's.
+    scores 0.  branches[j] is its (alpha, beta, bits).  scored[k] holds gate
+    record k's pre-state, ideal-image and output columns as _gate_columns
+    keeps them.  records holds the step loop's records in order, each as
+    (record, slot): slot None copies the record; ("alpha", outcome) and
+    ("beta", j) are measurements, whose p= is the input's; ("gate", k,
+    suffix) is gate record k, whose fidelity= is the input's from scored[k].
     """
 
     side: int
-    prefix: tuple
-    alphas: tuple
+    records: tuple
+    branches: tuple
     kraus: np.ndarray
     targets: np.ndarray
     scored: np.ndarray
@@ -819,26 +818,11 @@ def _branch_maps(gate: str, level: str, config: ProtocolConfig, m: int,
         raise ProtocolError(f"branch maps are incomplete on cavity levels <= {m}: "
                             f"sum K^dag K is off the identity by {err:.3g}")
     scored = np.array([_gate_columns(columns(sc.pre), columns(sc.result.target),
-                                     columns(sc.result.output)) for _, sc in scores])
+                                     columns(sc.result.output)) for sc in scores])
     for array in (kraus, targets, scored):
         array.setflags(write=False)
-
-    gate_record = {i: (k, sc.suffix) for k, (i, sc) in enumerate(scores)}
-    groups: dict = {}
-    for i, rec in enumerate(records):
-        group, gates = groups.setdefault(rec.branch, ([], []))
-        if i in gate_record:
-            gates.append((len(group), *gate_record[i]))
-        group.append(rec)
-    groups = {key: (tuple(group), tuple(gates))
-              for key, (group, gates) in groups.items()}
-    alphas: dict = {}
-    for j, leaf in enumerate(leaves):
-        alphas.setdefault(leaf.alpha, []).append(
-            (j, leaf.beta, groups[leaf.alpha + leaf.beta], leaf.bits))
-    return _Maps(side, groups["*"],
-                 tuple((alpha, groups[alpha + "?"], tuple(betas))
-                       for alpha, betas in alphas.items()),
+    return _Maps(side, tuple(records),
+                 tuple((leaf.alpha, leaf.beta, leaf.bits) for leaf in leaves),
                  kraus, targets, scored)
 
 
@@ -906,37 +890,41 @@ def _apply_maps(gate: str, level: str, config: ProtocolConfig,
     shape = (dim_c, dim_c, 2, beta_dim) + tuple(space.dims[k] for k in rest)
     order = [axes.index(k) if k in axes else 4 + rest.index(k)
              for k in range(len(space.dims))] + [2, 3]
-    records: list = []
+    p_alpha: dict = {}
+    for (alpha, _, _), p in zip(maps.branches, probs):
+        p_alpha[alpha] = p_alpha.get(alpha, 0) + p
 
-    def extend(group: tuple, measured: Optional[tuple] = None) -> None:
-        # a group's records on this input: its measurement's p= and each
-        # gate record's fidelity=
-        group_records, gates = group
-        start = len(records)
-        records.extend(group_records)
-        if measured:
-            records[start] = _with_outcome(group_records[0], _measured(*measured))
-        for i, k, suffix in gates:
-            records[start + i] = _with_outcome(group_records[i],
-                                               _fidelity_outcome(fids[k], suffix))
-
-    extend(maps.prefix)
-    branches = []
-    for alpha, alpha_records, betas in maps.alphas:
-        p_alpha = sum(probs[j] for j, *_ in betas)
-        if p_alpha < 1e-30:
-            continue
-        extend(alpha_records, (alpha, p_alpha))
-        for j, beta, beta_records, bits in betas:
-            p_beta = probs[j] / p_alpha
-            if p_beta < 1e-30:
-                continue
-            extend(beta_records, (beta, p_beta))
-            p = p_alpha * p_beta
-            final = outs[j] / math.sqrt(p)
-            branches.append(BranchResult(
-                alpha, beta, p, float(abs(np.vdot(targets[j], final)) ** 2),
-                StateVector(out_space, final.reshape(shape).transpose(order)), bits))
+    # one pass in record order: a measurement at p < 1e-30 is dropped with
+    # every record up to the next measurement, and a dropped alpha outcome
+    # with every beta outcome under it
+    records, branches = [], []
+    kept = alpha_kept = True
+    for record, slot in maps.records:
+        if slot is None:
+            pass
+        elif slot[0] == "gate":
+            if kept:
+                record = _with_outcome(record, _fidelity_outcome(fids[slot[1]], slot[2]))
+        elif slot[0] == "alpha":
+            alpha = slot[1]
+            kept = alpha_kept = not p_alpha[alpha] < 1e-30
+            if kept:
+                record = _with_outcome(record, _measured(alpha, p_alpha[alpha]))
+        else:
+            j = slot[1]
+            alpha, beta, bits = maps.branches[j]
+            p_beta = probs[j] / p_alpha[alpha] if alpha_kept else 0.0
+            kept = not p_beta < 1e-30
+            if kept:
+                record = _with_outcome(record, _measured(beta, p_beta))
+                p = p_alpha[alpha] * p_beta
+                final = outs[j] / math.sqrt(p)
+                branches.append(BranchResult(
+                    alpha, beta, p, float(abs(np.vdot(targets[j], final)) ** 2),
+                    StateVector(out_space, final.reshape(shape).transpose(order)),
+                    bits))
+        if kept:
+            records.append(record)
     return records, branches
 
 

@@ -87,8 +87,8 @@ _TAYLOR_LOG2_BUDGET = math.log2(math.factorial(13)) - 53.0
 
 class StiffnessError(RuntimeError):
     """The integrator failed to resolve the drive: Magnus step doubling
-    passed MAGNUS_MAX_STEPS, or met its rounding floor, before its error
-    estimate met the tolerance."""
+    passed MAGNUS_MAX_STEPS, met its rounding floor, or gave a non-finite
+    error estimate before its estimate met the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,14 @@ class PulseSpec:
     center: float = 0.0
 
     def __post_init__(self) -> None:
+        for field in ("omega_drive", "amplitude", "width", "center"):
+            v = getattr(self, field)
+            if not math.isfinite(v):
+                raise QStateError(f"{field} must be finite, got {v}")
         if self.amplitude < 0:
             raise QStateError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.width <= 0:
             raise QStateError(f"width must be > 0, got {self.width}")
-        if not math.isfinite(self.omega_drive):
-            raise QStateError("omega_drive must be finite")
 
     @property
     def window(self) -> tuple:
@@ -450,6 +452,10 @@ def _magnus_window(h0: np.ndarray, n_exc: np.ndarray, raise_op: np.ndarray,
         estimate = float(np.max(np.abs(fine - coarse))) / 63.0
         if estimate < tol:
             break
+        if not math.isfinite(estimate):
+            raise StiffnessError(
+                f"Magnus steps on [{t0:.6g}, {t1:.6g}] gave error estimate "
+                f"{estimate:.3g} at {n} steps")
         if previous < MAGNUS_ROUNDING_ONSET and estimate > previous:
             raise StiffnessError(
                 f"Magnus steps on [{t0:.6g}, {t1:.6g}] met the rounding floor: "

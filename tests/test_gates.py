@@ -202,12 +202,13 @@ def test_config_and_params_validation():
 
 def test_gate_result_fidelity_clamp():
     st = _node_state({(0, 0): 1.0})
-    res = GateResult(output=st, fidelity_vs_ideal=1.0 + 5e-10,
-                     pulse_log=(), duration=0.0, target=st)
+    exact = dict(pulse_log=(), duration=0.0, target=st, norm_drift=0.0,
+                 correction=None, exchange_probability_tdse=None,
+                 error_estimate=0.0, steps=0)
+    res = GateResult(output=st, fidelity_vs_ideal=1.0 + 5e-10, **exact)
     assert res.fidelity_vs_ideal == 1.0
     with pytest.raises(QStateError, match="outside"):
-        GateResult(output=st, fidelity_vs_ideal=1.1, pulse_log=(), duration=0.0,
-                   target=st)
+        GateResult(output=st, fidelity_vs_ideal=1.1, **exact)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,20 @@
-"""Name hygiene of the package, checked with the standard library alone."""
+"""Hygiene of the package's names and parameter records, checked with the
+standard library alone."""
 
 import ast
+import dataclasses
+import math
+import typing
 from pathlib import Path
 
+import pytest
+
 import cavitylink
+from cavitylink.gates import ThreeLevelParams
+from cavitylink.jcmodel import JCParams
+from cavitylink.perturb import SOURCE_POINT_CYCLIC
+from cavitylink.pulses import PulseSpec
+from cavitylink.qstate import QStateError
 
 PACKAGE = Path(cavitylink.__file__).resolve().parent
 
@@ -116,3 +127,31 @@ def test_helper_check_flags_an_unreferenced_helper():
         "b.py": ast.parse("import a\nvalue = a._by_attribute()\n"),
     }
     assert _unreferenced_helpers(modules) == [("a.py", "_orphan")]
+
+
+# one valid instance of each parameter record
+PARAMETER_RECORDS = (JCParams(omega0=1.1, omega=1.0, rabi_coupling=0.01),
+                     PulseSpec(omega_drive=1.0, amplitude=1.0, width=1.0),
+                     SOURCE_POINT_CYCLIC,
+                     ThreeLevelParams(rabi_coupling=1.0))
+
+
+def _float_fields(record) -> list:
+    """The fields of a dataclass record annotated float or Optional[float]."""
+    hints = typing.get_type_hints(type(record))
+    return [f.name for f in dataclasses.fields(record)
+            if hints[f.name] is float or float in typing.get_args(hints[f.name])]
+
+
+def test_float_field_check_sees_plain_and_optional_floats():
+    assert _float_fields(ThreeLevelParams(rabi_coupling=1.0)) == ["rabi_coupling",
+                                                                   "delta_ge"]
+    assert _float_fields(cavitylink.ProtocolConfig()) == ["tol"]
+
+
+@pytest.mark.parametrize("record", PARAMETER_RECORDS, ids=lambda r: type(r).__name__)
+def test_every_float_parameter_refuses_a_non_finite_value(record):
+    for name in _float_fields(record):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(QStateError, match=f"{name} must be finite"):
+                dataclasses.replace(record, **{name: bad})

@@ -128,7 +128,7 @@ def test_ancilla_entangled_input():
 def _step_loop(gate, cav_state, ref_cav, ebit_state=None, level="ideal",
                config=None):
     """The step table run on the loaded input itself, its targets taken on
-    ref_cav: (records, branches, scores)."""
+    ref_cav: (records, branches, scores), records each (record, slot)."""
     spec = protocol._GATES[gate]
     supplied = ebit_state is not None
     atoms = protocol._ebit_pair(ebit_state if supplied else protocol._bell_atoms(),
@@ -148,6 +148,11 @@ def _cavity(label, one, zero, dim=6):
     v = np.zeros(dim, dtype=complex)
     v[0], v[1] = zero, one
     return StateVector(CompositeSpace([FactorLabel(label, dim)]), v)
+
+
+def _atom(label):
+    """One two-level atom factor in g."""
+    return CompositeSpace([FactorLabel(label, 2)]).basis_state({label: 0})
 
 
 def _register(a, b, c, d, dim=6):
@@ -219,7 +224,7 @@ def test_branch_maps_match_the_step_loop_run_on_the_input(gate):
         else:
             trace = runner(input_state=state, level="ideal", ebit_state=ebit)
         records, want, _ = _step_loop(gate, state, state, ebit)
-        assert trace.trace_lines() == [r.line() for r in records]
+        assert trace.trace_lines() == [r.line() for r, _ in records]
         _assert_same_branches(trace.branches, want)
         dropped += sum(br.beta != "i" for br in want) < 4
     assert dropped > 0   # the cases include branches dropped at zero probability
@@ -248,12 +253,9 @@ def _loaded(gate, amps, config):
                                                       FactorLabel("B", dim)]))
 
 
-def _gate_records(maps):
-    """(record, k) of each gate record k of maps."""
-    groups = [maps.prefix]
-    for _, alpha_records, betas in maps.alphas:
-        groups += [alpha_records] + [beta_records for _, _, beta_records, _ in betas]
-    return [(records[i], k) for records, gates in groups for i, k, _ in gates]
+def _gate_records(records):
+    """(record, k) of each gate record k of a list of (record, slot)."""
+    return [(r, slot[1]) for r, slot in records if slot and slot[0] == "gate"]
 
 
 @pytest.mark.parametrize("gate", ["cnot", "cqpg"])
@@ -276,7 +278,7 @@ def test_physical_branch_maps_match_the_step_loop_run_on_the_loaded_input(
                 gate, _loaded(gate, (a, b, c, d), config),
                 _register(a, b, c, d, cutoff + 1), ebit, "physical", config)
             # the same records, every p= and fidelity= as printed
-            assert trace.trace_lines() == [r.line() for r in records]
+            assert trace.trace_lines() == [r.line() for r, _ in records]
             _assert_same_branches(trace.branches, want)
             # and each gate record's fidelity before it is rounded
             supplied = ebit is not None
@@ -286,13 +288,12 @@ def test_physical_branch_maps_match_the_step_loop_run_on_the_loaded_input(
                                          atoms.amplitudes.tobytes(), supplied)
             fids = protocol._gate_fidelities(maps.scored, v)
             scored = {(r.branch, r.step, r.operation): fids[k]
-                      for r, k in _gate_records(maps)}
+                      for r, k in _gate_records(maps.records)}
             assert scores
-            for i, gate_scored in scores:
-                r = records[i]
+            for r, k in _gate_records(records):
                 np.testing.assert_allclose(
                     checked_fidelity(scored[r.branch, r.step, r.operation]),
-                    gate_scored.result.fidelity_vs_ideal, rtol=0, atol=1e-12)
+                    scores[k].result.fidelity_vs_ideal, rtol=0, atol=1e-12)
 
 
 def _unitary(rng, n):
@@ -519,8 +520,8 @@ def _check_invariants(case, level):
 def test_prepare_register_physical_matches_ideal():
     amps = (0.6, 0.8j, 1 / math.sqrt(2), -1 / math.sqrt(2))
     a, b, c, d = amps
-    reg_i = qstate.tensor([_cavity("A", a, b), protocol._atom_level("alpha", 2, 0),
-                           _cavity("B", c, d), protocol._atom_level("beta", 2, 0)])
+    reg_i = qstate.tensor([_cavity("A", a, b), _atom("alpha"), _cavity("B", c, d),
+                           _atom("beta")])
     reg_p = prepare_register(*amps)
     assert reg_p.space == reg_i.space
     ov = abs(np.vdot(reg_i.amplitudes, reg_p.amplitudes)) ** 2

@@ -782,6 +782,25 @@ def test_under_resolved_drive_raises_stiffness(monkeypatch):
         _run_entry(gates._cnot_gate, desk_params(1.0, x=0.1), RWA)
 
 
+def test_a_non_finite_error_estimate_raises_stiffness_at_once(monkeypatch):
+    # a NaN propagator's estimate neither meets tol nor rises past the
+    # rounding floor: the doubling stops at its first comparison, two
+    # passes, instead of running to MAGNUS_MAX_STEPS
+    passes = []
+
+    def nan_steps(basis, coefficient, w, t0, t1, n):
+        passes.append(n)
+        return np.full((2, 2), np.nan, dtype=complex)
+
+    monkeypatch.setattr(pulses, "_magnus_steps", nan_steps)
+    space = CompositeSpace([FactorLabel("atom", 2)])
+    static = Operator(space, np.zeros((2, 2)), hermitian=True)
+    pulse = PulseSpec(omega_drive=0.0, amplitude=0.8, width=0.41, center=1.5)
+    with pytest.raises(StiffnessError, match="error estimate nan"):
+        propagate_basis(static, [Drive(pulse, 0.0)], 0.0, 3.0, 1e-10)
+    assert len(passes) == 2
+
+
 def test_tolerance_below_the_rounding_floor_raises_stiffness():
     # at 1e-16 the RWA CNOT's estimates fall to a few 1e-15 and then rise
     # with rounding; the doubling stops there instead of running to the cap
