@@ -24,16 +24,16 @@ picks its method from the drives it is given:
   matmuls only.  Step doubling picks the step count and supplies the
   error estimate (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
   A window even under time reversal about its midpoint t_c has
-  U = W W^T, W = U(t1, t_c), so it integrates only W, in half the steps;
-  info["steps"] stays in whole-window steps, info["nfev"] counts the
-  evaluations made.
+  U = W W^T, W = U(t1, t_c), so it integrates only W, in half the steps.
   The steps are built, exponentiated and multiplied MAGNUS_BLOCK at a time
   in one workspace per thread, written with out= and reused block after
   block, so a block allocates no matrix stack of its own.
-  Each distinct window (static Hamiltonian and space, drive, clipped
-  bounds, tol) is integrated once and kept read-only in a bounded cache,
-  so a window that recurs, in the same gate or another, costs nothing:
-  it reports the same steps and error estimate and adds 0 to info["nfev"].
+  _frame sets a drive's carrier frame up and _magnus_steps(frame, t0, t1,
+  n) integrates it: the one kernel seam.  _magnus_window integrates each
+  distinct window (static Hamiltonian and space, drive, clipped bounds,
+  tol) once, keeps it in a bounded cache and reports its work as one
+  read-only _Window record, which info["windows"] returns; a window that
+  recurs, in the same gate or another, costs nothing and comes back cached.
 
 No path renormalizes; the norm drift of the result is reported as a check.
 """
@@ -166,6 +166,12 @@ class Drive:
     pulse: PulseSpec
     carrier: float
     counter: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for field in ("carrier", "counter"):
+            v = getattr(self, field)
+            if v is not None and not math.isfinite(v):
+                raise QStateError(f"{field} must be finite, got {v}")
 
 
 def _atom_raise(space: CompositeSpace) -> np.ndarray:
@@ -334,18 +340,52 @@ def _step_scalars(z: np.ndarray, h: float, rule: tuple) -> tuple:
     return x1, x2, x3, 0.5 * (r - r_poly)
 
 
-def _magnus_steps(basis: np.ndarray, coefficient, w: float, t0: float,
-                  t1: float, n: int) -> np.ndarray:
-    """Propagator of dU/dt = (K + z X + conj(z) Y) U over [t0, t1] in n steps
-    of the 6th-order Magnus scheme (Blanes et al. 2009); basis is
+def _frame(h0: np.ndarray, n_exc: np.ndarray, raise_op: np.ndarray,
+           drive: Drive) -> tuple:
+    """((basis, coefficient, w), shift, H0 - c N): the drive in its carrier's
+    frame, the trace taken out of it, and H0 - c N itself.
+
+    With V = exp(i c N t) the generator becomes K + z(t) X + conj(z(t)) Y,
+    where K = -i (H0 - c N - shift), X = -i s+, Y = -i s- and
+    z(t) = (p(t)/2) (1 + exp(i W t)), W = carrier + counter; a
+    rotating-wave drive keeps only the first term.  basis is
     _magnus_basis(K, X), coefficient gives z at an array of times, and w is
-    the frequency of its fastest term (0 for a rotating-wave drive).
+    W (0 for a rotating-wave drive).
+    """
+    c, pulse = drive.carrier, drive.pulse
+    h_frame = h0 - c * np.diag(n_exc)
+    # the trace is a global phase: taking it out of every step makes the
+    # steps smaller and so needs fewer squarings in _expm_stack
+    shift = float(np.trace(h_frame).real) / len(h_frame)
+    basis = _magnus_basis(-1j * (h_frame - shift * np.eye(len(h_frame))),
+                          -1j * raise_op)
+    # z is written out in this frame rather than as the lab-frame s+
+    # coefficient times exp(i c t), whose large opposite phases would
+    # cancel only to rounding
+    if drive.counter is None:
+        w = 0.0
+
+        def coefficient(t):
+            return (0.5 + 0.0j) * pulse.envelope(t)
+    else:
+        w = c + drive.counter
+
+        def coefficient(t):
+            return pulse.envelope(t) * (0.5 + 0.5 * np.exp(1j * w * t))
+    return (basis, coefficient, w), shift, h_frame
+
+
+def _magnus_steps(frame: tuple, t0: float, t1: float, n: int) -> np.ndarray:
+    """Propagator of dU/dt = (K + z X + conj(z) Y) U over [t0, t1] in n steps
+    of the 6th-order Magnus scheme (Blanes et al. 2009), frame being
+    _frame's (basis, coefficient, w).
 
     Each step reads z through exact-to-rounding moments on _step_rule's
     panels, not through point samples, and adds the Bloch-Siegert term of
     _step_scalars to its [X, Y] coefficient, so a step may span a radian
     or more of w (Iserles, Appl. Numer. Math. 43, 145 (2002)).
     """
+    basis, coefficient, w = frame
     h = (t1 - t0) / n
     dim = math.isqrt(basis.shape[1])
     rule = _step_rule(_panels(w, h))
@@ -388,39 +428,39 @@ def _first_steps(w: float, t0: float, t1: float) -> int:
     return n
 
 
-def _magnus_window(h0: np.ndarray, n_exc: np.ndarray, raise_op: np.ndarray,
-                   drive: Drive, t0: float, t1: float, tol: float) -> tuple:
-    """One drive over [t0, t1], integrated in its carrier's frame.
+@dataclass(frozen=True, eq=False)
+class _Window:
+    """The work of one Magnus window: its read-only lab-frame propagator u;
+    whether it took the half-window path U = W W^T; the (start, end, steps)
+    of every pass computed; the accepted whole-window steps; the error
+    estimate; and the coefficient evaluations made.  propagate_basis hands
+    out a window read from the cache as a copy marked cached, nfev 0."""
 
-    With V = exp(i c N t) the generator becomes K + z(t) X + conj(z(t)) Y,
-    where K = -i (H0 - c N), X = -i s+, Y = -i s- and
-    z(t) = (p(t)/2) (1 + exp(i W t)), W = carrier + counter; a
-    rotating-wave drive keeps only the first term.  The step count doubles
-    until the gap to the previous count, over 2^6 - 1, is below tol; a
-    time-symmetric window integrates half of each pass.  Returns (U,
-    whole-window steps, error estimate, coefficient evaluations made).
-    """
-    c, pulse = drive.carrier, drive.pulse
-    h_frame = h0 - c * np.diag(n_exc)
-    # the trace is a global phase: taking it out of every step makes the
-    # steps smaller and so needs fewer squarings in _expm_stack
-    shift = float(np.trace(h_frame).real) / len(h_frame)
-    basis = _magnus_basis(-1j * (h_frame - shift * np.eye(len(h_frame))),
-                          -1j * raise_op)
-    # z is written out in this frame rather than as the lab-frame s+
-    # coefficient times exp(i c t), whose large opposite phases would
-    # cancel only to rounding
-    if drive.counter is None:
-        w = 0.0
+    u: np.ndarray
+    symmetric: bool
+    passes: tuple
+    steps: int
+    error_estimate: float
+    nfev: int
+    cached: bool = False
 
-        def coefficient(t):
-            return (0.5 + 0.0j) * pulse.envelope(t)
-    else:
-        w = c + drive.counter
 
-        def coefficient(t):
-            return pulse.envelope(t) * (0.5 + 0.5 * np.exp(1j * w * t))
-    evaluations = 0
+# the windows this thread integrated: cache_info() moves with every thread
+_INTEGRATED = threading.local()
+
+
+@lru_cache(maxsize=64)
+def _magnus_window(h0: bytes, space: CompositeSpace, drive: Drive, t0: float,
+                   t1: float, tol: float) -> _Window:
+    """One drive over [t0, t1] under the static Hamiltonian whose matrix
+    bytes are h0, integrated in its carrier's frame (see _frame) and kept.
+    The step count doubles until the gap to the previous count, over
+    2^6 - 1, is below tol; a time-symmetric window integrates half of each
+    pass.  The record also joins the calling thread's _INTEGRATED.windows."""
+    n_exc = _excitations(space)
+    frame, shift, h_frame = _frame(np.frombuffer(h0, dtype=complex).reshape(
+        space.dim, space.dim), n_exc, _atom_raise(space), drive)
+    c, pulse, passes = drive.carrier, drive.pulse, []
     # U = W W^T, W = U(t1, t_c), when the generator is symmetric and even
     # about t_c: h_frame real symmetric, the pulse centred at t_c (a clipped
     # window is not) and, for the full drive, t_c = 0
@@ -430,13 +470,11 @@ def _magnus_window(h0: np.ndarray, n_exc: np.ndarray, raise_op: np.ndarray,
                  and (drive.counter is None or middle == 0.0))
 
     def integrate(count):
-        nonlocal evaluations
-        start, count = (middle, count // 2) if symmetric else (t0, count)
-        evaluations += count * FILON_NODES * _panels(w, (t1 - start) / count)
-        u = _magnus_steps(basis, coefficient, w, start, t1, count)
+        passes.append((middle, t1, count // 2) if symmetric else (t0, t1, count))
+        u = _magnus_steps(frame, *passes[-1])
         return u @ u.T if symmetric else u
 
-    n = _first_steps(w, t0, t1)
+    n = _first_steps(frame[2], t0, t1)
     estimate, fine = math.inf, None
     while True:
         # a comparison needs 2n steps: refuse before integrating any of them
@@ -464,70 +502,12 @@ def _magnus_window(h0: np.ndarray, n_exc: np.ndarray, raise_op: np.ndarray,
     # back to the lab frame: U = exp(-i c N t1) U' exp(i c N t0)
     post = np.exp(-1j * (c * n_exc * t1 + shift * (t1 - t0)))
     u = post[:, None] * fine * np.exp(1j * c * n_exc * t0)
-    return u, n, estimate, evaluations
-
-
-_WINDOW_WORK = threading.local()
-
-
-@lru_cache(maxsize=64)
-def _shared_window(h0: bytes, space: CompositeSpace, drive: Drive, t0: float,
-                   t1: float, tol: float) -> tuple:
-    """(U, steps, estimate) of _magnus_window for one drive on [t0, t1]
-    under the static Hamiltonian whose matrix bytes are h0, integrated once
-    and shared read-only wherever the same window recurs.  The evaluations
-    it makes go to the calling thread's _WINDOW_WORK.evaluations; a cached
-    window adds none."""
-    h = np.frombuffer(h0, dtype=complex).reshape(space.dim, space.dim)
-    u, steps, estimate, evaluations = _magnus_window(
-        h, _excitations(space), _atom_raise(space), drive, t0, t1, tol)
     u.setflags(write=False)
-    _WINDOW_WORK.evaluations += evaluations
-    return u, steps, estimate
-
-
-def _magnus_propagator(static_h: Operator, evals: np.ndarray, q: np.ndarray,
-                       drives: Sequence[Drive], t0: float, t1: float,
-                       tol: float) -> tuple:
-    """Propagator over [t0, t1] under drives with disjoint windows.
-
-    Each drive's window, clipped to [t0, t1], is one segment in its own
-    carrier's frame, taken from _shared_window; the time outside every
-    window evolves exactly under static_h.  Returns (U, info).
-    """
-    h0 = static_h.matrix
-    _atom_raise(static_h.space)     # refuses a space without a leading atom
-    n_exc = _excitations(static_h.space)
-    if np.any(h0[n_exc[:, None] != n_exc[None, :]] != 0):
-        raise QStateError("carrier-frame propagation needs a static Hamiltonian "
-                          "that conserves N (atom e population plus photons)")
-    windows = []
-    for drive in drives:
-        lo, hi = drive.pulse.window
-        lo, hi = max(lo, t0), min(hi, t1)
-        if hi > lo:
-            windows.append((lo, hi, drive))
-    windows.sort(key=lambda w: w[0])
-    for (_lo, hi, _d), (lo, _hi, _d2) in zip(windows, windows[1:]):
-        if lo < hi:
-            raise QStateError(f"drive windows overlap on [{lo:.6g}, {hi:.6g}]")
-
-    def free(dt):
-        return (q * np.exp(-1j * evals * dt)) @ q.conj().T
-
-    u = np.eye(h0.shape[0], dtype=complex)
-    t, steps, estimate = t0, 0, 0.0
-    _WINDOW_WORK.evaluations = 0
-    for lo, hi, drive in windows:
-        if lo > t:
-            u = free(lo - t) @ u
-        seg, n, est = _shared_window(h0.tobytes(), static_h.space, drive, lo, hi, tol)
-        u = seg @ u
-        t, steps, estimate = hi, steps + n, estimate + est
-    if t1 > t:
-        u = free(t1 - t) @ u
-    return u, {"nfev": _WINDOW_WORK.evaluations, "method": "magnus6",
-               "steps": steps, "error_estimate": estimate}
+    record = _Window(u, symmetric, tuple(passes), n, estimate,
+                     sum(k * FILON_NODES * _panels(frame[2], (end - start) / k)
+                         for start, end, k in passes))
+    _INTEGRATED.windows.append(record)
+    return record
 
 
 def propagate_basis(static_h: Operator, drives: Sequence[Drive],
@@ -539,18 +519,18 @@ def propagate_basis(static_h: Operator, drives: Sequence[Drive],
     module notes): info["method"] is "exact" without drives and "magnus6"
     with them.  Every drive acts on the raising operator of the space's
     leading factor, which must be an atom named "atom" (dim 2 or 3), and
-    no two drive windows may overlap.  Norm is never renormalized;
-    info["norm_drift"] reports the worst deviation of a column's norm.
-    info["steps"] counts the Magnus steps of the result in whole-window
-    steps, though a time-symmetric window computes half of them, and
-    info["error_estimate"] is their step-doubling estimate of
-    max |U - U_exact|, held below tol (both 0 on the exact path);
-    info["nfev"] counts the coefficient evaluations this call made at the
-    step rule's nodes, FILON_NODES per panel of every step computed over
-    every doubling: 10 a step for a rotating-wave drive, 10 P for the full
-    drive's P panels.  A window already integrated by an earlier call (the
-    same static Hamiltonian, drive, clipped bounds and tol) comes from the
-    window cache: it adds its steps and estimate as before and 0 to nfev.
+    no two drive windows may overlap.  Each window, clipped to [t0, t1], is
+    one _magnus_window; the time outside them evolves exactly.  Norm is
+    never renormalized; info["norm_drift"] reports the worst deviation of a
+    column's norm.  info["windows"] holds the windows' _Window records in
+    time order (none on the exact path), each marked cached when an earlier
+    call integrated it (same static Hamiltonian, drive, clipped bounds and
+    tol).  Their sums are info["steps"], in whole-window steps though a
+    time-symmetric window computes half; info["error_estimate"], each
+    window's step-doubling estimate of max |U - U_exact| held below tol;
+    and info["nfev"], the coefficient evaluations this call made,
+    FILON_NODES per panel of every step computed over every doubling: 10 a
+    step for a rotating-wave drive, 10 P for the full drive's P panels.
     """
     if t1 <= t0:
         raise QStateError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -574,12 +554,47 @@ def propagate_basis(static_h: Operator, drives: Sequence[Drive],
         phase = np.exp(-1j * evals * (t1 - t0))
         out = q @ (phase[:, None] * (q.conj().T @ cols))
         info = {"norm_drift": 0.0, "nfev": 0, "method": "exact", "steps": 0,
-                "error_estimate": 0.0}
+                "error_estimate": 0.0, "windows": ()}
         return (out[:, 0] if squeeze else out), info
 
-    u, info = _magnus_propagator(static_h, evals, q, drives, t0, t1, tol)
+    h0 = static_h.matrix
+    _atom_raise(static_h.space)     # refuses a space without a leading atom
+    n_exc = _excitations(static_h.space)
+    if np.any(h0[n_exc[:, None] != n_exc[None, :]] != 0):
+        raise QStateError("carrier-frame propagation needs a static Hamiltonian "
+                          "that conserves N (atom e population plus photons)")
+    windows = []
+    for drive in drives:
+        lo, hi = drive.pulse.window
+        lo, hi = max(lo, t0), min(hi, t1)
+        if hi > lo:
+            windows.append((lo, hi, drive))
+    windows.sort(key=lambda w: w[0])
+    for (_lo, hi, _d), (lo, _hi, _d2) in zip(windows, windows[1:]):
+        if lo < hi:
+            raise QStateError(f"drive windows overlap on [{lo:.6g}, {hi:.6g}]")
+
+    def free(dt):
+        return (q * np.exp(-1j * evals * dt)) @ q.conj().T
+
+    u, t, estimate, records = np.eye(dim, dtype=complex), t0, 0.0, []
+    _INTEGRATED.windows = integrated = []
+    for lo, hi, drive in windows:
+        if lo > t:
+            u = free(lo - t) @ u
+        made = len(integrated)
+        record = _magnus_window(h0.tobytes(), static_h.space, drive, lo, hi, tol)
+        if len(integrated) == made:
+            record = replace(record, cached=True, nfev=0)
+        records.append(record)
+        u, t, estimate = record.u @ u, hi, estimate + record.error_estimate
+    if t1 > t:
+        u = free(t1 - t) @ u
     out = u @ cols
-    info["norm_drift"] = float(np.max(np.abs(np.linalg.norm(out, axis=0) - norms0)))
+    info = {"nfev": sum(r.nfev for r in records), "method": "magnus6",
+            "steps": sum(r.steps for r in records), "error_estimate": estimate,
+            "windows": tuple(records),
+            "norm_drift": float(np.max(np.abs(np.linalg.norm(out, axis=0) - norms0)))}
     return (out[:, 0] if squeeze else out), info
 
 

@@ -174,7 +174,7 @@ def test_non_finite_values_are_bad_input(capsys, tmp_path, command, key, value, 
 def test_under_resolved_sweep_is_a_numerical_failure(capsys, monkeypatch):
     # the RWA CNOT pulse needs about a thousand Magnus steps; refuse past 128
     monkeypatch.setattr(pulses, "MAGNUS_MAX_STEPS", 128)
-    pulses._shared_window.cache_clear()
+    pulses._magnus_window.cache_clear()
     rc, out, err = run_cli(capsys, "fidelity-sweep", "--mode", "simulated",
                            "--steps", "1", "--x-min", "0.07", "--x-max", "0.07")
     assert rc == 2
@@ -187,8 +187,13 @@ def test_start_past_the_step_cap_is_refused_before_integrating(capsys, monkeypat
     # counter-rotating term from 2^24 steps on, past MAGNUS_MAX_STEPS: the
     # drive is refused before any pass, not after one of 2^24 steps
     passes = []
-    monkeypatch.setattr(pulses, "_magnus_steps", lambda *args: passes.append(args))
-    pulses._shared_window.cache_clear()
+
+    def must_not_run(*args):
+        passes.append(args)
+        raise AssertionError("a Magnus pass ran past the step cap")
+
+    monkeypatch.setattr(pulses, "_magnus_steps", must_not_run)
+    pulses._magnus_window.cache_clear()
     start = time.perf_counter()
     rc, out, err = run_cli(capsys, "fidelity-sweep", "--mode", "simulated", "--no-rwa",
                            "--steps", "1", "--x-min", "0.002", "--x-max", "0.002")

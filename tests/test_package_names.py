@@ -13,7 +13,7 @@ import cavitylink
 from cavitylink.gates import ThreeLevelParams
 from cavitylink.jcmodel import JCParams
 from cavitylink.perturb import SOURCE_POINT_CYCLIC
-from cavitylink.pulses import PulseSpec
+from cavitylink.pulses import Drive, PulseSpec
 from cavitylink.qstate import QStateError
 
 PACKAGE = Path(cavitylink.__file__).resolve().parent
@@ -132,6 +132,7 @@ def test_helper_check_flags_an_unreferenced_helper():
 # one valid instance of each parameter record
 PARAMETER_RECORDS = (JCParams(omega0=1.1, omega=1.0, rabi_coupling=0.01),
                      PulseSpec(omega_drive=1.0, amplitude=1.0, width=1.0),
+                     Drive(PulseSpec(omega_drive=1.0, amplitude=1.0, width=1.0), 0.4, 0.5),
                      SOURCE_POINT_CYCLIC,
                      ThreeLevelParams(rabi_coupling=1.0))
 

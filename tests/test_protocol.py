@@ -841,7 +841,7 @@ def test_physical_trace_reports_stark_switches():
 
 
 def _clear_every_cache():
-    for cache in (gates._action, pulses._shared_window, perturb._sigma0_free_total,
+    for cache in (gates._action, pulses._magnus_window, perturb._sigma0_free_total,
                   protocol._branch_maps):
         cache.cache_clear()
 
@@ -865,43 +865,34 @@ def test_cold_physical_cnot_integrates_the_cnot_pulse_once(monkeypatch):
     assert perturb._sigma0_free_total.cache_info().misses == 0
 
 
-def test_cold_physical_cnot_integrates_each_distinct_window_once(monkeypatch):
+def test_cold_physical_cnot_integrates_each_distinct_window_once():
     # the sequential NOT's first pulse is the step-4 CNOT pulse on the same
     # node: of six windows one recurs, so five are integrated
-    integrated, requested = [], []
-    window, shared = pulses._magnus_window, pulses._shared_window
-
-    def integrate(*args):
-        integrated.append(args[3:])
-        return window(*args)
-
-    def request(*key):
-        out = shared(*key)
-        requested.append((key, out[0]))
-        return out
-
     _clear_every_cache()
-    monkeypatch.setattr(pulses, "_magnus_window", integrate)
-    monkeypatch.setattr(pulses, "_shared_window", request)
     run_nonlocal_cnot(level="physical")
-    assert len(requested) == 6 and len(integrated) == 5
-    keys = [key for key, _u in requested]
-    (twice,) = [key for key in set(keys) if keys.count(key) == 2]
-    cnot = gates._cnot_gate(protocol.SWAP_PARAMS.jc_params(),
-                            protocol.ProtocolConfig().gate_config())
-    assert twice[2] == cnot.drives[0] and twice[3:5] == cnot.span
-    step4, repeat = [u for key, u in requested if key == twice]
-    assert step4.tobytes() == repeat.tobytes()
+    window_cache = pulses._magnus_window.cache_info
+    assert (window_cache().misses, window_cache().hits) == (5, 1)
+    params, config = protocol.SWAP_PARAMS.jc_params(), protocol.ProtocolConfig().gate_config()
+    cnot = gates._cnot_gate(params, config)
+    sequential = gates._dressed_atom_gate(GateKind.NOT_ATOM, params, config)
+    assert sequential.drives[0] == cnot.drives[0]
+    # both read the recurring window from the cache: the same record
+    step4, repeat = [pulses.propagate_basis(entry.static, entry.drives, *entry.span,
+                                            entry.tol)[1]["windows"][0]
+                     for entry in (cnot, sequential)]
+    assert step4.cached and repeat.cached and window_cache().misses == 5
+    assert step4.passes == repeat.passes and step4.u.tobytes() == repeat.u.tobytes()
     # a window that differs only in tol, or only in its clipped bounds, is
     # integrated again; a wider span clips to the same window
-    h0, space, drive, t0, t1, tol = twice
-    static = qstate.Operator(space, np.frombuffer(h0, dtype=complex).reshape(space.dim, -1))
+    static, drive, (t0, t1), tol = cnot.static, cnot.drives[0], cnot.span, cnot.tol
     _u, info = pulses.propagate_basis(static, [drive], t0 - 1.0, t1 + 1.0, tol)
-    assert len(integrated) == 5 and info["nfev"] == 0
+    assert window_cache().misses == 5 and info["nfev"] == 0
     for span, tol_again in (((t0, t1), tol / 10.0), ((t0, 0.5 * t1), tol)):
         _u, info = pulses.propagate_basis(static, [drive], *span, tol_again)
-        assert info["nfev"] > 0
-    assert integrated[5:] == [(drive, t0, t1, tol / 10.0), (drive, t0, 0.5 * t1, tol)]
+        (window,) = info["windows"]
+        assert info["nfev"] > 0 and not window.cached
+        assert window.passes[-1][1] == span[1]
+    assert window_cache().misses == 7
 
 
 def test_import_and_physical_protocol_load_no_ode_integrator():

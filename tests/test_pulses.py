@@ -252,37 +252,37 @@ def test_evolve_tdse_space_mismatch():
 # the Magnus path
 
 
+def _frame_of(static, drive):
+    """pulses._frame for one drive on the static node."""
+    return pulses._frame(static.matrix, pulses._excitations(static.space),
+                         _atom_raise(static.space), drive)
+
+
 def _frame_generator(carrier, counter, static=None, pulse=None):
-    """Basis, coefficient and its fastest frequency for the static node
-    (default the cutoff-2 CNOT node) in the carrier's frame, under the pulse
-    (default a pi-area gaussian of width 4); counter None is the rotating
-    wave."""
+    """The kernel's frame for the static node (default the cutoff-2 CNOT
+    node) under the pulse (default a pi-area gaussian of width 4) at the
+    carrier, counter None being the rotating wave; and the pulse window."""
     if static is None:
         static = jc_rotating(desk_params(1.0, x=0.1), 2)
-    k = -1j * (static.matrix - carrier * np.diag(pulses._excitations(static.space)))
-    basis = pulses._magnus_basis(k, -1j * _atom_raise(static.space))
     if pulse is None:
         pulse = calibrate_pulse_area(PulseSpec(omega_drive=carrier, amplitude=1.0,
                                                width=4.0), math.pi)
-    if counter is None:
-        w = 0.0
+    return _frame_of(static, Drive(pulse, carrier, counter))[0], pulse.window
 
-        def coefficient(t):
-            return 0.5 * pulse.envelope(t)
-    else:
-        w = carrier + counter
 
-        def coefficient(t):
-            return 0.5 * pulse.envelope(t) * (1.0 + np.exp(1j * w * t))
-    return basis, coefficient, w, pulse.window
+def _entry_window(gate, *args):
+    """The frame of the table entry gate(*args)'s first drive, and the
+    record of that drive's window from the entry's propagate_basis call."""
+    entry = gate(*args)
+    _u, info = propagate_basis(entry.static, entry.drives, *entry.span, entry.tol)
+    return _frame_of(entry.static, entry.drives[0])[0], info["windows"][0]
 
 
 def _check_sixth_order(counter, coarsest, finest_error=1e-10):
-    basis, coefficient, w, (t0, t1) = _frame_generator(0.7, counter)
-    ref = pulses._magnus_steps(basis, coefficient, w, t0, t1, 64 * coarsest)
+    frame, (t0, t1) = _frame_generator(0.7, counter)
+    ref = pulses._magnus_steps(frame, t0, t1, 64 * coarsest)
     counts = [coarsest * 2 ** k for k in range(4)]
-    errors = [np.max(np.abs(pulses._magnus_steps(basis, coefficient, w, t0, t1, n)
-                            - ref))
+    errors = [np.max(np.abs(pulses._magnus_steps(frame, t0, t1, n) - ref))
               for n in counts]
     assert errors[-1] < finest_error
     for coarse, fine in zip(errors, errors[1:]):
@@ -318,28 +318,20 @@ def test_step_rule_bloch_siegert_term_vanishes_on_a_quadratic():
         assert abs(bloch_siegert[0]) < 2e-15
 
 
-def test_full_drive_bloch_siegert_term_at_fixed_steps(monkeypatch):
+def test_full_drive_bloch_siegert_term_at_fixed_steps():
     # the cutoff-5 CNOT at x = 0.1 under the full drive: at 8192 steps a step
     # spans 1.36 rad of the counter-rotating term.  Without the
     # Bloch-Siegert term the moments are 6.1e-8 off the 16x reference (and
     # three Gauss samples a step 3.1e-8); with it, 9.6e-10
-    calls = []
-    steps = pulses._magnus_steps
-
-    def spy(*args):
-        calls.append(args)
-        return steps(*args)
-
-    monkeypatch.setattr(pulses, "_magnus_steps", spy)
-    pulses._shared_window.cache_clear()
-    _run_entry(gates._cnot_gate, desk_params(1.0, x=0.1), FULL)
-    # the window [t0, t1] is time-symmetric, so the spied passes integrate
-    # its half [t_c, t1]: at 8192 window steps a step is (t1 - t_c) / 4096
-    basis, coefficient, w, middle, t1, _n = calls[0]
+    frame, window = _entry_window(gates._cnot_gate, desk_params(1.0, x=0.1), FULL)
+    # the window [t0, t1] is time-symmetric, so its passes integrate its
+    # half [t_c, t1]: at 8192 window steps a step is (t1 - t_c) / 4096
+    assert window.symmetric
+    middle, t1, _n = window.passes[0]
     t0 = 2.0 * middle - t1
-    assert 1.3 < w * (t1 - middle) / 4096 < 1.4
-    coarse = steps(basis, coefficient, w, t0, t1, 8192)
-    fine = steps(basis, coefficient, w, t0, t1, 16 * 8192)
+    assert 1.3 < frame[2] * (t1 - middle) / 4096 < 1.4
+    coarse = pulses._magnus_steps(frame, t0, t1, 8192)
+    fine = pulses._magnus_steps(frame, t0, t1, 16 * 8192)
     assert np.max(np.abs(coarse - fine)) < 2e-9
 
 
@@ -384,10 +376,11 @@ def _reference_expm_stack(a):
     return f
 
 
-def _reference_magnus_steps(basis, coefficient, w, t0, t1, n):
+def _reference_magnus_steps(frame, t0, t1, n):
     def commutator(a, b):
         return a @ b - b @ a
 
+    basis, coefficient, w = frame
     h = (t1 - t0) / n
     dim = math.isqrt(basis.shape[1])
     rule = pulses._step_rule(pulses._panels(w, h))
@@ -425,32 +418,23 @@ def _node(dim):
 def test_workspace_kernel_is_bit_identical_to_the_allocating_one(dim, counter):
     # 64 and 128 steps are one partial block, 256 one full block and 1024
     # four; the full drive's steps span 3 to 1 panels of its 6 rad/s term
-    basis, coefficient, w, (t0, t1) = _frame_generator(0.7, counter, _node(dim))
+    frame, (t0, t1) = _frame_generator(0.7, counter, _node(dim))
     for n in (64, 128, 256, 1024):
-        want = _reference_magnus_steps(basis, coefficient, w, t0, t1, n)
-        got = pulses._magnus_steps(basis, coefficient, w, t0, t1, n)
+        want = _reference_magnus_steps(frame, t0, t1, n)
+        got = pulses._magnus_steps(frame, t0, t1, n)
         assert np.array_equal(got, want), (dim, counter, n)
 
 
-def test_magnus_blocks_reuse_their_workspace(monkeypatch):
+def test_magnus_blocks_reuse_their_workspace():
     # the cutoff-5 rotating-wave CNOT window, accepted at 1024 steps of dim
     # 12, integrated as its time-symmetric half in 512: a block that
     # allocated its matrix stacks would trace about 10 MB
-    calls = []
-    steps = pulses._magnus_steps
-
-    def spy(*args):
-        calls.append(args)
-        return steps(*args)
-
-    monkeypatch.setattr(pulses, "_magnus_steps", spy)
-    pulses._shared_window.cache_clear()
-    _run_entry(gates._cnot_gate, desk_params(1.0, x=0.1), RWA)
-    args = calls[-1]
-    assert args[-1] == 512 and args[0].shape == (6, 144)
+    frame, window = _entry_window(gates._cnot_gate, desk_params(1.0, x=0.1), RWA)
+    bounds = window.passes[-1]
+    assert bounds[-1] == 512 and frame[0].shape == (6, 144)
     tracemalloc.start()
     try:
-        steps(*args)
+        pulses._magnus_steps(frame, *bounds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -462,8 +446,7 @@ def test_concurrent_windows_keep_their_own_workspace():
     # shared workspace would mix their blocks
     windows = [_frame_generator(0.7, None, _node(12)),
                _frame_generator(0.7, 5.3, _node(10))]
-    args = [(basis, coefficient, w, t0, t1, 1024)
-            for basis, coefficient, w, (t0, t1) in windows]
+    args = [(frame, t0, t1, 1024) for frame, (t0, t1) in windows]
     serial = [pulses._magnus_steps(*a) for a in args]
     start = threading.Barrier(len(args), timeout=60)
     results = [[] for _ in args]
@@ -502,14 +485,14 @@ def test_concurrent_calls_count_their_own_evaluations(monkeypatch):
     def nfev(drive):
         return propagate_basis(node, [drive], *drive.pulse.window, 1e-10)[1]["nfev"]
 
-    pulses._shared_window.cache_clear()
+    pulses._magnus_window.cache_clear()
     serial = {"first": nfev(first), "second": nfev(second)}
-    pulses._shared_window.cache_clear()
+    pulses._magnus_window.cache_clear()
     window, inside, returned = pulses._magnus_window, threading.Event(), threading.Event()
 
     def held(*args):
         out = window(*args)
-        if args[3] == first:
+        if args[2] == first:
             inside.set()
             returned.wait(timeout=60)
         return out
@@ -532,7 +515,7 @@ def test_concurrent_calls_count_their_own_evaluations(monkeypatch):
 
 
 def test_magnus_info_and_frame_checks():
-    pulses._shared_window.cache_clear()
+    pulses._magnus_window.cache_clear()
     p = desk_params(1.0, x=0.1)
     static = jc_rotating(p, 2)
     first = PulseSpec(omega_drive=0.4, amplitude=0.3, width=1.0)
@@ -568,6 +551,26 @@ def test_magnus_info_and_frame_checks():
                         [Drive(first, 0.4)], -3.0, 3.0, 1e-10)
 
 
+def test_info_sums_the_window_records_and_a_warm_call_reads_them_cached():
+    # the sequential NOT's two pulses are two windows of one call
+    entry = gates._dressed_atom_gate(GateKind.NOT_ATOM, desk_params(1.0, x=0.1), RWA)
+    call = (entry.static, entry.drives, *entry.span, entry.tol)
+    pulses._magnus_window.cache_clear()
+    cold, warm = propagate_basis(*call)[1], propagate_basis(*call)[1]
+    for info in (cold, warm):
+        first, second = info["windows"]
+        assert info["steps"] == first.steps + second.steps
+        assert info["nfev"] == first.nfev + second.nfev
+        assert info["error_estimate"] == first.error_estimate + second.error_estimate
+    assert cold["nfev"] > 0 and not any(w.cached for w in cold["windows"])
+    assert warm["nfev"] == 0 and all(w.cached and w.nfev == 0 for w in warm["windows"])
+    for made, read in zip(cold["windows"], warm["windows"]):
+        assert not read.u.flags.writeable and read.u.tobytes() == made.u.tobytes()
+        assert (read.passes, read.steps, read.error_estimate) == \
+            (made.passes, made.steps, made.error_estimate)
+    assert propagate_basis(entry.static, [], *entry.span, entry.tol)[1]["windows"] == ()
+
+
 @pytest.mark.parametrize("case", ["cnot-rwa", "cnot-full", "bare-3-level"])
 def test_time_symmetric_window_is_its_half_times_its_transpose(case):
     # W W^T from n / 2 steps on [t_c, t1] against the whole window in n
@@ -586,28 +589,11 @@ def test_time_symmetric_window_is_its_half_times_its_transpose(case):
         pulse, carrier = drive.pulse, drive.carrier
         counter, n = ((None, 1024) if case == "cnot-rwa"
                       else (2.0 * params.omega + carrier, 16384))
-    basis, coefficient, w, (t0, t1) = _frame_generator(carrier, counter, static, pulse)
+    frame, (t0, t1) = _frame_generator(carrier, counter, static, pulse)
     middle = 0.5 * (t0 + t1)
-    whole = pulses._magnus_steps(basis, coefficient, w, t0, t1, n)
-    half = pulses._magnus_steps(basis, coefficient, w, middle, t1, n // 2)
+    whole = pulses._magnus_steps(frame, t0, t1, n)
+    half = pulses._magnus_steps(frame, middle, t1, n // 2)
     assert np.max(np.abs(half @ half.T - whole)) < 1e-14
-
-
-def _spied_window(monkeypatch, static, drive, t0, t1):
-    """_magnus_window's (U, steps, estimate, evaluations) for one drive on
-    [t0, t1], and the ((t0, t1, n), result) of every _magnus_steps pass."""
-    passes = []
-    steps = pulses._magnus_steps
-
-    def spy(basis, coefficient, w, start, stop, n):
-        passes.append(((start, stop, n), steps(basis, coefficient, w, start, stop, n)))
-        return passes[-1][1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(pulses, "_magnus_steps", spy)
-        out = pulses._magnus_window(static.matrix, pulses._excitations(static.space),
-                                    _atom_raise(static.space), drive, t0, t1, 1e-10)
-    return out, passes
 
 
 def _complex_exchange_node():
@@ -623,7 +609,7 @@ def _complex_exchange_node():
     return Operator(static.space, h, hermitian=True)
 
 
-def test_planted_asymmetric_windows_take_the_full_path(monkeypatch):
+def test_planted_asymmetric_windows_take_the_full_path():
     node = jc_rotating(desk_params(1.0, x=0.1), 2)
     centred = PulseSpec(omega_drive=0.4, amplitude=0.3, width=1.0)
     off_centre = PulseSpec(omega_drive=0.4, amplitude=0.3, width=1.0, center=1.0)
@@ -635,29 +621,32 @@ def test_planted_asymmetric_windows_take_the_full_path(monkeypatch):
         "full-drive-off-zero": (node, Drive(off_centre, 0.4, 40.0), -2.0, 4.0),
         "complex-h-frame": (_complex_exchange_node(), Drive(centred, 0.4), -3.0, 3.0),
     }
+    # each window is integrated here, so that its record counts evaluations
+    pulses._magnus_window.cache_clear()
     for name, (static, drive, t0, t1) in planted.items():
-        (u, n, _estimate, evaluations), passes = _spied_window(
-            monkeypatch, static, drive, t0, t1)
-        assert [bounds[:2] for bounds, _u in passes] == [(t0, t1)] * len(passes), name
-        assert passes[-1][0][2] == n, name
+        (window,) = propagate_basis(static, [drive], t0, t1, 1e-10)[1]["windows"]
+        passes = window.passes
+        assert not window.symmetric, name
+        assert [bounds[:2] for bounds in passes] == [(t0, t1)] * len(passes), name
+        assert passes[-1][2] == window.steps, name
         w = 0.0 if drive.counter is None else drive.carrier + drive.counter
-        assert evaluations == sum(10 * k * pulses._panels(w, (t1 - t0) / k)
-                                  for (_t0, _t1, k), _u in passes), name
+        assert window.nfev == sum(10 * k * pulses._panels(w, (t1 - t0) / k)
+                                  for _t0, _t1, k in passes), name
         # the accepted full pass taken back to the lab frame, as before the
         # symmetric branch: U = exp(-i (c N t1 + shift T)) U' exp(i c N t0)
+        frame, shift, _h_frame = _frame_of(static, drive)
         c, n_exc = drive.carrier, pulses._excitations(static.space)
-        h_frame = static.matrix - c * np.diag(n_exc)
-        shift = float(np.trace(h_frame).real) / len(h_frame)
         post = np.exp(-1j * (c * n_exc * t1 + shift * (t1 - t0)))
-        full = post[:, None] * passes[-1][1] * np.exp(1j * c * n_exc * t0)
-        assert np.array_equal(u, full), name
+        full = (post[:, None] * pulses._magnus_steps(frame, *passes[-1])
+                * np.exp(1j * c * n_exc * t0))
+        assert np.array_equal(window.u, full), name
     # the same drives unclipped and centred at 0 on the real node: every
     # pass integrates [0, 3] in half the window's steps
     for drive in (Drive(centred, 0.4), Drive(centred, 0.4, 40.0)):
-        (_u, n, _estimate, _evaluations), passes = _spied_window(
-            monkeypatch, node, drive, -3.0, 3.0)
-        assert [bounds[:2] for bounds, _u in passes] == [(0.0, 3.0)] * len(passes)
-        assert 2 * passes[-1][0][2] == n
+        (window,) = propagate_basis(node, [drive], -3.0, 3.0, 1e-10)[1]["windows"]
+        assert window.symmetric
+        assert [bounds[:2] for bounds in window.passes] == [(0.0, 3.0)] * len(window.passes)
+        assert 2 * window.passes[-1][2] == window.steps
 
 
 def _dop853(static, drives, t0, t1, tol, columns=None):
@@ -777,7 +766,7 @@ def test_full_drive_engines_match_dop853(monkeypatch, name):
 def test_under_resolved_drive_raises_stiffness(monkeypatch):
     # the CNOT pulse needs about a thousand steps; refuse past 128
     monkeypatch.setattr(pulses, "MAGNUS_MAX_STEPS", 128)
-    pulses._shared_window.cache_clear()
+    pulses._magnus_window.cache_clear()
     with pytest.raises(StiffnessError, match="passed 128"):
         _run_entry(gates._cnot_gate, desk_params(1.0, x=0.1), RWA)
 
@@ -788,7 +777,7 @@ def test_a_non_finite_error_estimate_raises_stiffness_at_once(monkeypatch):
     # passes, instead of running to MAGNUS_MAX_STEPS
     passes = []
 
-    def nan_steps(basis, coefficient, w, t0, t1, n):
+    def nan_steps(frame, t0, t1, n):
         passes.append(n)
         return np.full((2, 2), np.nan, dtype=complex)
 
@@ -805,7 +794,7 @@ def test_tolerance_below_the_rounding_floor_raises_stiffness():
     # at 1e-16 the RWA CNOT's estimates fall to a few 1e-15 and then rise
     # with rounding; the doubling stops there instead of running to the cap
     tight = PhysicalGateConfig(rwa=True, tol=1e-16)
-    pulses._shared_window.cache_clear()
+    pulses._magnus_window.cache_clear()
     start = time.perf_counter()
     with pytest.raises(StiffnessError, match="rounding floor"):
         _run_entry(gates._cnot_gate, desk_params(1.0, x=0.1), tight)
@@ -817,24 +806,19 @@ def test_tolerance_below_the_rounding_floor_raises_stiffness():
     assert meta["error_estimate"] < RWA.tol
 
 
-def test_rising_estimate_above_the_rounding_onset_keeps_doubling(monkeypatch):
+def test_rising_estimate_above_the_rounding_onset_keeps_doubling():
     # a strong pulse is under-resolved at first, and its estimate rises
     # from the first doubling to the second; that is not rounding.  The
-    # window is time-symmetric, so each spied pass is the half W and the
+    # window is time-symmetric, so each pass is the half W and the
     # doubling compares the assembled W W^T
-    passes = []
-    steps = pulses._magnus_steps
-
-    def spy(*args):
-        passes.append(steps(*args))
-        return passes[-1]
-
-    monkeypatch.setattr(pulses, "_magnus_steps", spy)
-    pulses._shared_window.cache_clear()
     static = jc_rotating(desk_params(1.0, x=0.1), 2)
-    strong = PulseSpec(omega_drive=0.4, amplitude=1600.0, width=1.0)
-    _u, info = propagate_basis(static, [Drive(strong, 0.4)], -3.0, 3.0, 1e-10)
-    assembled = [p @ p.T for p in passes]
+    drive = Drive(PulseSpec(omega_drive=0.4, amplitude=1600.0, width=1.0), 0.4)
+    _u, info = propagate_basis(static, [drive], -3.0, 3.0, 1e-10)
+    (window,) = info["windows"]
+    assert window.symmetric
+    frame = _frame_of(static, drive)[0]
+    assembled = [p @ p.T for p in (pulses._magnus_steps(frame, *bounds)
+                                   for bounds in window.passes)]
     estimates = [np.max(np.abs(b - a)) / 63.0 for a, b in zip(assembled, assembled[1:])]
     assert pulses.MAGNUS_ROUNDING_ONSET < estimates[0] < estimates[1]
     assert info["error_estimate"] == estimates[-1] < 1e-10
