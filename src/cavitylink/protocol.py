@@ -186,6 +186,8 @@ class ProtocolConfig:
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
+        if self.fock_cutoff < 1:
+            raise QStateError(f"fock_cutoff must be >= 1, got {self.fock_cutoff}")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise QStateError(f"tol must be > 0 and finite, got {self.tol}")
 
@@ -599,32 +601,26 @@ def _run_protocol(gate, a, b, c, d, level, input_state, ebit_state,
     if input_state is not None and level != "ideal":
         raise ProtocolError("external-ancilla inputs are supported at the ideal level")
     spec = _GATES[gate]
-    config = config or ProtocolConfig()
+    config = config or _cached_config()
     dim_c = config.fock_cutoff + 1
 
     # step 1-2: register
     if input_state is not None:
-        for need in ("A", "B"):
-            if need not in input_state.space.names:
-                raise QStateError(f"input_state must contain factor {need!r}")
-            if input_state.space.factor(need).dim != dim_c:
-                raise QStateError(f"input_state factor {need!r} must have dim {dim_c}")
         ref_cav = input_state
     else:
         _check_pair(a, b, "ab")
         _check_pair(c, d, "cd")
         amps = np.zeros((dim_c, dim_c), dtype=complex)
         amps[:2, :2] = np.outer(np.array([b, a], dtype=complex), [d, c])
-        ref_cav = StateVector(CompositeSpace([FactorLabel("A", dim_c),
-                                              FactorLabel("B", dim_c)]),
-                              amps.reshape(-1))
+        ref_cav = StateVector(_register_space(dim_c), amps.reshape(-1))
+    layout = _layout(ref_cav.space, spec.beta_dim, dim_c)
 
     # step 3: the ebit, the ideal Bell pair unless the caller brings one
     supplied = ebit_state is not None
     atoms = (_ebit_pair(ebit_state, spec.beta_dim) if supplied
              else _bell_pair(spec.beta_dim))
 
-    records, branches = _apply_maps(gate, level, config, ref_cav, atoms, supplied)
+    records, branches = _apply_maps(gate, level, config, ref_cav, layout, atoms, supplied)
     return ProtocolTrace(gate=gate, level=level, records=tuple(records),
                          branches=tuple(branches))
 
@@ -757,12 +753,11 @@ def _load_map(params: JCParams, dim_c: int) -> np.ndarray:
     """prepare_register at params as a 4 x 4 matrix: column 2 i + j holds
     the loaded (A, B) amplitudes on cavity levels <= 1, A-major, of the
     product |i>_A |j>_B."""
-    space = CompositeSpace([FactorLabel("A", dim_c), FactorLabel("B", dim_c)])
     columns = []
     for i, j in np.ndindex(2, 2):
         reg = prepare_register(i, 1 - i, j, 1 - j, fock_cutoff=dim_c - 1,
                                params=params)
-        columns.append(_reorder_sub(reg, space).tensor_view()[:2, :2].reshape(-1))
+        columns.append(_reorder_sub(reg, _register_space(dim_c)).tensor_view()[:2, :2].reshape(-1))
     return np.array(columns).T
 
 
@@ -849,81 +844,105 @@ def _gate_fidelities(scored: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _with_outcome(record: TraceRecord, outcome: str) -> TraceRecord:
-    return TraceRecord(record.branch, record.step, record.node, record.operation,
-                       record.params_text, outcome, record.support)
+    # one dict copy in place of the frozen __init__'s seven setattr calls
+    new = object.__new__(TraceRecord)
+    new.__dict__.update(record.__dict__, outcome=outcome)
+    return new
 
 
-def _apply_maps(gate: str, level: str, config: ProtocolConfig,
-                ref_cav: StateVector, atoms: StateVector, supplied: bool) -> tuple:
-    """The protocol on one register: (records, branches) from the maps of its
-    occupied cavity levels, with the step loop's drop rule and order."""
-    space = ref_cav.space
+# the default config, and the ideal level's map key (it integrates nothing)
+_cached_config = lru_cache(maxsize=_MAPS_CACHED)(ProtocolConfig)
+
+
+@lru_cache(maxsize=_MAPS_CACHED)
+def _register_space(dim_c: int) -> CompositeSpace:
+    return CompositeSpace([FactorLabel("A", dim_c), FactorLabel("B", dim_c)])
+
+
+@lru_cache(maxsize=_MAPS_CACHED)
+def _layout(space: CompositeSpace, beta_dim: int, dim_c: int) -> tuple:
+    """An input space, checked, as _apply_maps reads it: perm takes its axes
+    to (A, B, rest), levels[i] is amplitude i's higher cavity level, and
+    stacked outputs on (A, B, alpha, beta, rest), reshaped to shape and
+    transposed by order, lie on out_space."""
+    for need in ("A", "B"):
+        if need not in space.names:
+            raise QStateError(f"input_state must contain factor {need!r}")
+        if space.factor(need).dim != dim_c:
+            raise QStateError(f"input_state factor {need!r} must have dim {dim_c}")
     taken = sorted({"alpha", "beta"}.intersection(space.names))
     if taken:
         raise QStateError(f"label collision on {taken}")
-    dim_c = config.fock_cutoff + 1
     axes = [space.axis("A"), space.axis("B")]
     rest = [k for k in range(len(space.dims)) if k not in axes]
-    psi = ref_cav.tensor_view().transpose(axes + rest).reshape(dim_c, dim_c, -1)
+    levels = np.maximum(*np.indices(space.dims)[axes]).reshape(-1)
+    levels.setflags(write=False)
+    out_space = CompositeSpace(space.factors + (FactorLabel("alpha", 2),
+                                                FactorLabel("beta", beta_dim)))
+    shape = (-1, dim_c, dim_c, 2, beta_dim) + tuple(space.dims[k] for k in rest)
+    order = [0] + [1 + axes.index(k) if k in axes else 5 + rest.index(k)
+                   for k in range(len(space.dims))] + [3, 4]
+    return axes + rest, levels, out_space, shape, order
+
+
+def _apply_maps(gate: str, level: str, config: ProtocolConfig,
+                ref_cav: StateVector, layout: tuple, atoms: StateVector,
+                supplied: bool) -> tuple:
+    """The protocol on one register: (records, branches) from the maps of its
+    occupied cavity levels, with the step loop's drop rule and order."""
+    perm, levels, out_space, shape, order = layout
     # the highest level any amplitude of A or B occupies, exactly; at least 1
-    m = dim_c - 1
-    while m > 1 and not (np.count_nonzero(psi[m]) or np.count_nonzero(psi[:, m])):
-        m -= 1
-    # the ideal level does not integrate, so one tol serves every run
-    key = config if level == "physical" else ProtocolConfig(config.fock_cutoff)
+    m = int(levels.max(where=ref_cav.amplitudes != 0, initial=1))
+    key = config if level == "physical" else _cached_config(config.fock_cutoff)
     maps = _branch_maps(gate, level, key, m, atoms.amplitudes.tobytes(), supplied)
-    psi = psi[:maps.side, :maps.side].reshape(maps.side * maps.side, -1)
-    n_branches = len(maps.kraus)
-    outs = (maps.kraus.reshape(-1, psi.shape[0]) @ psi).reshape(n_branches, -1)
-    probs = [float(np.vdot(out, out).real) for out in outs]
+    side = maps.side
+    psi = ref_cav.tensor_view().transpose(perm)[:side, :side].reshape(side * side, -1)
+    outs = (maps.kraus.reshape(-1, len(psi)) @ psi).reshape(len(maps.kraus), -1)
+    probs = np.vecdot(outs, outs).real.tolist()
     total = sum(probs)
     if abs(total - 1.0) > 1e-10:   # as the alpha measurement refuses it
         raise QStateError(f"branch probabilities sum to {total}, not 1")
-    targets = (maps.targets.reshape(-1, psi.shape[0]) @ psi).reshape(n_branches, -1)
+    targets = (maps.targets.reshape(-1, len(psi)) @ psi).reshape(len(outs), -1)
     # physical inputs are one product column; ideal maps score no gate
     fids = _gate_fidelities(maps.scored, psi[:, 0]) if len(maps.scored) else ()
 
-    beta_dim = _GATES[gate].beta_dim
-    out_space = CompositeSpace(space.factors + (FactorLabel("alpha", 2),
-                                                FactorLabel("beta", beta_dim)))
-    # (A, B, alpha, beta, rest) back to the input's factors, then alpha, beta
-    shape = (dim_c, dim_c, 2, beta_dim) + tuple(space.dims[k] for k in rest)
-    order = [axes.index(k) if k in axes else 4 + rest.index(k)
-             for k in range(len(space.dims))] + [2, 3]
+    # the step loop's drop rule: a measurement at p < 1e-30 is dropped with
+    # every record up to the next measurement, and a dropped alpha outcome
+    # with every beta outcome under it
     p_alpha: dict = {}
     for (alpha, _, _), p in zip(maps.branches, probs):
         p_alpha[alpha] = p_alpha.get(alpha, 0) + p
+    p_beta = [0.0 if p_alpha[alpha] < 1e-30 else p / p_alpha[alpha]
+              for (alpha, _, _), p in zip(maps.branches, probs)]
+    p = [p_alpha[alpha] * pb for (alpha, _, _), pb in zip(maps.branches, p_beta)]
+    # a branch at p = 0 is dropped: divided by 1, its row is not read
+    finals = outs / np.array([math.sqrt(pj) or 1.0 for pj in p])[:, None]
+    fidelity = [abs(v) ** 2 for v in np.vecdot(targets, finals).tolist()]
+    finals = np.ascontiguousarray(finals.reshape(shape).transpose(order))
 
-    # one pass in record order: a measurement at p < 1e-30 is dropped with
-    # every record up to the next measurement, and a dropped alpha outcome
-    # with every beta outcome under it
+    # one pass in record order
     records, branches = [], []
-    kept = alpha_kept = True
+    keep = True
     for record, slot in maps.records:
         if slot is None:
             pass
         elif slot[0] == "gate":
-            if kept:
+            if keep:
                 record = _with_outcome(record, _fidelity_outcome(fids[slot[1]], slot[2]))
         elif slot[0] == "alpha":
             alpha = slot[1]
-            kept = alpha_kept = not p_alpha[alpha] < 1e-30
-            if kept:
+            keep = not p_alpha[alpha] < 1e-30
+            if keep:
                 record = _with_outcome(record, _measured(alpha, p_alpha[alpha]))
         else:
             j = slot[1]
-            alpha, beta, bits = maps.branches[j]
-            p_beta = probs[j] / p_alpha[alpha] if alpha_kept else 0.0
-            kept = not p_beta < 1e-30
-            if kept:
-                record = _with_outcome(record, _measured(beta, p_beta))
-                p = p_alpha[alpha] * p_beta
-                final = outs[j] / math.sqrt(p)
-                branches.append(BranchResult(
-                    alpha, beta, p, float(abs(np.vdot(targets[j], final)) ** 2),
-                    StateVector(out_space, final.reshape(shape).transpose(order)),
-                    bits))
-        if kept:
+            keep = not p_beta[j] < 1e-30
+            if keep:
+                alpha, beta, bits = maps.branches[j]
+                record = _with_outcome(record, _measured(beta, p_beta[j]))
+                branches.append(BranchResult(alpha, beta, p[j], fidelity[j],
+                                             StateVector(out_space, finals[j]), bits))
+        if keep:
             records.append(record)
     return records, branches
 

@@ -286,6 +286,33 @@ def test_protocol_random_mode_prefixes_run_index(capsys):
     assert lines[1].startswith("0,") and lines[5].startswith("1,")
 
 
+@pytest.mark.parametrize("cutoff", ["0", "-2"])
+def test_protocol_refuses_a_fock_cutoff_below_1(capsys, cutoff):
+    # each cavity qubit needs photon levels 0 and 1
+    rc, out, err = run_cli(capsys, "protocol", "--gate", "cnot", "--fock-cutoff",
+                           cutoff)
+    assert rc == 1 and out == ""
+    assert f"error: fock_cutoff must be >= 1, got {cutoff}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ("protocol", "--gate", "cnot", "--random", "2", "--seed", "-1"),
+    ("ebit-noise", "--runs", "5", "--seed", "-2"),
+], ids=["protocol-random", "ebit-noise"])
+def test_a_negative_seed_is_bad_input(capsys, command):
+    rc, out, err = run_cli(capsys, *command)
+    assert rc == 1 and out == ""
+    assert f"error: seed must be >= 0, got {command[-1]}" in err
+    assert "Traceback" not in err
+
+
+def test_two_photon_reads_no_seed(capsys):
+    rc, out, _ = run_cli(capsys, "two-photon", "--convention", "cyclic",
+                         "--seed", "-1")
+    assert rc == 0 and out.strip().splitlines()[1] == "chosen=cyclic"
+
+
 def test_protocol_requires_gate(capsys):
     rc, _out, err = run_cli(capsys, "protocol", "--level", "ideal")
     assert rc == 1

@@ -430,6 +430,42 @@ def test_cli_random_physical_inputs_build_the_maps_once(gate, monkeypatch, tmp_p
     assert sorted(measured[1]) == sorted(PHYSICAL_GATES[gate])
 
 
+def _returned(trace):
+    """What a trace returns: its lines, and each branch with its final state
+    as bytes."""
+    return trace.trace_lines(), [
+        (br.label, br.probability, br.fidelity_vs_ideal, br.bits,
+         br.final_state.space, br.final_state.amplitudes.tobytes())
+        for br in trace.branches]
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cqpg"])
+def test_warm_calls_return_what_cold_calls_return(gate):
+    # the maps and the input-space layouts are cached; a call that builds
+    # them and a call that reads them answer alike
+    runner = {"cnot": run_nonlocal_cnot, "cqpg": run_nonlocal_cqpg}[gate]
+    rng = make_rng(34)
+    cases = [(_random_pairs(rng), {"level": "ideal"})]
+    for names, levels in ((("A", "B", "anc"), {"A": 1, "B": 1}),
+                          (("B", "anc", "A"), {"A": 2, "B": 1}),
+                          (("anc", "A", "B"), {"A": 1, "B": 3})):
+        cases.append(((), {"input_state": _random_input(rng, names, levels)}))
+    cases.append((_random_pairs(rng), {"level": "physical"}))
+    for amps, kwargs in cases:
+        protocol._branch_maps.cache_clear()
+        protocol._layout.cache_clear()
+        cold = runner(*amps, **kwargs)
+        warm = runner(*amps, **kwargs)
+        for cache in (protocol._branch_maps, protocol._layout):
+            assert cache.cache_info()[:2] == (1, 1)   # (hits, misses)
+        assert _returned(warm) == _returned(cold)
+    # a refused input space is refused again: the layout caches no refusal
+    clash = _random_input(rng, ("A", "alpha", "B"), {"A": 1, "B": 1})
+    for _ in range(2):
+        with pytest.raises(QStateError, match=r"label collision on \['alpha'\]"):
+            runner(input_state=clash)
+
+
 def _maps_key(gate, level, ebit, m, supplied):
     beta_dim = protocol._GATES[gate].beta_dim
     return gate, level, protocol.ProtocolConfig(), m, \
