@@ -41,7 +41,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .qstate import (ATOM_E, ATOM_G, ATOM_I, CompositeSpace, FactorLabel,
-                     Operator, QStateError, StateVector, apply_local, embed)
+                     Operator, QStateError, StateVector, apply_local,
+                     check_finite, check_tol, embed)
 from .jcmodel import (JCParams, bare_to_dressed_map, jc_rotating,
                       manifold_splitting)
 from .pulses import (GAUSSIAN_SUPPORT, Drive, PulseSpec, calibrate_pulse_area,
@@ -94,8 +95,7 @@ class PhysicalGateConfig:
     def __post_init__(self) -> None:
         if self.fock_cutoff < 2:
             raise QStateError("fock_cutoff must be >= 2")
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise QStateError(f"tol must be > 0 and finite, got {self.tol}")
+        check_tol(self.tol)
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,7 @@ class ThreeLevelParams:
     delta_ge: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for field in ("rabi_coupling", "delta_ge"):
-            v = getattr(self, field)
-            if v is not None and not math.isfinite(v):
-                raise QStateError(f"{field} must be finite, got {v}")
+        check_finite(self, ("rabi_coupling",), ("delta_ge",))
         if self.rabi_coupling <= 0:
             raise QStateError("rabi_coupling must be > 0")
         if self.delta_ge is not None and self.delta_ge == 0:
@@ -175,6 +172,13 @@ _TRUTH_TABLE = {
 }
 
 
+def atom_block(dim: int, block: np.ndarray) -> np.ndarray:
+    """A (g, e) block on an atom of dim 2 or 3, identity on the i level."""
+    mat = np.eye(dim, dtype=complex)
+    mat[:2, :2] = block
+    return mat
+
+
 @lru_cache(maxsize=None)
 def _ideal_pair_matrix(kind: GateKind, atom_dim: int, n_ph: int) -> np.ndarray:
     """Identity outside the computational labels; on them, the truth table
@@ -218,9 +222,7 @@ def ideal_block(kind: GateKind, space: CompositeSpace, atom: Optional[str] = Non
             raise QStateError(f"atom factor {atom!r} must have dim 2 or 3")
         block = HADAMATOM if kind == GateKind.HADAMARD_ATOM else \
             np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        mat = np.eye(a_dim, dtype=complex)
-        mat[:2, :2] = block
-        return mat, (atom,)
+        return atom_block(a_dim, block), (atom,)
 
     if kind == GateKind.SIGMA_Z:
         if (atom is None) == (cavity is None):
@@ -399,6 +401,17 @@ def _gate_result(state: StateVector, engine: tuple, factors: tuple,
                       exchange_probability_tdse=meta.get("exchange_forward"))
 
 
+def _cavity_drive(params: JCParams, config: PhysicalGateConfig, offset: float,
+                  width: float, center: float, area: float) -> Drive:
+    """A gaussian at lab carrier omega + offset calibrated to area: in the
+    cavity frame, carrier offset and, unless config.rwa, counter
+    2 omega + offset."""
+    pulse = calibrate_pulse_area(PulseSpec(omega_drive=params.omega + offset,
+                                           amplitude=1.0, width=width,
+                                           center=center), area)
+    return Drive(pulse, offset, None if config.rwa else 2.0 * params.omega + offset)
+
+
 # ---------------------------------------------------------------------------
 # CNOT, cavity controls atom
 
@@ -408,13 +421,11 @@ def _cnot_gate(params: JCParams, config: PhysicalGateConfig) -> _PulsedGate:
     r1 = float(manifold_splitting(params, 1))
     carrier = r0 + r1                           # |V-,0> <-> |V+,1| gap
     splitting = r1 - params.delta / 2.0         # distance to the 0-photon line
-    shape = PulseSpec(omega_drive=params.omega + carrier, amplitude=1.0,
-                      width=TAU_FACTOR / splitting)
-    pulse = calibrate_pulse_area(shape, math.pi)
+    drive = _cavity_drive(params, config, carrier, TAU_FACTOR / splitting, 0.0,
+                          math.pi)
     return _PulsedGate(
-        static=jc_rotating(params, config.fock_cutoff),
-        drives=(Drive(pulse, carrier, None if config.rwa else 2.0 * params.omega + carrier),),
-        span=pulse.window, tol=config.tol, pulses=(pulse,), ramp=params,
+        static=jc_rotating(params, config.fock_cutoff), drives=(drive,),
+        span=drive.pulse.window, tol=config.tol, pulses=(drive.pulse,), ramp=params,
         rows=_comp_rows(config.fock_cutoff + 1),
         phases=partial(_truth_table_phases, kind=GateKind.CNOT_CAVITY_TO_ATOM),
         labels={"ramp": "adiabatic detuning ramp on computational labels"},
@@ -451,12 +462,11 @@ def _swap_gate(p: TwoPhotonParams, config: PhysicalGateConfig) -> _PulsedGate:
     cutoff = config.fock_cutoff
     if cutoff < 4:
         raise QStateError("fock_cutoff must be >= 4 for the two-photon ladder")
-    pulse = PulseSpec(omega_drive=p.laser_frequency, amplitude=2.0 * p.sigma0,
-                      width=p.tau)
+    pulse = p.pulse
     return _PulsedGate(
         static=jc_rotating(params, cutoff),
         drives=(Drive(pulse, pulse.omega_drive),) if p.sigma0 > 0 else (),
-        span=(p.t_start, p.t_end), tol=config.tol, pulses=(pulse,), ramp=params,
+        span=pulse.window, tol=config.tol, pulses=(pulse,), ramp=params,
         rows=_comp_rows(cutoff + 1),
         phases=partial(_truth_table_phases, kind=GateKind.SWAP_ATOM_CAVITY),
         labels={},
@@ -556,22 +566,20 @@ def _dressed_atom_gate(kind: GateKind, params: JCParams,
     sector1 = r0 + r1                   # |V-,0> <-> |V+,1>
     if kind == GateKind.HADAMARD_ATOM:
         tau = TAU_FACTOR / params.rabi_coupling
-        half = GAUSSIAN_SUPPORT * tau
         carriers, centers, area = (0.5 * (sector0 + sector1),), (0.0,), math.pi / 2.0
-        span, mode = (-half, half), "dressed-broadband"
+        mode = "dressed-broadband"
     else:
         tau = TAU_FACTOR / (r1 - params.delta / 2.0)
-        half = GAUSSIAN_SUPPORT * tau
-        carriers, centers, area = (sector1, sector0), (0.0, 2.0 * half), math.pi
-        span, mode = (-half, 3.0 * half), "dressed-sequential"
-    pulses = tuple(calibrate_pulse_area(PulseSpec(omega_drive=params.omega + c, amplitude=1.0,
-                                                  width=tau, center=t), area)
+        # the second window starts where the first ends
+        carriers, centers = (sector1, sector0), (0.0, 2.0 * (GAUSSIAN_SUPPORT * tau))
+        area, mode = math.pi, "dressed-sequential"
+    drives = tuple(_cavity_drive(params, config, c, tau, t, area)
                    for c, t in zip(carriers, centers))
+    pulses = tuple(d.pulse for d in drives)
     return _PulsedGate(
-        static=jc_rotating(params, config.fock_cutoff),
-        drives=tuple(Drive(p, c, None if config.rwa else 2.0 * params.omega + c)
-                     for p, c in zip(pulses, carriers)),
-        span=span, tol=config.tol, pulses=pulses, ramp=params,
+        static=jc_rotating(params, config.fock_cutoff), drives=drives,
+        span=(pulses[0].window[0], pulses[-1].window[1]), tol=config.tol,
+        pulses=pulses, ramp=params,
         rows=_comp_rows(config.fock_cutoff + 1), phases=partial(_atom_phases, kind=kind),
         labels={"mode": mode}, readouts={})
 

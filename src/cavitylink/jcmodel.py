@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import (ATOM_E, ATOM_G, CompositeSpace, FactorLabel, Operator,
-                     QStateError, StateVector, apply_local)
+                     QStateError, StateVector, apply_local, check_finite)
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,7 @@ class JCParams:
     rabi_coupling: float
 
     def __post_init__(self) -> None:
-        for field in ("omega0", "omega", "rabi_coupling"):
-            v = getattr(self, field)
-            if not math.isfinite(v):
-                raise QStateError(f"{field} must be finite, got {v}")
+        check_finite(self, ("omega0", "omega", "rabi_coupling"), ())
         if self.rabi_coupling <= 0:
             raise QStateError(f"rabi_coupling must be > 0, got {self.rabi_coupling}")
         if self.omega <= 0:
@@ -61,20 +58,22 @@ class JCParams:
         return self.omega0 - self.omega
 
 
-def desk_params(omega_rabi: float = 1.0, x: float = 0.1) -> JCParams:
-    """Convenient desk-scale parameter set from the ratio x = g/delta.
+def desk_node(rabi_coupling: float, delta: float) -> JCParams:
+    """The node at coupling g and detuning delta at desk scale: the cavity
+    at 2 delta (2 g at resonance), small enough for affordable
+    non-rotating-wave integrations, and the atom delta above it."""
+    omega = 2.0 * (delta if delta > 0 else rabi_coupling)
+    return JCParams(omega + delta, omega, rabi_coupling)
 
-    x = 0 means exact resonance.  The cavity frequency is twice delta (or
-    twice g when x = 0); keeping it small makes non-rotating-wave
-    integrations affordable.
-    """
+
+def desk_params(omega_rabi: float = 1.0, x: float = 0.1) -> JCParams:
+    """Convenient desk-scale parameter set (desk_node) from the ratio
+    x = g/delta; x = 0 means exact resonance."""
     if omega_rabi <= 0:
         raise QStateError("omega_rabi must be > 0")
     if x < 0:
         raise QStateError("x must be >= 0")
-    delta = 0.0 if x == 0 else omega_rabi / x
-    omega = 2.0 * (delta if delta > 0 else omega_rabi)
-    return JCParams(omega0=omega + delta, omega=omega, rabi_coupling=omega_rabi)
+    return desk_node(omega_rabi, 0.0 if x == 0 else omega_rabi / x)
 
 
 def set_stark_detuning(params: JCParams, new_omega0: float) -> JCParams:

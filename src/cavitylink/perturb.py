@@ -23,9 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import ATOM_G, QStateError
-from .jcmodel import (JCParams, dressed_pair, jc_rotating, manifold_splitting,
-                      mixing_angle)
+from .qstate import ATOM_G, QStateError, check_finite
+from .jcmodel import (JCParams, desk_node, dressed_pair, jc_rotating,
+                      manifold_splitting, mixing_angle)
 from .pulses import Drive, PulseSpec, _panels, _step_rule, propagate_basis
 
 
@@ -52,7 +52,7 @@ class TwoPhotonParams:
     sigma0: peak atom-laser coupling (rad/s); the rotating-wave drive
         element is sigma0 * exp(-t^2/tau^2) in full
 
-    The laser fires over the envelope's window [-3 tau, 3 tau] at half the
+    The laser pulse fires over its window [-3 tau, 3 tau] at half the
     |g,0> -> |V+,1> gap, (R_1 + delta/2) / 2, in the cavity-rotating frame.
     """
 
@@ -62,10 +62,7 @@ class TwoPhotonParams:
     sigma0: float
 
     def __post_init__(self) -> None:
-        for field in ("rabi_coupling", "delta", "tau", "sigma0"):
-            v = getattr(self, field)
-            if not math.isfinite(v):
-                raise QStateError(f"{field} must be finite, got {v}")
+        check_finite(self, ("rabi_coupling", "delta", "tau", "sigma0"), ())
         if self.rabi_coupling <= 0:
             raise QStateError("rabi_coupling must be > 0")
         if self.delta <= 0:
@@ -80,37 +77,22 @@ class TwoPhotonParams:
                 "the dispersive treatment is unreliable here", stacklevel=2)
 
     @property
-    def x(self) -> float:
-        return self.rabi_coupling / self.delta
-
-    @property
-    def t_end(self) -> float:
-        return 3.0 * self.tau
-
-    @property
-    def t_start(self) -> float:
-        return -3.0 * self.tau
-
-    @property
     def laser_frequency(self) -> float:
         return _laser_frequency(self.rabi_coupling, self.delta)
 
+    @property
+    def pulse(self) -> PulseSpec:
+        """The laser pulse, carrier laser_frequency and width tau; its
+        amplitude 2 sigma0 makes the rotating-wave element sigma0 in full."""
+        return PulseSpec(omega_drive=self.laser_frequency,
+                         amplitude=2.0 * self.sigma0, width=self.tau)
+
     def jc_params(self) -> JCParams:
-        return _node_params(self.rabi_coupling, self.delta)
-
-
-def _node_params(rabi_coupling: float, delta: float) -> JCParams:
-    """Node parameters with the cavity placed at a desk-scale frequency.
-
-    Only the detuning and coupling matter in the rotating frame used
-    throughout this module.
-    """
-    return JCParams(omega0=3.0 * delta, omega=2.0 * delta,
-                    rabi_coupling=rabi_coupling)
+        return desk_node(self.rabi_coupling, self.delta)
 
 
 def _laser_frequency(rabi_coupling: float, delta: float) -> float:
-    r1 = float(manifold_splitting(_node_params(rabi_coupling, delta), 1))
+    r1 = float(manifold_splitting(desk_node(rabi_coupling, delta), 1))
     return (r1 + delta / 2.0) / 2.0
 
 
@@ -143,7 +125,7 @@ def _path_elements(rabi_coupling: float, delta: float):
     TwoPhotonParams.laser_frequency.  None of them depends on the drive
     strength sigma0.
     """
-    params = _node_params(rabi_coupling, delta)
+    params = desk_node(rabi_coupling, delta)
     phi0 = mixing_angle(params, 0)
     phi1 = mixing_angle(params, 1)
     r0 = float(manifold_splitting(params, 0))
@@ -160,22 +142,22 @@ def _path_elements(rabi_coupling: float, delta: float):
     return hop1, hop2, d1, d2
 
 
-def _path_integrands(tau: float, detunings: np.ndarray, t_start: float,
-                     t_end: float, panels: int) -> tuple:
+def _path_integrands(envelope: PulseSpec, detunings: np.ndarray,
+                     panels: int) -> tuple:
     """env(t) exp(i d t) for each detuning d at the nodes of pulses'
-    one-panel rule repeated over `panels` equal panels of [t_start, t_end],
-    shape (len(detunings), panels, FILON_NODES); and the panel width.
+    one-panel rule repeated over `panels` equal panels of the envelope's
+    window, shape (len(detunings), panels, FILON_NODES); and the panel width.
 
-    env is the laser envelope exp(-t^2/tau^2), zero past |t| = 3 tau.
+    env is the laser envelope per unit amplitude, exp(-t^2/tau^2).
     """
+    t_start, t_end = envelope.window
     if panels > ORDERED_MAX_PANELS:
         raise QuadratureError(
             f"{panels} panels on [{t_start:.6g}, {t_end:.6g}] would pass "
             f"ORDERED_MAX_PANELS = {ORDERED_MAX_PANELS}")
     h = (t_end - t_start) / panels
     t = t_start + h * (np.arange(panels)[:, None] + _step_rule(1)[0])
-    envelope = PulseSpec(omega_drive=0.0, amplitude=1.0, width=tau).envelope(t)
-    return envelope * np.exp(1j * detunings[:, None, None] * t), h
+    return envelope.envelope(t) * np.exp(1j * detunings[:, None, None] * t), h
 
 
 def _running_integral(f: np.ndarray, h: float) -> np.ndarray:
@@ -205,12 +187,12 @@ def _sigma0_free_total(rabi_coupling: float, delta: float, tau: float) -> comple
     construction would repeat its warnings.
     """
     hop1, hop2, d1, d2 = _path_elements(rabi_coupling, delta)
-    # the window of TwoPhotonParams.t_start and t_end
-    t_start, t_end = -3.0 * tau, 3.0 * tau
+    # TwoPhotonParams.pulse per unit amplitude, and the window it fires over
+    envelope = PulseSpec(omega_drive=0.0, amplitude=1.0, width=tau)
+    t_start, t_end = envelope.window
 
     def evaluate(panels):
-        f, h = _path_integrands(tau, np.concatenate((d1, d2)), t_start, t_end,
-                                panels)
+        f, h = _path_integrands(envelope, np.concatenate((d1, d2)), panels)
         f_in, f_out = f[:2], f[2:]
         weights = _step_rule(1)[1][:, 0]
         paths = h * np.sum(f_out * weights * _running_integral(f_in, h),
@@ -266,14 +248,12 @@ def two_photon_tdse_oracle(p: TwoPhotonParams, tol: float = 1e-10) -> float:
     params = p.jc_params()
     static = jc_rotating(params, ORACLE_FOCK_CUTOFF)
     space = static.space
-    # full-sigma0 rotating-wave element needs pulse amplitude 2 sigma0
-    pulse = PulseSpec(omega_drive=p.laser_frequency, amplitude=2.0 * p.sigma0,
-                      width=p.tau)
+    pulse = p.pulse
     pair1 = dressed_pair(params, 1, ORACLE_FOCK_CUTOFF)
     g0 = np.zeros(space.dim, dtype=complex)
     g0[space.index({"atom": ATOM_G, "cavity": 0})] = 1.0
     final, _info = propagate_basis(static, [Drive(pulse, pulse.omega_drive)],
-                                   p.t_start, p.t_end, tol, columns=g0)
+                                   *pulse.window, tol, columns=g0)
     return float(abs(np.vdot(pair1.v_plus, final)) ** 2)
 
 

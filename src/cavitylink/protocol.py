@@ -33,16 +33,17 @@ from typing import Callable, Optional
 import numpy as np
 import scipy
 
-from .qstate import (ATOM_LEVEL_NAMES, CompositeSpace, FactorLabel, QStateError,
-                     StateVector, apply_local, enumerate_branches, make_rng,
+from .qstate import (ATOM_G, ATOM_LEVEL_NAMES, BRANCH_FLOOR, CompositeSpace,
+                     FactorLabel, QStateError, StateVector, apply_local,
+                     check_branch_total, check_tol, enumerate_branches, make_rng,
                      tensor)
 from .jcmodel import (JCParams, desk_params, resonant_rabi_evolve,
                       set_stark_detuning)
 from .perturb import SOURCE_POINT_CYCLIC
 from .gates import (GateKind, GateResult, PhysicalGateConfig, ThreeLevelParams,
-                    checked_fidelity, ideal_block, physical_cnot_atom_to_cavity,
-                    physical_cnot_cavity_to_atom, physical_cqpg_local,
-                    physical_hadamard_atom, physical_not_atom)
+                    atom_block, checked_fidelity, ideal_block,
+                    physical_cnot_atom_to_cavity, physical_cnot_cavity_to_atom,
+                    physical_cqpg_local, physical_hadamard_atom, physical_not_atom)
 
 
 class ProtocolError(RuntimeError):
@@ -188,8 +189,7 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.fock_cutoff < 1:
             raise QStateError(f"fock_cutoff must be >= 1, got {self.fock_cutoff}")
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise QStateError(f"tol must be > 0 and finite, got {self.tol}")
+        check_tol(self.tol)
 
     def gate_config(self) -> PhysicalGateConfig:
         return PhysicalGateConfig(fock_cutoff=self.fock_cutoff, rwa=RWA,
@@ -232,33 +232,37 @@ def _check_pair(u: complex, v: complex, names: str) -> None:
         raise QStateError(f"|{names[0]}|^2 + |{names[1]}|^2 = {norm}, expected 1")
 
 
+def _load_node(one: complex, zero: complex, dim_c: int, params: JCParams,
+               atom: str, cavity: str) -> StateVector:
+    """One node on (atom, cavity) after it loads its cavity with
+    (one |1> + zero |0>) at params, its atom left in g.
+
+    The atom is prepared in the matching superposition (with a
+    pre-compensated drive phase) and transferred to the empty cavity by a
+    resonant quarter-cycle exchange; the transfer phase -i on |e,0> ->
+    |g,1> is what the pre-compensation cancels.
+    """
+    amps = np.array([zero, 1.0j * one], dtype=complex)
+    node = tensor([StateVector(CompositeSpace([FactorLabel(atom, 2)]), amps),
+                   CompositeSpace([FactorLabel(cavity, dim_c)]).basis_state({cavity: 0})])
+    return resonant_rabi_evolve(set_stark_detuning(params, params.omega), node,
+                                math.pi / (2.0 * params.rabi_coupling),
+                                atom=atom, cavity=cavity)
+
+
 def prepare_register(a: complex, b: complex, c: complex, d: complex,
                      fock_cutoff: int = 5,
                      params: Optional[JCParams] = None) -> StateVector:
     """Cavity qubits (a|1> + b|0>) on A and (c|1> + d|0>) on B, atoms in g,
-    as both nodes load them at params (default desk_params(1.0, x=0.1)).
-
-    Each node prepares its atom in the matching superposition (with a
-    pre-compensated drive phase) and transfers it to the cavity by a
-    resonant quarter-cycle exchange; the transfer phase -i on |e,0> ->
-    |g,1> is what the pre-compensation cancels.
+    as both nodes load them at params (default desk_params(1.0, x=0.1));
+    see _load_node.
     """
     _check_pair(a, b, "ab")
     _check_pair(c, d, "cd")
     dim_c = fock_cutoff + 1
     params = params or desk_params(1.0, x=0.1)
-    resonant = set_stark_detuning(params, params.omega)
-    parts = []
-    for label_c, label_a, one, zero in (("A", "alpha", a, b), ("B", "beta", c, d)):
-        atom = np.array([zero, 1.0j * one], dtype=complex)  # drive-phase precompensation
-        cavity = CompositeSpace([FactorLabel(label_c, dim_c)])
-        node = tensor([StateVector(CompositeSpace([FactorLabel(label_a, 2)]), atom),
-                       cavity.basis_state({label_c: 0})])   # the cavity empty
-        node = resonant_rabi_evolve(resonant, node,
-                                    math.pi / (2.0 * params.rabi_coupling),
-                                    atom=label_a, cavity=label_c)
-        parts.append(node)
-    full = tensor(parts)
+    full = tensor([_load_node(a, b, dim_c, params, "alpha", "A"),
+                   _load_node(c, d, dim_c, params, "beta", "B")])
     order = [FactorLabel("A", dim_c), FactorLabel("alpha", 2),
              FactorLabel("B", dim_c), FactorLabel("beta", 2)]
     return _reorder_sub(full, CompositeSpace(order))
@@ -350,13 +354,6 @@ def _reorder_sub(state: StateVector, space: CompositeSpace) -> StateVector:
 # small local blocks, applied with apply_local
 
 
-def _atom_block(dim: int, block: np.ndarray) -> np.ndarray:
-    """A (g, e) block on an atom of dimension dim, identity on any i level."""
-    mat = np.eye(dim, dtype=complex)
-    mat[:2, :2] = block
-    return mat
-
-
 def _cnot_target(dim: int) -> np.ndarray:
     """CNOT on cavities (A, B) of dimension dim each, A controlling B."""
     mat = np.eye(dim * dim, dtype=complex)
@@ -396,7 +393,7 @@ class _Step:
 
 
 def _true_hadamard(space: CompositeSpace) -> tuple:
-    return _atom_block(space.factor("beta").dim, TRUE_HADAMARD), ("beta",)
+    return atom_block(space.factor("beta").dim, TRUE_HADAMARD), ("beta",)
 
 
 def _fidelity_outcome(f: float, suffix: str) -> str:
@@ -449,7 +446,7 @@ def _hadamard_beta(step, state, params, config):
     # the pi/2 pulse between atom frame phases; a two-level beta is first
     # Stark-switched far off its cavity and pulsed through its dressed states
     beta_dim = state.space.factor("beta").dim
-    frame = _atom_block(beta_dim, np.diag(HADAMARD_FRAME_PHASE))
+    frame = atom_block(beta_dim, np.diag(HADAMARD_FRAME_PHASE))
     state = apply_local(state, frame, ("beta",))
     records, cavity = [], None
     if beta_dim == 2:
@@ -752,13 +749,11 @@ class _Maps:
 def _load_map(params: JCParams, dim_c: int) -> np.ndarray:
     """prepare_register at params as a 4 x 4 matrix: column 2 i + j holds
     the loaded (A, B) amplitudes on cavity levels <= 1, A-major, of the
-    product |i>_A |j>_B."""
-    columns = []
-    for i, j in np.ndindex(2, 2):
-        reg = prepare_register(i, 1 - i, j, 1 - j, fock_cutoff=dim_c - 1,
-                               params=params)
-        columns.append(_reorder_sub(reg, _register_space(dim_c)).tensor_view()[:2, :2].reshape(-1))
-    return np.array(columns).T
+    product |i>_A |j>_B: the Kronecker square of one node's 2 x 2 map,
+    column i its cavity levels <= 1, atom in g, loaded with |i>."""
+    node = np.array([_load_node(i, 1 - i, dim_c, params, "atom", "cavity")
+                     .tensor_view()[ATOM_G, :2] for i in (0, 1)]).T
+    return np.kron(node, node)
 
 
 @lru_cache(maxsize=_MAPS_CACHED)
@@ -899,20 +894,18 @@ def _apply_maps(gate: str, level: str, config: ProtocolConfig,
     psi = ref_cav.tensor_view().transpose(perm)[:side, :side].reshape(side * side, -1)
     outs = (maps.kraus.reshape(-1, len(psi)) @ psi).reshape(len(maps.kraus), -1)
     probs = np.vecdot(outs, outs).real.tolist()
-    total = sum(probs)
-    if abs(total - 1.0) > 1e-10:   # as the alpha measurement refuses it
-        raise QStateError(f"branch probabilities sum to {total}, not 1")
+    check_branch_total(sum(probs))   # as the alpha measurement refuses it
     targets = (maps.targets.reshape(-1, len(psi)) @ psi).reshape(len(outs), -1)
     # physical inputs are one product column; ideal maps score no gate
     fids = _gate_fidelities(maps.scored, psi[:, 0]) if len(maps.scored) else ()
 
-    # the step loop's drop rule: a measurement at p < 1e-30 is dropped with
-    # every record up to the next measurement, and a dropped alpha outcome
-    # with every beta outcome under it
+    # the step loop's drop rule: a measurement at p < BRANCH_FLOOR is dropped
+    # with every record up to the next measurement, and a dropped alpha
+    # outcome with every beta outcome under it
     p_alpha: dict = {}
     for (alpha, _, _), p in zip(maps.branches, probs):
         p_alpha[alpha] = p_alpha.get(alpha, 0) + p
-    p_beta = [0.0 if p_alpha[alpha] < 1e-30 else p / p_alpha[alpha]
+    p_beta = [0.0 if p_alpha[alpha] < BRANCH_FLOOR else p / p_alpha[alpha]
               for (alpha, _, _), p in zip(maps.branches, probs)]
     p = [p_alpha[alpha] * pb for (alpha, _, _), pb in zip(maps.branches, p_beta)]
     # a branch at p = 0 is dropped: divided by 1, its row is not read
@@ -931,12 +924,12 @@ def _apply_maps(gate: str, level: str, config: ProtocolConfig,
                 record = _with_outcome(record, _fidelity_outcome(fids[slot[1]], slot[2]))
         elif slot[0] == "alpha":
             alpha = slot[1]
-            keep = not p_alpha[alpha] < 1e-30
+            keep = not p_alpha[alpha] < BRANCH_FLOOR
             if keep:
                 record = _with_outcome(record, _measured(alpha, p_alpha[alpha]))
         else:
             j = slot[1]
-            keep = not p_beta[j] < 1e-30
+            keep = not p_beta[j] < BRANCH_FLOOR
             if keep:
                 alpha, beta, bits = maps.branches[j]
                 record = _with_outcome(record, _measured(beta, p_beta[j]))
@@ -1004,6 +997,7 @@ def monte_carlo_gun_fidelity(model: PhotonGunModel, n_runs: int = 10000,
     """
     if n_runs <= 0:
         raise QStateError("n_runs must be positive")
+    u = make_rng(seed).random(n_runs)
     branches = enumerate_ebit_branches(model)
     weights = model.weights
 
@@ -1022,8 +1016,6 @@ def monte_carlo_gun_fidelity(model: PhotonGunModel, n_runs: int = 10000,
         outcome_score[outcome] = sum(
             br.probability / w * conditional_score(br) for br in subset)
 
-    rng = make_rng(seed)
-    u = rng.random(n_runs)
     p_s = weights["single"]
     p_e = weights["empty"]
     n_single = int(np.count_nonzero(u < p_s))

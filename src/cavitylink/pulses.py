@@ -50,7 +50,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .qstate import (ATOM_E, ATOM_G, CompositeSpace, Operator, QStateError,
-                     StateVector)
+                     StateVector, check_finite, check_tol)
 
 # Every envelope is a gaussian truncated at +/- GAUSSIAN_SUPPORT widths.
 GAUSSIAN_SUPPORT = 3.0
@@ -107,10 +107,7 @@ class PulseSpec:
     center: float = 0.0
 
     def __post_init__(self) -> None:
-        for field in ("omega_drive", "amplitude", "width", "center"):
-            v = getattr(self, field)
-            if not math.isfinite(v):
-                raise QStateError(f"{field} must be finite, got {v}")
+        check_finite(self, ("omega_drive", "amplitude", "width", "center"), ())
         if self.amplitude < 0:
             raise QStateError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.width <= 0:
@@ -168,10 +165,7 @@ class Drive:
     counter: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for field in ("carrier", "counter"):
-            v = getattr(self, field)
-            if v is not None and not math.isfinite(v):
-                raise QStateError(f"{field} must be finite, got {v}")
+        check_finite(self, ("carrier",), ("counter",))
 
 
 def _atom_raise(space: CompositeSpace) -> np.ndarray:
@@ -534,8 +528,7 @@ def propagate_basis(static_h: Operator, drives: Sequence[Drive],
     """
     if t1 <= t0:
         raise QStateError(f"need t1 > t0, got [{t0}, {t1}]")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise QStateError(f"tol must be > 0 and finite, got {tol}")
+    check_tol(tol)
     dim = static_h.space.dim
     if columns is None:
         columns = np.eye(dim, dtype=complex)

@@ -28,6 +28,8 @@ class Tolerances:
 
 TOLERANCES = Tolerances()
 
+BRANCH_FLOOR = 1e-30   # a measurement outcome of lower probability is dropped
+
 # Atom level indices used throughout (basis ordering decision), and the
 # names measured atom levels are reported by.
 ATOM_G = 0
@@ -38,6 +40,30 @@ ATOM_LEVEL_NAMES = ("g", "e", "i")
 
 class QStateError(ValueError):
     """Validation failure in a Hilbert-space operation."""
+
+
+def check_finite(record, fields: tuple, optional: tuple) -> None:
+    """Refuse a non-finite value in the named fields of record; those in
+    optional may also be None."""
+    for name in fields:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise QStateError(f"{name} must be finite, got {value}")
+    for name in optional:
+        if getattr(record, name) is not None:
+            check_finite(record, (name,), ())
+
+
+def check_tol(tol: float) -> None:
+    """Refuse an integrator tolerance that is not > 0 and finite."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise QStateError(f"tol must be > 0 and finite, got {tol}")
+
+
+def check_branch_total(total: float) -> None:
+    """Refuse outcome probabilities that do not sum to 1 within 1e-10."""
+    if abs(total - 1.0) > 1e-10:
+        raise QStateError(f"branch probabilities sum to {total}, not 1")
 
 
 @dataclass(frozen=True)
@@ -275,21 +301,19 @@ def enumerate_branches(state: StateVector, factor: str) -> list:
     """All outcomes of measuring one factor in its level basis:
     (level as a string, collapsed state, probability).
 
-    Zero-probability branches are listed with collapsed state None.
-    Probabilities sum to 1 within 1e-10.
+    A branch below BRANCH_FLOOR is listed with collapsed state None and
+    probability 0; the probabilities must pass check_branch_total.
     """
     f = state.space.factor(factor)
     axis = state.space.axis(factor)
     out = []
     for level in range(f.dim):
         proj, prob = _project_factor(state, axis, level)
-        if prob < 1e-30:
+        if prob < BRANCH_FLOOR:
             out.append((str(level), None, 0.0))
         else:
             out.append((str(level), StateVector(state.space, proj / np.sqrt(prob)), prob))
-    total = sum(p for _, _, p in out)
-    if abs(total - 1.0) > 1e-10:
-        raise QStateError(f"branch probabilities sum to {total}, not 1")
+    check_branch_total(sum(p for _, _, p in out))
     return out
 
 

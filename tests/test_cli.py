@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from cavitylink import perturb, pulses
+from cavitylink import perturb, protocol, pulses
 from cavitylink.cli import _fmt_at_tol, main
 
 
@@ -304,6 +304,18 @@ def test_a_negative_seed_is_bad_input(capsys, command):
     rc, out, err = run_cli(capsys, *command)
     assert rc == 1 and out == ""
     assert f"error: seed must be >= 0, got {command[-1]}" in err
+    assert "Traceback" not in err
+
+
+def test_ebit_noise_refuses_a_negative_seed_before_any_protocol_runs(capsys,
+                                                                     monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the protocol ran before the seed was checked")
+
+    monkeypatch.setattr(protocol, "run_nonlocal_cnot", refuse)
+    rc, out, err = run_cli(capsys, "ebit-noise", "--runs", "5", "--seed", "-2")
+    assert rc == 1 and out == ""
+    assert "error: seed must be >= 0, got -2" in err
     assert "Traceback" not in err
 
 

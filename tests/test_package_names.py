@@ -156,3 +156,39 @@ def test_every_float_parameter_refuses_a_non_finite_value(record):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(QStateError, match=f"{name} must be finite"):
                 dataclasses.replace(record, **{name: bad})
+
+
+def _shared_decision_copies(modules: dict) -> list:
+    """(module, line, what) of each copy of a decision that qstate owns: a
+    __post_init__ that calls math.isfinite itself (qstate.check_finite and
+    check_tol hold that check), or a 1e-30 literal outside qstate.py (the
+    measurement drop threshold, qstate.BRANCH_FLOOR)."""
+    found = []
+    for mod, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+                found += [(mod, call.lineno, "math.isfinite in __post_init__")
+                          for call in ast.walk(node) if isinstance(call, ast.Call)
+                          and ast.unparse(call.func) == "math.isfinite"]
+            elif (isinstance(node, ast.Constant) and node.value == 1e-30
+                  and type(node.value) is float and mod != "qstate.py"):
+                found.append((mod, node.lineno, "1e-30"))
+    return sorted(found)
+
+
+def test_each_shared_check_has_one_home():
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert _shared_decision_copies(modules) == []
+
+
+def test_shared_check_scan_flags_inline_copies():
+    modules = {
+        "qstate.py": ast.parse("FLOOR = 1e-30\n"),
+        "a.py": ast.parse("import math\n\nclass P:\n    def __post_init__(self):\n"
+                          "        if not math.isfinite(self.x):\n            raise ValueError\n"
+                          "    def other(self):\n        return math.isfinite(self.x)\n\n"
+                          "def keep(p):\n    return p < 1e-30 or p < 1e-10\n"),
+    }
+    assert _shared_decision_copies(modules) == [
+        ("a.py", 5, "math.isfinite in __post_init__"), ("a.py", 11, "1e-30")]

@@ -103,8 +103,9 @@ def _trapezoid_total(p: TwoPhotonParams, n: int) -> complex:
     """sum_j hop1_j hop2_j times path j's ordered double integral, by a
     cumulative trapezoid on n + 1 points of the window."""
     hop1, hop2, d1, d2 = _path_elements(p.rabi_coupling, p.delta)
-    t = np.linspace(p.t_start, p.t_end, n + 1)
-    dt = (p.t_end - p.t_start) / n
+    t_start, t_end = p.pulse.window
+    t = np.linspace(t_start, t_end, n + 1)
+    dt = (t_end - t_start) / n
     env = np.exp(-(t / p.tau) ** 2)
     total = 0.0
     for w, d_in, d_out in zip(hop1 * hop2, d1, d2):

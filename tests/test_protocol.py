@@ -187,6 +187,19 @@ def _gun_ebits():
     return ebits
 
 
+def _near_floor_ebit(eps):
+    """sqrt(1 - eps^2) |eg> + eps |ge>: on an input with A empty, alpha's
+    outcome g has probability eps^2 and each branch under it eps^2 / 2."""
+    return StateVector(CompositeSpace([FactorLabel("alpha", 2), FactorLabel("beta", 2)]),
+                       np.array([0.0, eps, math.sqrt(1 - eps * eps), 0.0]))
+
+
+# ebits whose smallest branch lies about four decades below and above
+# qstate.BRANCH_FLOOR on the input _NEAR_FLOOR_AMPS
+_NEAR_FLOOR_EPS = (1.4e-17, 1.4e-13)
+_NEAR_FLOOR_AMPS = (0.0, 1.0, 0.6, 0.8j)
+
+
 def _oracle_cases():
     rng = make_rng(18)
     cases = [(_random_pairs(rng), None, None) for _ in range(3)]
@@ -202,7 +215,21 @@ def _oracle_cases():
             cases.append((amps, None, ebit))
         cases.append((None, _random_input(rng, ("A", "anc", "B"),
                                           {"A": 1, "B": 1}), ebit))
+    for eps in _NEAR_FLOOR_EPS:
+        cases.append((_NEAR_FLOOR_AMPS, None, _near_floor_ebit(eps)))
     return cases
+
+
+@pytest.mark.parametrize("runner", [run_nonlocal_cnot, run_nonlocal_cqpg],
+                         ids=["cnot", "cqpg"])
+def test_near_floor_cases_straddle_the_drop_threshold(runner):
+    below, above = (runner(*_NEAR_FLOOR_AMPS, ebit_state=_near_floor_ebit(eps))
+                    for eps in _NEAR_FLOOR_EPS)
+    assert [br.label for br in below.branches] == ["eg", "ee"]
+    assert not any(line.startswith("[g") for line in below.trace_lines())
+    assert [br.label for br in above.branches] == ["gg", "ge", "eg", "ee"]
+    smallest = min(br.probability for br in above.branches)
+    assert 1e-27 < smallest < 1e-25
 
 
 @pytest.mark.parametrize("gate", ["cnot", "cqpg"])
@@ -319,6 +346,22 @@ def test_gate_fidelities_keep_the_step_loops_precision_on_a_rare_branch():
     scored = protocol._gate_columns(s, ideal @ s, action @ s)
     got = protocol._gate_fidelities(scored[None], w[:, 3])
     np.testing.assert_allclose(got, [want], rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cqpg"])
+@pytest.mark.parametrize("dim", [3, 5, 6, 8])
+def test_load_map_is_the_stripped_register_of_each_basis_product(gate, dim):
+    # the reference: prepare_register's four full registers, atoms stripped,
+    # which one node's Kronecker square must equal bit for bit
+    params = protocol._GATES[gate].node_params
+    columns = []
+    for i, j in np.ndindex(2, 2):
+        reg = prepare_register(i, 1 - i, j, 1 - j, fock_cutoff=dim - 1, params=params)
+        stripped = protocol._reorder_sub(reg, CompositeSpace([FactorLabel("A", dim),
+                                                              FactorLabel("B", dim)]))
+        columns.append(stripped.tensor_view()[:2, :2].reshape(-1))
+    want = np.array(columns).T
+    assert protocol._load_map(params, dim).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("gate", ["cnot", "cqpg"])
