@@ -18,18 +18,16 @@ import argparse
 import cmath
 import math
 import sys
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
 
-from .qstate import QStateError, StateVector, make_rng
+from .qstate import QStateError, StateVector, check_tol, make_rng
 from .jcmodel import (JCParams, desk_params, dressed_energies, jc_rotating,
                       jc_space, mixing_angle)
 from .pulses import StiffnessError, evolve_tdse
-from .perturb import (BAND_CENTER, BAND_WIDTH, SOURCE_POINT_ANGULAR,
-                      SOURCE_POINT_CYCLIC, QuadratureError, calibrate_convention,
-                      two_photon_probability, two_photon_tdse_oracle)
+from .perturb import (BAND_CENTER, BAND_WIDTH, QuadratureError,
+                      calibrate_convention, convention_probabilities, in_band)
 from .gates import (PhysicalGateConfig, fidelity_closed_form,
                     physical_cnot_cavity_to_atom)
 from .protocol import (PhotonGunModel, ProtocolConfig, ProtocolError,
@@ -52,8 +50,7 @@ def _fmt_at_tol(value, tol: float) -> str:
     Rounds to floor(-log10(tol)) decimals, so the printed quantum is never
     finer than tol, then prints through _fmt.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise CliError(f"tolerance must be finite and > 0, got {tol}")
+    check_tol(tol)
     return _fmt(round(float(value), math.floor(-math.log10(tol))))
 
 
@@ -258,8 +255,6 @@ def cmd_rabi(ns) -> int:
         raise CliError(f"--points must be >= 2, got {ns.points}")
     if ns.t_max <= 0:
         raise CliError(f"--t-max must be > 0, got {ns.t_max}")
-    if ns.fock_cutoff < 2:
-        raise CliError(f"--fock-cutoff must be >= 2, got {ns.fock_cutoff}")
     params = JCParams(omega0=1.0, omega=1.0, rabi_coupling=ns.omega_rabi)
     static = jc_rotating(params, ns.fock_cutoff)
     space = jc_space(ns.fock_cutoff)
@@ -329,28 +324,18 @@ def _simulated_fidelity(x: float, config: PhysicalGateConfig) -> float:
 
 
 def cmd_two_photon(ns) -> int:
-    lines = []
     if ns.convention == "auto":
         report = calibrate_convention(tol=ns.tolerance)
-        for name in ("angular", "cyclic"):
-            exact = _fmt_at_tol(report.tdse[name], ns.tolerance)
-            lines.append(f"convention={name} "
-                         f"perturbative={_fmt(report.perturbative[name])} "
-                         f"tdse={exact}")
-        chosen, in_band = report.chosen, report.in_band
+        pert, exact, chosen = report.perturbative, report.tdse, report.chosen
     else:
-        point = {"angular": SOURCE_POINT_ANGULAR, "cyclic": SOURCE_POINT_CYCLIC}[ns.convention]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pert = two_photon_probability(point)
-            exact = two_photon_tdse_oracle(point, tol=ns.tolerance)
-        lines.append(f"convention={ns.convention} perturbative={_fmt(pert)} "
-                     f"tdse={_fmt_at_tol(exact, ns.tolerance)}")
         chosen = ns.convention
-        in_band = abs(pert - BAND_CENTER) <= BAND_WIDTH
+        p, p_tdse = convention_probabilities(chosen, ns.tolerance)
+        pert, exact = {chosen: p}, {chosen: p_tdse}
+    lines = [f"convention={name} perturbative={_fmt(pert[name])} "
+             f"tdse={_fmt_at_tol(exact[name], ns.tolerance)}" for name in pert]
     lines.append(f"chosen={chosen}")
     lines.append(f"target={_fmt(BAND_CENTER)} band={_fmt(BAND_WIDTH)} "
-                 f"in_band={str(in_band).lower()}")
+                 f"in_band={str(in_band(pert[chosen])).lower()}")
     _emit(lines, ns.out)
     return 0
 

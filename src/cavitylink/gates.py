@@ -43,8 +43,8 @@ import numpy as np
 from .qstate import (ATOM_E, ATOM_G, ATOM_I, CompositeSpace, FactorLabel,
                      Operator, QStateError, StateVector, apply_local,
                      check_finite, check_tol, embed)
-from .jcmodel import (JCParams, bare_to_dressed_map, jc_rotating,
-                      manifold_splitting)
+from .jcmodel import (JCParams, bare_to_dressed_map, check_fock_cutoff,
+                      jc_rotating, manifold_splitting)
 from .pulses import (GAUSSIAN_SUPPORT, Drive, PulseSpec, calibrate_pulse_area,
                      propagate_basis)
 from .perturb import TwoPhotonParams
@@ -93,8 +93,7 @@ class PhysicalGateConfig:
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.fock_cutoff < 2:
-            raise QStateError("fock_cutoff must be >= 2")
+        check_fock_cutoff(self.fock_cutoff)
         check_tol(self.tol)
 
 
@@ -644,8 +643,7 @@ def three_level_hamiltonian(tp: ThreeLevelParams, fock_cutoff: int) -> Operator:
     |g,n> sits at delta_ge when the residual g <-> e coupling is modeled;
     in suppressed mode the g sector is fully decoupled and unshifted.
     """
-    if fock_cutoff < 2:
-        raise QStateError("fock_cutoff must be >= 2")
+    check_fock_cutoff(fock_cutoff)
     n_ph = fock_cutoff + 1
     dim = 3 * n_ph
     h = np.zeros((dim, dim), dtype=complex)

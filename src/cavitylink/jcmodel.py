@@ -84,10 +84,15 @@ def set_stark_detuning(params: JCParams, new_omega0: float) -> JCParams:
     return dataclasses.replace(params, omega0=new_omega0)
 
 
-def jc_space(fock_cutoff: int) -> CompositeSpace:
-    """Atom (dim 2) tensor cavity (photon numbers 0..fock_cutoff)."""
+def check_fock_cutoff(fock_cutoff: int) -> None:
+    """Refuse a node that keeps fewer than 2 photons."""
     if fock_cutoff < 2:
         raise QStateError(f"fock_cutoff must be >= 2, got {fock_cutoff}")
+
+
+def jc_space(fock_cutoff: int) -> CompositeSpace:
+    """Atom (dim 2) tensor cavity (photon numbers 0..fock_cutoff)."""
+    check_fock_cutoff(fock_cutoff)
     return CompositeSpace([FactorLabel("atom", 2), FactorLabel("cavity", fock_cutoff + 1)])
 
 

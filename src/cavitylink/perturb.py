@@ -96,12 +96,14 @@ def _laser_frequency(rabi_coupling: float, delta: float) -> float:
     return (r1 + delta / 2.0) / 2.0
 
 
-# Operating point quoted at the source scale, under both frequency readings.
+# Operating point quoted at the source scale, under both frequency readings,
+# and the two by the reading's name.
 SOURCE_POINT_ANGULAR = TwoPhotonParams(
     rabi_coupling=1e5, delta=1e6, tau=2e-5, sigma0=1e5)
 SOURCE_POINT_CYCLIC = TwoPhotonParams(
     rabi_coupling=2.0 * math.pi * 1e5, delta=2.0 * math.pi * 1e6, tau=2e-5,
     sigma0=2.0 * math.pi * 1e5)
+SOURCE_POINTS = {"angular": SOURCE_POINT_ANGULAR, "cyclic": SOURCE_POINT_CYCLIC}
 
 # The quoted exchange probability at the operating point, and its band.
 BAND_CENTER = 0.47
@@ -267,23 +269,33 @@ class ConventionReport:
     in_band: bool
 
 
+def in_band(p: float) -> bool:
+    """Whether an exchange probability lies in the quoted band,
+    BAND_CENTER +/- BAND_WIDTH."""
+    return abs(p - BAND_CENTER) <= BAND_WIDTH
+
+
+def convention_probabilities(name: str, tol: float) -> tuple:
+    """(perturbative, TDSE) exchange probability of SOURCE_POINTS[name], the
+    TDSE at tol; warnings are silenced, since a reading whose second-order
+    number breaks down is reported, not refused."""
+    point = SOURCE_POINTS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return two_photon_probability(point), two_photon_tdse_oracle(point, tol=tol)
+
+
 def calibrate_convention(tol: float = 1e-8) -> ConventionReport:
     """Evaluate the operating point under both frequency readings.
 
     Picks the reading whose perturbative probability lands closest to the
-    quoted band, BAND_CENTER +/- BAND_WIDTH, and reports whether it
-    actually falls inside.  The outcome
+    quoted band and reports whether it actually falls inside.  The outcome
     is frozen in FROZEN_CONVENTION / FROZEN_CALIBRATION; this function
     recomputes it from scratch.
     """
-    points = {"angular": SOURCE_POINT_ANGULAR, "cyclic": SOURCE_POINT_CYCLIC}
     pert, exact = {}, {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name, pt in points.items():
-            pert[name] = two_photon_probability(pt)
-            exact[name] = two_photon_tdse_oracle(pt, tol=tol)
+    for name in SOURCE_POINTS:
+        pert[name], exact[name] = convention_probabilities(name, tol)
     chosen = min(pert, key=lambda k: abs(pert[k] - BAND_CENTER))
-    in_band = abs(pert[chosen] - BAND_CENTER) <= BAND_WIDTH
     return ConventionReport(perturbative=pert, tdse=exact, chosen=chosen,
-                            in_band=in_band)
+                            in_band=in_band(pert[chosen]))

@@ -33,17 +33,17 @@ from typing import Callable, Optional
 import numpy as np
 import scipy
 
-from .qstate import (ATOM_G, ATOM_LEVEL_NAMES, BRANCH_FLOOR, CompositeSpace,
-                     FactorLabel, QStateError, StateVector, apply_local,
-                     check_branch_total, check_tol, enumerate_branches, make_rng,
-                     tensor)
+from .qstate import (ATOM_G, ATOM_LEVEL_NAMES, BRANCH_FLOOR, TOLERANCES,
+                     CompositeSpace, FactorLabel, QStateError, StateVector,
+                     apply_local, check_branch_total, check_tol,
+                     enumerate_branches, make_rng, tensor)
 from .jcmodel import (JCParams, desk_params, resonant_rabi_evolve,
                       set_stark_detuning)
 from .perturb import SOURCE_POINT_CYCLIC
-from .gates import (GateKind, GateResult, PhysicalGateConfig, ThreeLevelParams,
-                    atom_block, checked_fidelity, ideal_block,
-                    physical_cnot_atom_to_cavity, physical_cnot_cavity_to_atom,
-                    physical_cqpg_local, physical_hadamard_atom, physical_not_atom)
+from .gates import (GateKind, PhysicalGateConfig, ThreeLevelParams, atom_block,
+                    checked_fidelity, ideal_block, physical_cnot_atom_to_cavity,
+                    physical_cnot_cavity_to_atom, physical_cqpg_local,
+                    physical_hadamard_atom, physical_not_atom)
 
 
 class ProtocolError(RuntimeError):
@@ -120,6 +120,10 @@ class PhotonGunModel:
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One traced operation.  A measurement's p and a gate's fidelity on the
+    input are numbers, formatted only by line(); outcome is constant text:
+    the measured level, or what a gate's line prints after its fidelity."""
+
     branch: str
     step: str
     node: str
@@ -127,11 +131,18 @@ class TraceRecord:
     params_text: str
     outcome: str
     support: tuple
+    p: Optional[float] = None
+    fidelity: Optional[float] = None
 
     def line(self) -> str:
+        outcome = self.outcome
+        if self.p is not None:
+            outcome = f"outcome={outcome} p={self.p:.6f}"
+        elif self.fidelity is not None:
+            outcome = f"fidelity={self.fidelity:.9f}{outcome}"
         return (f"[{self.branch}] step={self.step} node={self.node} "
                 f"op={self.operation} params={self.params_text} "
-                f"outcome={self.outcome}")
+                f"outcome={outcome}")
 
 
 @dataclass(frozen=True)
@@ -228,7 +239,7 @@ def _measure(state: StateVector, factor: str) -> list:
 
 def _check_pair(u: complex, v: complex, names: str) -> None:
     norm = abs(u) ** 2 + abs(v) ** 2
-    if not abs(norm - 1.0) <= 1e-9:   # NaN fails too
+    if not abs(norm - 1.0) <= TOLERANCES.norm:   # NaN fails too
         raise QStateError(f"|{names[0]}|^2 + |{names[1]}|^2 = {norm}, expected 1")
 
 
@@ -330,7 +341,7 @@ def enumerate_ebit_branches(model: PhotonGunModel) -> tuple:
                     atoms_state=atoms,
                     probability=float(w * pr1 * pr2)))
     total = sum(b.probability for b in branches)
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > TOLERANCES.norm:
         raise ProtocolError(f"gun branch probabilities sum to {total}")
     return tuple(branches)
 
@@ -345,7 +356,7 @@ def _reorder_sub(state: StateVector, space: CompositeSpace) -> StateVector:
     norms = np.linalg.norm(flat, axis=0)
     col = int(np.argmax(norms))
     vec = flat[:, col]
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
+    if abs(np.linalg.norm(vec) - 1.0) > TOLERANCES.norm:
         raise ProtocolError("remaining factors are entangled; cannot strip")
     return StateVector(space, vec)
 
@@ -380,7 +391,8 @@ class _Step:
     traced as one record with params ideal_text.  physical(step, state,
     params, config) runs the pulse-level operation at node params and
     returns the state and its trace records, each (operation, params_text,
-    outcome, support); a gate record's outcome is the _Scored gate.
+    outcome, support, scored); a gate record's scored is the state the gate
+    ran on and its GateResult (the ideal target and the output), else None.
     """
 
     name: str
@@ -396,25 +408,11 @@ def _true_hadamard(space: CompositeSpace) -> tuple:
     return atom_block(space.factor("beta").dim, TRUE_HADAMARD), ("beta",)
 
 
-def _fidelity_outcome(f: float, suffix: str) -> str:
-    return f"fidelity={checked_fidelity(f):.9f}{suffix}"
-
-
-@dataclass(frozen=True)
-class _Scored:
-    """What one physical gate scored: the state it ran on, its result (the
-    ideal target and the output) and the constant text after its fidelity."""
-
-    pre: StateVector
-    result: GateResult
-    suffix: str = ""
-
-
 def _cnot_photon_to_alpha(step, state, params, config):
     res = physical_cnot_cavity_to_atom(state, params, config.gate_config(),
                                        atom="alpha", cavity="A")
-    return res.output, [(step.operation, _pulse_text(res), _Scored(state, res),
-                         step.support)]
+    return res.output, [(step.operation, _pulse_text(res), "", step.support,
+                         (state, res))]
 
 
 def _not_beta(step, state, params, config):
@@ -423,23 +421,24 @@ def _not_beta(step, state, params, config):
     res = physical_not_atom(state, params, config.gate_config(), atom="beta",
                             cavity=cavity)
     support = step.support if cavity is None else step.support + (cavity,)
-    return res.output, [(step.operation, _pulse_text(res), _Scored(state, res),
-                         support)]
+    return res.output, [(step.operation, _pulse_text(res), "", support,
+                         (state, res))]
 
 
 def _cnot_beta_to_photon(step, state, params, config):
     res = physical_cnot_atom_to_cavity(state, SWAP_PARAMS, config.gate_config(),
                                        atom="beta", cavity="B")
-    scored = _Scored(state, res, f" exchange={res.exchange_probability_tdse:.6f}")
-    return res.output, [(step.operation, _pulse_text(res), scored, step.support)]
+    return res.output, [(step.operation, _pulse_text(res),
+                         f" exchange={res.exchange_probability_tdse:.6f}",
+                         step.support, (state, res))]
 
 
 def _cqpg_at_bob(step, state, params, config):
     g = params.rabi_coupling
     res = physical_cqpg_local(state, ThreeLevelParams(rabi_coupling=g),
                               config.gate_config(), atom="beta", cavity="B")
-    return res.output, [(step.operation, f"resonant e-i cycle t=pi/{g:.6g}",
-                         _Scored(state, res), step.support)]
+    return res.output, [(step.operation, f"resonant e-i cycle t=pi/{g:.6g}", "",
+                         step.support, (state, res))]
 
 
 def _hadamard_beta(step, state, params, config):
@@ -453,21 +452,21 @@ def _hadamard_beta(step, state, params, config):
         x, cavity = HADAMARD_X, "B"
         params = set_stark_detuning(params, params.omega + params.rabi_coupling / x)
         records.append(("stark-switch", f"delta -> coupling/{x:.6g}", "-",
-                        ("beta", cavity)))
+                        ("beta", cavity), None))
     res = physical_hadamard_atom(state, params, config.gate_config(), atom="beta",
                                  cavity=cavity)
     support = step.support if cavity is None else step.support + (cavity,)
     records.append((step.operation,
-                    _pulse_text(res) + " + atom frame phases diag(i,1)",
-                    _Scored(state, res), support))
+                    _pulse_text(res) + " + atom frame phases diag(i,1)", "",
+                    support, (state, res)))
     return apply_local(res.output, frame, ("beta",)), records
 
 
 def _reset_alpha(step, state, params, config):
     res = physical_not_atom(state, params, config.gate_config(), atom="alpha",
                             cavity=None)
-    return res.output, [(step.operation, "decoupled reset before phase pulse",
-                         _Scored(state, res), step.support)]
+    return res.output, [(step.operation, "decoupled reset before phase pulse", "",
+                         step.support, (state, res))]
 
 
 def _photon_phase(step, state, params, config):
@@ -476,8 +475,8 @@ def _photon_phase(step, state, params, config):
     resonant = set_stark_detuning(params, params.omega)
     state = resonant_rabi_evolve(resonant, state, math.pi / g, atom="alpha",
                                  cavity="A")
-    return state, [("stark-switch", "delta -> 0", "-", ("alpha", "A")),
-                   ("resonant-2pi-cycle", f"t=pi/{g:.6g}", "-", ("alpha", "A"))]
+    return state, [("stark-switch", "delta -> 0", "-", ("alpha", "A"), None),
+                   ("resonant-2pi-cycle", f"t=pi/{g:.6g}", "-", ("alpha", "A"), None)]
 
 
 _STEP4 = _Step("step4", ALICE, "cnot-cavity-to-atom", ("alpha", "A"),
@@ -521,7 +520,7 @@ _GATES = {
 
 def _apply_ideal(step, state, params, config):
     return (apply_local(state, *step.ideal(state.space)),
-            [(step.operation, step.ideal_text, "-", step.support)])
+            [(step.operation, step.ideal_text, "-", step.support, None)])
 
 
 @dataclass(frozen=True)
@@ -542,30 +541,30 @@ _LEVELS = {
 
 def _record(records: list, branch: str, step: str, node: Node, operation: str,
             params_text: str, outcome: str, support: tuple = (),
-            slot: Optional[tuple] = None) -> None:
+            slot: Optional[tuple] = None, p: Optional[float] = None,
+            fidelity: Optional[float] = None) -> None:
     """Append the record and its slot (see _Maps) to records."""
     if not _is_local(node.name, support):
         raise ProtocolError(
             f"operation on {support} exceeds node {node.name} ({sorted(node.factors)})")
     records.append((TraceRecord(branch, step, node.name, operation, params_text,
-                                outcome, tuple(support)), slot))
+                                outcome, tuple(support), p, fidelity), slot))
 
 
 def _run_step(records: list, scores: list, level: _Level, params: JCParams,
               config: ProtocolConfig, branch: str, step: _Step,
               state: StateVector) -> StateVector:
-    """Apply step and record it; a gate record is traced with the fidelity on
-    state, and its slot names its _Scored gate's index in scores."""
+    """Apply step and record it; a gate record holds its fidelity on state,
+    and its slot names its scored pair's index in scores."""
     state, done = level.apply(step, state, params, config)
-    for operation, params_text, outcome, support in done:
-        slot = None
-        if isinstance(outcome, _Scored):
-            slot = ("gate", len(scores), outcome.suffix)
-            scores.append(outcome)
-            outcome = _fidelity_outcome(outcome.result.fidelity_vs_ideal,
-                                        outcome.suffix)
+    for operation, params_text, outcome, support, scored in done:
+        slot = fidelity = None
+        if scored is not None:
+            slot = ("gate", len(scores))
+            scores.append(scored)
+            fidelity = checked_fidelity(scored[1].fidelity_vs_ideal)
         _record(records, branch, step.name, step.node, operation, params_text,
-                outcome, support, slot)
+                outcome, support, slot, fidelity=fidelity)
     return state
 
 
@@ -635,16 +634,12 @@ class _Leaf:
     bits: tuple
 
 
-def _measured(level: str, p: float) -> str:
-    return f"outcome={level} p={p:.6f}"
-
-
 def _run_steps(spec: _Gate, lvl: _Level, config: ProtocolConfig,
                cav_state: StateVector, ref_cav: StateVector,
                atoms: StateVector, supplied: bool) -> tuple:
     """The step table on one loaded register and ebit: (records, leaves,
-    scores), records each (TraceRecord, slot) and scores the _Scored gate of
-    each gate record.
+    scores), records each (TraceRecord, slot) and scores the (pre-state,
+    GateResult) of each gate record.
 
     ref_cav is the register the ideal target is taken on; every record is
     refused as it is made if it leaves its node.
@@ -678,8 +673,7 @@ def _run_steps(spec: _Gate, lvl: _Level, config: ProtocolConfig,
         alpha_out = ATOM_LEVEL_NAMES[alpha_level]
         tag_a = alpha_out + "?"
         _record(records, tag_a, "measure-alpha", ALICE, "projective-measurement",
-                "basis g/e", _measured(alpha_out, p_alpha), ("alpha",),
-                ("alpha", alpha_out))
+                "basis g/e", alpha_out, ("alpha",), ("alpha", alpha_out), p=p_alpha)
         to_bob = ("Alice", "Bob", _bit_of(alpha_out), "alpha-measurement")
         _record(records, tag_a, "classical", ALICE, "send-bit",
                 f"bit={_bit_of(alpha_out)}", "Alice -> Bob")
@@ -694,7 +688,7 @@ def _run_steps(spec: _Gate, lvl: _Level, config: ProtocolConfig,
             tag = alpha_out + beta_out
             _record(records, tag, "measure-beta", BOB, "projective-measurement",
                     "basis " + "/".join(ATOM_LEVEL_NAMES[:spec.beta_dim]),
-                    _measured(beta_out, p_beta), ("beta",), ("beta", len(leaves)))
+                    beta_out, ("beta",), ("beta", len(leaves)), p=p_beta)
             if beta_out == "i":
                 leaves.append(_Leaf(alpha_out, beta_out, p_alpha, p_beta, sf, None,
                                     (to_bob,)))
@@ -734,8 +728,8 @@ class _Maps:
     record k's pre-state, ideal-image and output columns as _gate_columns
     keeps them.  records holds the step loop's records in order, each as
     (record, slot): slot None copies the record; ("alpha", outcome) and
-    ("beta", j) are measurements, whose p= is the input's; ("gate", k,
-    suffix) is gate record k, whose fidelity= is the input's from scored[k].
+    ("beta", j) are measurements, whose p is the input's; ("gate", k) is gate
+    record k, whose fidelity is the input's from scored[k].
     """
 
     side: int
@@ -807,8 +801,8 @@ def _branch_maps(gate: str, level: str, config: ProtocolConfig, m: int,
     if err > 1e-10:
         raise ProtocolError(f"branch maps are incomplete on cavity levels <= {m}: "
                             f"sum K^dag K is off the identity by {err:.3g}")
-    scored = np.array([_gate_columns(columns(sc.pre), columns(sc.result.target),
-                                     columns(sc.result.output)) for sc in scores])
+    scored = np.array([_gate_columns(columns(pre), columns(res.target),
+                                     columns(res.output)) for pre, res in scores])
     for array in (kraus, targets, scored):
         array.setflags(write=False)
     return _Maps(side, tuple(records),
@@ -838,10 +832,12 @@ def _gate_fidelities(scored: np.ndarray, v: np.ndarray) -> np.ndarray:
         return abs(overlap) ** 2 / norm ** 2
 
 
-def _with_outcome(record: TraceRecord, outcome: str) -> TraceRecord:
-    # one dict copy in place of the frozen __init__'s seven setattr calls
+def _with_number(record: TraceRecord, name: str, value: float) -> TraceRecord:
+    """record with its p or fidelity set to value: one dict copy in place of
+    the frozen __init__'s nine setattr calls."""
     new = object.__new__(TraceRecord)
-    new.__dict__.update(record.__dict__, outcome=outcome)
+    new.__dict__.update(record.__dict__)
+    new.__dict__[name] = value
     return new
 
 
@@ -921,18 +917,18 @@ def _apply_maps(gate: str, level: str, config: ProtocolConfig,
             pass
         elif slot[0] == "gate":
             if keep:
-                record = _with_outcome(record, _fidelity_outcome(fids[slot[1]], slot[2]))
+                record = _with_number(record, "fidelity", checked_fidelity(fids[slot[1]]))
         elif slot[0] == "alpha":
             alpha = slot[1]
             keep = not p_alpha[alpha] < BRANCH_FLOOR
             if keep:
-                record = _with_outcome(record, _measured(alpha, p_alpha[alpha]))
+                record = _with_number(record, "p", p_alpha[alpha])
         else:
             j = slot[1]
             keep = not p_beta[j] < BRANCH_FLOOR
             if keep:
                 alpha, beta, bits = maps.branches[j]
-                record = _with_outcome(record, _measured(beta, p_beta[j]))
+                record = _with_number(record, "p", p_beta[j])
                 branches.append(BranchResult(alpha, beta, p[j], fidelity[j],
                                              StateVector(out_space, finals[j]), bits))
         if keep:

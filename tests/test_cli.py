@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from cavitylink import perturb, protocol, pulses
+from cavitylink import cli, perturb, protocol, pulses
 from cavitylink.cli import _fmt_at_tol, main
 
 
@@ -79,6 +79,12 @@ def test_rabi_rejects_bad_window(capsys):
     assert "--t-max must be > 0" in err
 
 
+def test_rabi_refuses_a_fock_cutoff_below_2(capsys):
+    rc, out, err = run_cli(capsys, "rabi", "--fock-cutoff", "1")
+    assert (rc, out) == (1, "")
+    assert "error: fock_cutoff must be >= 2, got 1" in err
+
+
 # ---------------------------------------------------------------------------
 # fidelity-sweep
 
@@ -113,8 +119,8 @@ def test_fmt_at_tol_rounds_to_the_tolerance_decade():
     # 10 decimals at 1e-10, 8 (never 9) at 3e-9
     assert _fmt_at_tol(0.1234567654321, 1e-10) == "0.1234567654"
     assert _fmt_at_tol(0.1234567654321, 3e-9) == "0.12345677"
-    for bad in (0.0, -1e-10):
-        with pytest.raises(ValueError):
+    for bad in (0.0, -1e-10, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be > 0 and finite"):
             _fmt_at_tol(0.5, bad)
 
 
@@ -438,6 +444,25 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     rc, _out, err = run_cli(capsys, "fidelity-sweep", "--config", str(cfg))
     assert rc == 1
     assert "wavelength" in err
+
+
+@pytest.mark.parametrize("text, rwa", [("off", False), ("On", True)])
+def test_config_rwa_line_picks_the_drive(tmp_path, capsys, monkeypatch, text, rwa):
+    seen = []
+    monkeypatch.setattr(cli, "_simulated_fidelity",
+                        lambda x, config: seen.append(config.rwa) or 1.0)
+    cfg = tmp_path / "drive.cfg"
+    cfg.write_text(f"rwa={text}\nmode=simulated\nsteps=1\n")
+    rc, _out, _err = run_cli(capsys, "fidelity-sweep", "--config", str(cfg))
+    assert (rc, seen) == (0, [rwa])   # rwa False is the full drive
+
+
+def test_config_rwa_line_that_is_no_boolean_is_bad_input(tmp_path, capsys):
+    cfg = tmp_path / "drive.cfg"
+    cfg.write_text("rwa=maybe\nmode=simulated\n")
+    rc, out, err = run_cli(capsys, "fidelity-sweep", "--config", str(cfg))
+    assert (rc, out) == (1, "")
+    assert "error: config rwa: expected a boolean, got 'maybe'" in err
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):

@@ -26,7 +26,8 @@ from cavitylink import (
     physical_swap_two_photon,
     state_fidelity,
 )
-from cavitylink.gates import HADAMATOM, GateResult, _comp_rows, _phase_fixed, ideal_block
+from cavitylink.gates import (HADAMATOM, GateResult, _comp_rows, _phase_fixed,
+                              ideal_block, three_level_hamiltonian)
 from cavitylink.jcmodel import bare_to_dressed_map, dressed_pair
 from cavitylink.perturb import (SOURCE_POINT_ANGULAR, SOURCE_POINT_CYCLIC,
                                 _sigma0_free_total, two_photon_probability)
@@ -186,6 +187,14 @@ def test_ideal_gate_label_errors():
 
 # ---------------------------------------------------------------------------
 # config and result containers
+
+
+def test_every_node_refuses_a_fock_cutoff_below_2():
+    # one check, jcmodel.check_fock_cutoff, under one message
+    for build in (lambda: jc_space(1), lambda: PhysicalGateConfig(fock_cutoff=1),
+                  lambda: three_level_hamiltonian(ThreeLevelParams(rabi_coupling=1.0), 1)):
+        with pytest.raises(QStateError, match=r"^fock_cutoff must be >= 2, got 1$"):
+            build()
 
 
 def test_config_and_params_validation():

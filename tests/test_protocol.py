@@ -320,7 +320,7 @@ def test_physical_branch_maps_match_the_step_loop_run_on_the_loaded_input(
             for r, k in _gate_records(records):
                 np.testing.assert_allclose(
                     checked_fidelity(scored[r.branch, r.step, r.operation]),
-                    scores[k].result.fidelity_vs_ideal, rtol=0, atol=1e-12)
+                    scores[k][1].fidelity_vs_ideal, rtol=0, atol=1e-12)
 
 
 def _unitary(rng, n):
@@ -416,6 +416,99 @@ def test_a_map_fidelity_outside_its_range_is_refused(monkeypatch):
     monkeypatch.setattr(protocol, "_branch_maps", inflated)
     with pytest.raises(QStateError, match=r"fidelity .* outside \[0, 1\]"):
         run_nonlocal_cqpg(level="physical")
+
+
+# ---------------------------------------------------------------------------
+# trace records hold numbers; only TraceRecord.line formats them
+
+RUNNERS = {"cnot": run_nonlocal_cnot, "cqpg": run_nonlocal_cqpg}
+
+
+def _number_cases():
+    """(amps, ebit) inputs: random pairs and photon-number inputs, under the
+    Bell pair and every unflagged gun pair."""
+    rng = make_rng(36)
+    amps = [_random_pairs(rng) for _ in range(2)] + [(1, 0, 1, 0), (0, 1, 0.6, 0.8j)]
+    return [(a, ebit) for a in amps for ebit in [None] + _gun_ebits()]
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cqpg"])
+@pytest.mark.parametrize("level", ["ideal", "physical"])
+def test_inputs_run_without_formatting_a_trace_line(gate, level, monkeypatch):
+    def refuse(record):
+        raise AssertionError("a run formatted a trace line")
+
+    monkeypatch.setattr(TraceRecord, "line", refuse)
+    for amps, ebit in _number_cases():
+        for _ in range(2):   # cold, then warm
+            trace = RUNNERS[gate](*amps, level=level, ebit_state=ebit)
+            for r in trace.records:
+                measured = r.operation == "projective-measurement"
+                assert isinstance(r.p, float) if measured else r.p is None
+                assert r.fidelity is None or isinstance(r.fidelity, float)
+            assert trace.branches
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cqpg"])
+@pytest.mark.parametrize("level", ["ideal", "physical"])
+def test_branch_probability_is_the_product_of_its_measurement_records(gate, level):
+    dropped = 0
+    for amps, ebit in _number_cases():
+        trace = RUNNERS[gate](*amps, level=level, ebit_state=ebit)
+        p = {r.branch: r.p for r in trace.records if r.p is not None}
+        for br in trace.branches:
+            assert p[br.alpha + "?"] * p[br.label] == br.probability, br.label
+        dropped += "g?" not in p or "e?" not in p
+    if level == "ideal":   # some inputs drop an alpha outcome with its branches
+        assert dropped > 0
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cqpg"])
+def test_physical_gate_records_hold_the_checked_map_fidelity(gate):
+    spec = protocol._GATES[gate]
+    config = protocol.ProtocolConfig()
+    for (a, b, c, d), ebit in _number_cases():
+        trace = RUNNERS[gate](a, b, c, d, level="physical", ebit_state=ebit)
+        supplied = ebit is not None
+        atoms = protocol._ebit_pair(ebit if supplied else protocol._bell_atoms(),
+                                    spec.beta_dim)
+        maps = protocol._branch_maps(gate, "physical", config, 1,
+                                     atoms.amplitudes.tobytes(), supplied)
+        fids = protocol._gate_fidelities(maps.scored, np.outer([b, a], [d, c]).reshape(-1))
+        slots = {(r.branch, r.step, r.operation): k for r, k in _gate_records(maps.records)}
+        gates_seen = [r for r in trace.records if r.fidelity is not None]
+        assert gates_seen and all(r.p is None for r in gates_seen)
+        for r in gates_seen:
+            k = slots[r.branch, r.step, r.operation]
+            assert r.fidelity == checked_fidelity(fids[k]), (r.branch, r.step)
+        # every kept gate record carries one, and only gate records do
+        kept = {(r.branch, r.step, r.operation) for r in trace.records}
+        assert len(gates_seen) == len(kept.intersection(slots))
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cqpg"])
+@pytest.mark.parametrize("planted", [1.0 + 2e-9, -2e-12, math.nan])
+def test_a_warm_gate_fidelity_past_its_range_is_refused(gate, planted, monkeypatch):
+    # the maps are built by a clean call; the per-input scores then read
+    # planted, which checked_fidelity refuses on every kept gate record
+    RUNNERS[gate](level="physical")
+    real = protocol._gate_fidelities
+
+    def planting(scored, v):
+        return np.full_like(real(scored, v), planted)
+
+    monkeypatch.setattr(protocol, "_gate_fidelities", planting)
+    with pytest.raises(QStateError, match=r"fidelity .* outside \[0, 1\]"):
+        RUNNERS[gate](level="physical")
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cqpg"])
+def test_a_warm_gate_fidelity_inside_its_range_is_clamped(gate, monkeypatch):
+    RUNNERS[gate](level="physical")
+    monkeypatch.setattr(protocol, "_gate_fidelities",
+                        lambda scored, v: np.full(len(scored), 1.0 + 5e-10))
+    trace = RUNNERS[gate](level="physical")
+    assert {r.fidelity for r in trace.records if r.fidelity is not None} == {1.0}
 
 
 @pytest.mark.parametrize("gate", ["cnot", "cqpg"])
@@ -615,6 +708,20 @@ def test_prepare_register_enforces_pair_norms():
         prepare_register(math.nan, 0.8, 0.6, 0.8)
     with pytest.raises(QStateError, match="expected 1"):
         run_nonlocal_cnot(math.nan, 0.8, 0.6, 0.8)
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cqpg"])
+@pytest.mark.parametrize("level", ["ideal", "physical"])
+def test_a_pair_just_past_the_norm_bound_is_refused_by_the_pair_check(gate, level):
+    # |a|^2 + |b|^2 = 1 + 2e-9, past qstate.TOLERANCES.norm: a looser pair
+    # check would leave it to the branch-total check, under its own message
+    over = math.sqrt(1.0 + 2e-9)
+    for amps, names in (((over, 0.0, 0.6, 0.8), r"\|a\|\^2 \+ \|b\|\^2"),
+                        ((0.6, 0.8, 0.0, over), r"\|c\|\^2 \+ \|d\|\^2")):
+        with pytest.raises(QStateError, match=names + r" = 1\.00000000\d+, expected 1"):
+            RUNNERS[gate](*amps, level=level)
+    # a pair inside the bound loads
+    prepare_register(math.sqrt(1.0 + 5e-10), 0.0, 0.6, 0.8)
 
 
 def test_ideal_ebit_is_shared_bell_pair():

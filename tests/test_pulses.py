@@ -416,13 +416,31 @@ def _node(dim):
 @pytest.mark.parametrize("counter", [None, 5.3])
 @pytest.mark.parametrize("dim", [2, 3, 10, 12])
 def test_workspace_kernel_is_bit_identical_to_the_allocating_one(dim, counter):
-    # 64 and 128 steps are one partial block, 256 one full block and 1024
-    # four; the full drive's steps span 3 to 1 panels of its 6 rad/s term
+    # 64, 100 and 128 steps are one partial block, 256 one full block, 320 a
+    # full and a partial one and 1024 four; 100 halves to the odd stacks 25,
+    # 13 and 7, whose last matrix the product carries over.  The full
+    # drive's steps span 3 to 1 panels of its 6 rad/s term
     frame, (t0, t1) = _frame_generator(0.7, counter, _node(dim))
-    for n in (64, 128, 256, 1024):
+    for n in (64, 100, 128, 256, 320, 1024):
         want = _reference_magnus_steps(frame, t0, t1, n)
         got = pulses._magnus_steps(frame, t0, t1, n)
         assert np.array_equal(got, want), (dim, counter, n)
+
+
+@pytest.mark.parametrize("counter", [None, 5.3])
+def test_a_spectator_factor_adds_no_excitations(counter):
+    # a factor neither the atom nor "cavity" is a spectator: the drive on
+    # (atom, cavity, spectator) is the node's propagator times the identity
+    node = _node(6)
+    wide = Operator(CompositeSpace(list(node.space.factors)
+                                   + [FactorLabel("spectator", 2)]),
+                    np.kron(node.matrix, np.eye(2)), hermitian=True)
+    pulse = calibrate_pulse_area(PulseSpec(omega_drive=0.7, amplitude=1.0,
+                                           width=4.0), math.pi)
+    drive = Drive(pulse, 0.7, counter)
+    want, _ = propagate_basis(node, [drive], *pulse.window, 1e-10)
+    got, _ = propagate_basis(wide, [drive], *pulse.window, 1e-10)
+    np.testing.assert_allclose(got, np.kron(want, np.eye(2)), rtol=0, atol=1e-12)
 
 
 def test_magnus_blocks_reuse_their_workspace():
